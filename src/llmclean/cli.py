@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -88,12 +89,30 @@ def _load_specs(path: str | None) -> dict[str, SensorSpec]:
     if not path:
         return {}
     table = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(table, dict):
+        raise LLMCleanError(f"{path}: sensor specs must be a JSON object keyed by model")
     specs = {}
     for model, entry in table.items():
-        specs[model] = SensorSpec(
-            model, float(entry["min"]), float(entry["max"]), str(entry.get("unit", ""))
-        )
+        if not isinstance(entry, dict):
+            raise LLMCleanError(f"sensor spec {model!r} must be an object with min and max")
+        try:
+            low, high = float(entry["min"]), float(entry["max"])
+        except (KeyError, TypeError, ValueError):
+            low = high = math.nan
+        if math.isnan(low) or math.isnan(high):
+            # A NaN bound would fail every range check and flag every reading.
+            raise LLMCleanError(f"sensor spec {model!r} needs numeric min and max")
+        specs[model] = SensorSpec(model, low, high, str(entry.get("unit", "")))
     return specs
+
+
+def _parse_fd_pair(text: str | None) -> tuple[str | None, str | None]:
+    if not text:
+        return None, None
+    determinant, _, dependent = text.partition(":")
+    if not determinant or not dependent:
+        raise LLMCleanError(f"--fd-pair expects determinant:dependent, got {text!r}")
+    return determinant, dependent
 
 
 def _classify(args, headers) -> generation.DatasetClass:
@@ -226,6 +245,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    fd_determinant, fd_dependent = _parse_fd_pair(args.fd_pair)
     clean = normalize_missing(_load_dataset(args.csv))
     spec = evaluation.ErrorSpec(
         missing_rate=args.missing_rate,
@@ -235,8 +255,8 @@ def cmd_evaluate(args) -> int:
         seed=args.seed or 0,
         missing_columns=tuple(args.missing_columns.split(",")) if args.missing_columns else None,
         outlier_columns=tuple(args.outlier_columns.split(",")) if args.outlier_columns else None,
-        fd_determinant=args.fd_pair.split(":", 1)[0] if args.fd_pair else None,
-        fd_dependent=args.fd_pair.split(":", 1)[1] if args.fd_pair else None,
+        fd_determinant=fd_determinant,
+        fd_dependent=fd_dependent,
     )
     dirty, truth = evaluation.inject_errors(clean, spec)
     rules = _rules_for_detection(args)

@@ -1,10 +1,12 @@
 """Typed in-memory tables: CSV ingestion, missing-value normalization, splitting.
 
 A table is an immutable grid of variant-typed cells. Cells are typed per
-column at load time (number / timestamp / text) and the usual missing-value
-placeholders are folded into a dedicated Missing variant by
-:func:`normalize_missing`. All operations are pure and return new values, so
-datasets can be shared freely across workers.
+column at load time (number / timestamp / text): the loader works over each
+column's distinct raw values, so each one is parsed once and equal raw values
+of a column share one immutable Cell. The usual missing-value placeholders
+are folded into a dedicated Missing variant by :func:`normalize_missing`.
+All operations are pure and return new values, so datasets can be shared
+freely across workers.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ import io
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import SchemaError, StructuralError
 
@@ -31,6 +34,8 @@ EPOCH_MS_MIN = 100_000_000_000
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _INT_RE = re.compile(r"[+-]?\d+")
+
+T = TypeVar("T")
 
 
 class CellKind(Enum):
@@ -82,6 +87,12 @@ def cell_text(cell: Cell) -> str:
     if cell.kind is CellKind.TIMESTAMP:
         return str(int(cell.value))
     return ""
+
+
+def modal_value(counts: Mapping[T, int], key: Callable[[T], str] = cell_text) -> T:
+    """Most frequent key of ``counts``; ties go to the smallest ``key(value)``."""
+    top = max(counts.values())
+    return min((value for value, n in counts.items() if n == top), key=key)
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,34 +219,51 @@ def _parse_timestamp_text(text: str) -> int | None:
     return ms if ms >= 0 else None
 
 
-def _infer_column_kind(values: Sequence[str]) -> CellKind:
-    # Majority vote over non-empty raw values; timestamps are checked first
-    # because epoch integers also parse as floats. Text is the fallback.
-    non_empty = [v for v in values if v.strip() != ""]
-    if not non_empty:
-        return CellKind.TEXT
-    half = len(non_empty) / 2
-    ts_hits = sum(1 for v in non_empty if _parse_timestamp_text(v) is not None)
-    if ts_hits > half:
-        return CellKind.TIMESTAMP
-    num_hits = sum(1 for v in non_empty if _parse_number_text(v) is not None)
-    if num_hits > half:
-        return CellKind.NUMBER
-    return CellKind.TEXT
+def _majority_parse(
+    weights: dict[str, int], parse: Callable[[str], object | None]
+) -> dict[str, object] | None:
+    """Parse every value if more than half the total weight parses, else None.
+
+    Stops as soon as the values that failed carry half the weight, since the
+    rest can then no longer win the vote.
+    """
+    half = sum(weights.values()) / 2
+    parsed: dict[str, object] = {}
+    hits = misses = 0
+    for value, n in weights.items():
+        result = parse(value)
+        if result is None:
+            misses += n
+            if misses >= half:
+                return None
+        else:
+            hits += n
+            parsed[value] = result
+    return parsed if hits > half else None
 
 
-def _type_cell(raw: str, kind: CellKind) -> Cell:
-    if raw == "":
-        return Cell.text("")
-    if kind is CellKind.TIMESTAMP:
-        ms = _parse_timestamp_text(raw)
-        if ms is not None:
-            return Cell.timestamp(ms)
-    elif kind is CellKind.NUMBER:
-        num = _parse_number_text(raw)
-        if num is not None:
-            return Cell.number(num)  # NaN/inf collapse to Missing here
-    return Cell.text(raw)
+def _type_column(raw: Sequence[str]) -> list[Cell]:
+    """Type one column, parsing each distinct raw value once.
+
+    The kind is a majority vote over non-empty values, each distinct value
+    weighted by its count: timestamps are tried first because epoch integers
+    also parse as floats, numbers next, text is the fallback. A value that
+    does not fit the winning kind, and every empty or whitespace-only value,
+    stays text (NaN/inf collapse to Missing). Equal raw values share one Cell.
+    """
+    counts = Counter(raw)
+    filled = {v: n for v, n in counts.items() if v.strip()}
+    typed: dict[str, Cell] = {}
+    for parse, make in (
+        (_parse_timestamp_text, Cell.timestamp),
+        (_parse_number_text, Cell.number),
+    ):
+        parsed = _majority_parse(filled, parse)
+        if parsed is not None:
+            typed = {v: make(x) for v, x in parsed.items()}
+            break
+    cells = {v: typed[v] if v in typed else Cell(CellKind.TEXT, v) for v in counts}
+    return list(map(cells.__getitem__, raw))
 
 
 def load_csv(source: BinaryIO | bytes, has_header: bool = True) -> Dataset:
@@ -271,12 +299,10 @@ def load_csv(source: BinaryIO | bytes, has_header: bool = True) -> Dataset:
                 f"row {i + 1} has {len(rec)} fields, expected {width}", row=i + 1
             )
 
-    kinds = [
-        _infer_column_kind([rec[c] for rec in data]) for c in range(width)
-    ]
-    rows = tuple(
-        tuple(_type_cell(rec[c], kinds[c]) for c in range(width)) for rec in data
-    )
+    if width:
+        rows = tuple(zip(*(_type_column(col) for col in zip(*data))))
+    else:
+        rows = ((),) * len(data)
     return Dataset(tuple(headers), rows)
 
 

@@ -23,7 +23,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .dataset import Cell, CellKind, CellRef, Dataset, PlaceholderSet, cell_text
+from .dataset import (
+    Cell,
+    CellKind,
+    CellRef,
+    Dataset,
+    PlaceholderSet,
+    cell_text,
+    modal_value,
+)
 from .errors import RuleError, SchemaError
 from .rules import ColumnRef, DependencyKind, Literal, OfdRule, SensorSpec
 
@@ -203,10 +211,7 @@ def detect_fd_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
         )
         if not candidates:
             continue
-        top = max(candidates.values())
-        mode = min(
-            (c for c, n in candidates.items() if n == top), key=cell_text
-        )
+        mode = modal_value(candidates)
         for i in rows:
             if d.rows[i][dep_idx] != mode:
                 findings.append(Finding(CellRef(i, dep_name), rule.id, "fd_violation"))

@@ -23,6 +23,7 @@ from .dataset import (
     Dataset,
     DEFAULT_PLACEHOLDER_TOKENS,
     cell_text,
+    modal_value,
 )
 from .detection import DetectionReport
 from .ensemble import score_micro_f1
@@ -168,11 +169,7 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
                 groups[row[det_idx]].append(i)
         modes: dict[Cell, Cell] = {}
         for det_value, rows in groups.items():
-            counts = Counter(d.rows[i][dep_idx] for i in rows)
-            top = max(counts.values())
-            modes[det_value] = min(
-                (c for c, n in counts.items() if n == top), key=cell_text
-            )
+            modes[det_value] = modal_value(Counter(d.rows[i][dep_idx] for i in rows))
         quota = {
             det_value: (len(rows) - 1) // 2
             for det_value, rows in groups.items()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
@@ -36,7 +37,7 @@ from .context_model import (
     node_id,
     validate_graph,
 )
-from .dataset import Cell, CellKind, Dataset, cell_text
+from .dataset import Cell, CellKind, Dataset, cell_text, modal_value
 from .detection import lookup_spec
 from .ensemble import EnsembleConfig, find_consensus
 from .errors import GatewayError, SchemaError
@@ -499,15 +500,12 @@ def sanitize_for_graph(d: Dataset) -> Dataset:
     for sensor in sorted(groups):
         rows = groups[sensor]
         for col in structural:
-            counts: dict[Cell, int] = {}
-            for i in rows:
-                cell = d.rows[i][col]
-                if not cell.is_missing:
-                    counts[cell] = counts.get(cell, 0) + 1
+            counts = Counter(
+                d.rows[i][col] for i in rows if not d.rows[i][col].is_missing
+            )
             if not counts:
                 continue
-            top = max(counts.values())
-            mode = min((c for c, n in counts.items() if n == top), key=cell_text)
+            mode = modal_value(counts)
             for i in rows:
                 if d.rows[i][col] != mode:
                     repairs[(i, col)] = mode
@@ -587,8 +585,7 @@ def build_iot_graph(
             pairings.setdefault(a, {})[b] = pairings.setdefault(a, {}).get(b, 0) + 1
         for a in sorted(pairings):
             targets = pairings[a]
-            top = max(targets.values())
-            winner = min(t for t, n in targets.items() if n == top)
+            winner = modal_value(targets, key=str)
             if len(targets) > 1:
                 warnings.append(
                     f"{predicate}: {a!r} co-occurs with {sorted(targets)}; "

@@ -7,10 +7,21 @@ access helpers aside). Slow on purpose; only run at desk scale.
 
 from __future__ import annotations
 
+import csv
+import io
+import re
+from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from itertools import combinations
 
-from llmclean.dataset import CellKind, Dataset, PlaceholderSet, cell_text
+from llmclean.dataset import (
+    EPOCH_MS_MIN,
+    Cell,
+    CellKind,
+    Dataset,
+    PlaceholderSet,
+    cell_text,
+)
 from llmclean.ensemble import EvalRecord
 from llmclean.rules import ColumnRef, DependencyKind, Literal, OfdRule
 
@@ -264,3 +275,73 @@ def oracle_best_ensemble(records_train, records_val, prompts, tr_range):
     val_max = max(val_scores.values())
     winners = {cfg for cfg, f1 in val_scores.items() if f1 >= val_max - 1e-12}
     return train_max, val_max, winners
+
+
+# --------------------------------------------------------------------------
+# Loader reference: every cell parsed on its own, with no sharing of parses.
+
+
+def _oracle_timestamp(text: str) -> int | None:
+    s = text.strip()
+    if not s:
+        return None
+    if re.fullmatch(r"[+-]?\d+", s):
+        v = int(s)
+        return v if v >= EPOCH_MS_MIN else None
+    iso = s[:-1] + "+00:00" if s.endswith(("Z", "z")) else s
+    try:
+        dt = datetime.fromisoformat(iso)
+    except ValueError:
+        return None
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    ms = (dt - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(milliseconds=1)
+    return ms if ms >= 0 else None
+
+
+def _oracle_number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _oracle_column_kind(values: list[str]) -> CellKind:
+    # Majority vote over non-empty values, one parse per cell: timestamp
+    # first (epoch integers also parse as floats), then number, else text.
+    non_empty = [v for v in values if v.strip() != ""]
+    if not non_empty:
+        return CellKind.TEXT
+    half = len(non_empty) / 2
+    if sum(1 for v in non_empty if _oracle_timestamp(v) is not None) > half:
+        return CellKind.TIMESTAMP
+    if sum(1 for v in non_empty if _oracle_number(v) is not None) > half:
+        return CellKind.NUMBER
+    return CellKind.TEXT
+
+
+def _oracle_type_cell(raw: str, kind: CellKind) -> Cell:
+    if raw == "":
+        return Cell.text("")
+    if kind is CellKind.TIMESTAMP:
+        ms = _oracle_timestamp(raw)
+        if ms is not None:
+            return Cell.timestamp(ms)
+    elif kind is CellKind.NUMBER:
+        num = _oracle_number(raw)
+        if num is not None:
+            return Cell.number(num)  # NaN/inf collapse to Missing
+    return Cell.text(raw)
+
+
+def oracle_load_csv(data: bytes, has_header: bool = True) -> Dataset:
+    """Typed dataset of a well-formed CSV, typing each cell separately."""
+    records = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+    if has_header:
+        headers, body = records[0], records[1:]
+    else:
+        headers = [f"col_{i + 1}" for i in range(len(records[0]))]
+        body = records
+    kinds = [_oracle_column_kind([rec[c] for rec in body]) for c in range(len(headers))]
+    rows = [[_oracle_type_cell(rec[c], kinds[c]) for c in range(len(headers))] for rec in body]
+    return Dataset.from_lists(headers, rows)

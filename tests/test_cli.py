@@ -293,6 +293,39 @@ class TestEvaluate:
         rules_path.write_text('denial: t1&EQ(t1.System,"")\n')
         return str(csv_path), str(rules_path)
 
+    def test_fd_pair_without_colon_exit_one(self, tmp_path, capsys):
+        csv_path, rules_path = self._write_simple(tmp_path)
+        code = main(
+            [
+                "evaluate", csv_path, "--rules", rules_path,
+                "--fd-pair", "X", "--fd-swap-rate", "0.01",
+            ]
+        )
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "--fd-pair" in err and "determinant:dependent" in err
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"min": 1}, {"min": "low", "max": 2}, {"min": 0, "max": None},
+         {"min": float("nan"), "max": 125}, 5, [1, 2]],
+    )
+    def test_bad_sensor_spec_exit_one(self, tmp_path, capsys, entry):
+        csv_path, rules_path = self._write_simple(tmp_path)
+        specs_path = tmp_path / "sensors.json"
+        specs_path.write_text(json.dumps({"ds18b20": entry}))
+        code = main(["evaluate", csv_path, "--rules", rules_path, "--sensors", str(specs_path)])
+        assert code == EXIT_INPUT
+        assert "'ds18b20'" in capsys.readouterr().err
+
+    def test_sensor_specs_not_an_object_exit_one(self, tmp_path, capsys):
+        csv_path, rules_path = self._write_simple(tmp_path)
+        specs_path = tmp_path / "sensors.json"
+        specs_path.write_text("[1, 2]")
+        code = main(["evaluate", csv_path, "--rules", rules_path, "--sensors", str(specs_path)])
+        assert code == EXIT_INPUT
+        assert "sensor specs" in capsys.readouterr().err
+
     def test_round_trip_metrics(self, tmp_path, capsys):
         csv_path, rules_path = self._write_simple(tmp_path)
         code = main(

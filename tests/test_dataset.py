@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import csv
 import io
+from datetime import datetime
 
 import pytest
 from hypothesis import given, strategies as st
 
 from llmclean.dataset import (
+    EPOCH_MS_MIN,
     Cell,
     CellKind,
     Dataset,
@@ -20,6 +23,7 @@ from llmclean.dataset import (
 from llmclean.errors import SchemaError, StructuralError
 
 from conftest import IOT_HEADERS, make_iot_dataset
+from oracles import oracle_load_csv
 
 
 def _load(text: str, **kw) -> Dataset:
@@ -73,6 +77,69 @@ class TestLoadCsv:
     def test_quoted_fields(self):
         d = _load('a,b\n"x,y",2\n')
         assert d.rows[0][0] == Cell.text("x,y")
+
+
+# Raw spellings by what they parse as, so a column can be built to land its
+# kind vote anywhere, exactly on half included.
+_STAMPS = st.one_of(
+    st.integers(EPOCH_MS_MIN, EPOCH_MS_MIN + 3).map(str),
+    st.datetimes(datetime(1970, 1, 2), datetime(2100, 1, 1)).map(datetime.isoformat),
+    st.datetimes(datetime(1970, 1, 2), datetime(2100, 1, 1)).map(lambda t: f"{t.isoformat()}Z"),
+)
+_NUMBERS = st.one_of(
+    st.integers(EPOCH_MS_MIN - 3, EPOCH_MS_MIN - 1).map(str),
+    st.integers(-1000, 1000).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", " 2.5 ", "1e400"]),
+)
+_TEXTS = st.one_of(
+    st.text(alphabet='bdxy ,"', max_size=5).filter(str.strip),
+    st.sampled_from(["N/A", "null", "none", "1969-12-31T00:00:00Z", "2021-13-01"]),
+)
+_BLANKS = st.sampled_from(["", " ", "\t"])
+_ANY = st.one_of(_STAMPS, _NUMBERS, _TEXTS, _BLANKS)
+
+
+@st.composite
+def _column(draw, n_rows: int) -> list[str]:
+    if draw(st.booleans()):
+        # Few distinct values, many repeats, any mix of kinds.
+        pool = draw(st.lists(_ANY, min_size=1, max_size=4))
+        return draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+    # Half the non-blank cells of one kind, half of another: the vote ties.
+    hit, miss = draw(st.permutations([_STAMPS, _NUMBERS, _TEXTS]))[:2]
+    half = n_rows // 2
+    values = draw(st.lists(hit, min_size=half, max_size=half))
+    values += draw(st.lists(miss, min_size=half, max_size=half))
+    values += draw(st.lists(_BLANKS, min_size=n_rows % 2, max_size=n_rows % 2))
+    return draw(st.permutations(values))
+
+
+@st.composite
+def _csv_bytes(draw) -> bytes:
+    n_rows = draw(st.integers(0, 12))
+    columns = draw(st.lists(_column(n_rows), min_size=1, max_size=4))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"c{i}" for i in range(len(columns))])
+    writer.writerows(zip(*columns))
+    return buf.getvalue().encode("utf-8")
+
+
+class TestLoadCsvOracle:
+    @given(_csv_bytes(), st.booleans())
+    def test_matches_per_cell_typing(self, data, has_header):
+        assert load_csv(data, has_header=has_header) == oracle_load_csv(data, has_header)
+
+    @pytest.mark.parametrize("text", ["a,b\n", "\n\n", "t\n1700000000000\nx\n"])
+    def test_edge_shapes_match_per_cell_typing(self, text):
+        data = text.encode("utf-8")
+        assert load_csv(data) == oracle_load_csv(data)
+
+    def test_equal_raw_values_share_one_cell(self):
+        d = _load("a,b\nx,1.5\nx,1.5\ny,2\n")
+        assert d.rows[0][0] is d.rows[1][0]
+        assert d.rows[0][1] is d.rows[1][1]
 
 
 class TestNormalizeMissing:
