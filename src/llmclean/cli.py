@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import context_model, detection, ensemble, evaluation, generation
-from .dataset import Dataset, cell_text, dataset_to_csv, load_csv, normalize_missing
+from .dataset import Dataset, dataset_to_csv, load_csv, normalize_missing
 from .errors import GatewayError, LLMCleanError
 from .gateway import API_KEY_ENV, ENDPOINT_ENV, RemoteBackend, ReplayBackend
 from .rules import SensorSpec, parse_rule_file, render_rule_file
@@ -96,13 +95,14 @@ def _load_specs(path: str | None) -> dict[str, SensorSpec]:
         if not isinstance(entry, dict):
             raise LLMCleanError(f"sensor spec {model!r} must be an object with min and max")
         try:
-            low, high = float(entry["min"]), float(entry["max"])
+            specs[model] = SensorSpec(
+                model, float(entry["min"]), float(entry["max"]), str(entry.get("unit", ""))
+            )
         except (KeyError, TypeError, ValueError):
-            low = high = math.nan
-        if math.isnan(low) or math.isnan(high):
-            # A NaN bound would fail every range check and flag every reading.
-            raise LLMCleanError(f"sensor spec {model!r} needs numeric min and max")
-        specs[model] = SensorSpec(model, low, high, str(entry.get("unit", "")))
+            raise LLMCleanError(
+                f"sensor spec {model!r} needs numeric min <= max "
+                f"(got min={entry.get('min')!r}, max={entry.get('max')!r})"
+            ) from None
     return specs
 
 
@@ -169,22 +169,10 @@ def cmd_build_context(args) -> int:
         manifest.warnings.extend(mapping.warnings)
         manifest.mapping = dict(sorted(mapping.assignments.items()))
         d = generation.rename_columns(d, mapping)
-        cfg = generation.SynthConfig(seed=args.seed or 0)
-        d, excluded = generation.generate_columns(d, mapping, cfg, specs)
+        d, excluded = generation.generate_columns(d, mapping, generation.SynthConfig(), specs)
         manifest.excluded_concepts = excluded
-
-        resolved: dict[str, SensorSpec] = {}
-        if d.has_column("sensor"):
-            sensor_idx = d.column_index("sensor")
-            names = sorted(
-                {cell_text(r[sensor_idx]) for r in d.rows if not r[sensor_idx].is_missing}
-            )
-            for name in names:
-                spec = detection.lookup_spec(specs, name)
-                if spec is not None:
-                    resolved[name] = spec
         sanitized = generation.sanitize_for_graph(d)
-        graph, build_warnings = generation.build_iot_graph(sanitized, mapping, resolved)
+        graph, build_warnings = generation.build_iot_graph(sanitized, specs)
         manifest.warnings.extend(build_warnings)
     else:
         relations = generation.pair_relationships(d.headers, backend)
@@ -222,13 +210,7 @@ def cmd_detect(args) -> int:
     d = normalize_missing(_load_dataset(args.csv))
     rules = _rules_for_detection(args)
     specs = _load_specs(args.sensors)
-    report = detection.run_all(
-        d,
-        rules,
-        specs=specs,
-        exact_matching=args.exact_matching,
-        parallel=args.parallel,
-    )
+    report = detection.run_all(d, rules, specs=specs, exact_matching=args.exact_matching)
     payload = report.to_json()
     if args.out_dir:
         out_dir = Path(args.out_dir)
@@ -262,11 +244,8 @@ def cmd_evaluate(args) -> int:
     rules = _rules_for_detection(args)
     specs = _load_specs(args.sensors)
     normalized = normalize_missing(dirty)
-    report, duration_ms = evaluation.measure_runtime(
-        lambda: detection.run_all(
-            normalized, rules, specs=specs,
-            exact_matching=args.exact_matching, parallel=args.parallel,
-        )
+    report = detection.run_all(
+        normalized, rules, specs=specs, exact_matching=args.exact_matching
     )
     precision, recall, f1 = evaluation.score_detection(report, truth, normalized)
     metrics = {
@@ -275,7 +254,7 @@ def cmd_evaluate(args) -> int:
         "f1": f1,
         "injected": len(truth),
         "flagged_cells": len(report.flagged_cells),
-        "detection_ms": duration_ms,
+        "detection_ms": report.duration_ms,
     }
     if args.out_dir:
         out_dir = Path(args.out_dir)

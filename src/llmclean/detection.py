@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -470,7 +469,6 @@ def run_all(
     specs: Mapping[str, SensorSpec] | None = None,
     sim: SimilaritySpec | None = None,
     exact_matching: bool = False,
-    parallel: int = 1,
 ) -> DetectionReport:
     """Enforce every rule; merge findings with (cell, rule) de-duplication.
 
@@ -491,23 +489,12 @@ def run_all(
 
     start = time.perf_counter()
     report = DetectionReport()
-
-    def enforce(rule: OfdRule) -> tuple[OfdRule, list[Finding] | None, str]:
-        try:
-            return rule, _dispatch(d, rule, merged_specs, sim, exact_matching), ""
-        except RuleError as exc:
-            return rule, None, str(exc)
-
-    if parallel > 1 and len(rules) > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            outcomes = list(pool.map(enforce, rules))
-    else:
-        outcomes = [enforce(rule) for rule in rules]
-
     seen: set[tuple[int, str, str]] = set()
-    for rule, findings, error in outcomes:
-        if findings is None:
-            report.skipped_rules.append((rule.id, error))
+    for rule in rules:
+        try:
+            findings = _dispatch(d, rule, merged_specs, sim, exact_matching)
+        except RuleError as exc:
+            report.skipped_rules.append((rule.id, str(exc)))
             continue
         for f in findings:
             key = (f.cell.row, f.cell.column, f.rule_id)

@@ -56,7 +56,7 @@ class TransportError(GatewayError):
 
 
 class ReplayMissError(GatewayError):
-    """Strict replay backend had no recorded response for a prompt."""
+    """The replay cassette has no recorded response for a prompt."""
 
 
 class FormatError(GatewayError):

@@ -1,4 +1,4 @@
-"""Benchmark harness: seeded error injection, detection/repair scoring, timing.
+"""Benchmark harness: seeded error injection and detection/repair scoring.
 
 Injection writes a ground-truth manifest alongside the dirtied table so that
 detector output can be scored cell-by-cell. Scoring follows the empty-set
@@ -11,10 +11,8 @@ from __future__ import annotations
 import json
 import math
 import random
-import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable
 
 from .dataset import (
     Cell,
@@ -353,13 +351,3 @@ def repair_with_truth(dirty: Dataset, truth: GroundTruth) -> Dataset:
         grid[c.ref.row][dirty.column_index(c.ref.column)] = c.original
     return Dataset(dirty.headers, tuple(tuple(r) for r in grid))
 
-
-def measure_runtime(run: Callable[[], object]) -> tuple[object, float]:
-    """Wall-clock a detection invocation; returns (result, milliseconds).
-
-    Callers keep rule parsing and context generation outside the callable so
-    the timed region covers only the dataset scan.
-    """
-    start = time.perf_counter()
-    result = run()
-    return result, (time.perf_counter() - start) * 1000.0

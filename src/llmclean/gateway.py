@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import requests
 
-from .errors import FormatError, ReplayMissError, TemplateError, TransportError
+from .errors import FormatError, GatewayError, ReplayMissError, TemplateError, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -136,7 +136,6 @@ class ReplayBackend:
     """Deterministic backend answering from a recorded cassette file."""
 
     cassette_path: str
-    strict: bool = True
     max_parallel: int = DEFAULT_PARALLELISM
     _cache: dict[str, dict[str, str]] | None = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -211,27 +210,31 @@ def complete(backend: Backend, prompt: str, fmt: ResponseFormat) -> Completion:
     if isinstance(backend, ReplayBackend):
         response = backend.lookup(prompt)
         if response is None:
-            if backend.strict:
-                raise ReplayMissError(
-                    f"no recorded response for prompt hash {cassette_key(prompt)[:12]}..."
-                )
-            empty: bool | str | tuple[str, ...]
-            empty = False if fmt is ResponseFormat.YES_NO else (
-                "" if fmt is ResponseFormat.SINGLE_LABEL else ()
+            raise ReplayMissError(
+                f"no recorded response for prompt hash {cassette_key(prompt)[:12]}..."
             )
-            return Completion("", empty)
         return parse_completion(response, fmt)
     return parse_completion(_remote_call(backend, prompt), fmt)
 
 
 def complete_many(
     backend: Backend, prompts: Sequence[str], fmt: ResponseFormat
-) -> list[Completion]:
-    """Batch completions, bounded by the backend's parallelism."""
+) -> list[Completion | GatewayError]:
+    """Batch completions, bounded by the backend's parallelism.
+
+    This is the package's only fan-out of backend calls. A prompt that fails
+    leaves its GatewayError in its slot; the other prompts still run.
+    """
+    def attempt(prompt: str) -> Completion | GatewayError:
+        try:
+            return complete(backend, prompt, fmt)
+        except GatewayError as exc:
+            return exc
+
     if len(prompts) <= 1 or backend.max_parallel <= 1:
-        return [complete(backend, p, fmt) for p in prompts]
+        return [attempt(p) for p in prompts]
     with ThreadPoolExecutor(max_workers=backend.max_parallel) as pool:
-        return list(pool.map(lambda p: complete(backend, p, fmt), prompts))
+        return list(pool.map(attempt, prompts))
 
 
 def select_few_shot(

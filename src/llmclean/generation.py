@@ -46,6 +46,7 @@ from .gateway import (
     PromptTemplate,
     ResponseFormat,
     complete,
+    complete_many,
     render_prompt,
 )
 from .rules import SensorSpec
@@ -183,14 +184,13 @@ class ColumnPairRelation:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Knobs for synthetic column generation (deterministic for a seed)."""
+    """Knobs for synthetic column generation."""
 
     system_id: str = "system_1"
     device_per_location: bool = True
     default_min: float = 0.0
     default_max: float = 100.0
     generate_bounds: bool = False  # add MinValue/MaxValue columns when absent
-    seed: int = 0
 
 
 def classify_dataset(
@@ -440,12 +440,9 @@ class LLMKnowledge:
         if len(labels) < 2:
             return None
         try:
-            low, high = float(labels[0]), float(labels[1])
-        except ValueError:
+            return SensorSpec(sensor_model, float(labels[0]), float(labels[1]))
+        except ValueError:  # not numbers, NaN, or min above max
             return None
-        if low > high:
-            return None
-        return SensorSpec(sensor_model, low, high)
 
 
 def extract_sensor_info(
@@ -536,7 +533,6 @@ def sanitize_for_graph(d: Dataset) -> Dataset:
 
 def build_iot_graph(
     d: Dataset,
-    mapping: ConceptMapping | None = None,
     specs: Mapping[str, SensorSpec] | None = None,
 ) -> tuple[ContextGraph, list[str]]:
     """Assemble the context graph from a transformed (canonical) IoT table.
@@ -544,9 +540,10 @@ def build_iot_graph(
     One entity per distinct value of each structural column; edges come from
     row co-occurrence, resolved to the modal pairing with a warning when a
     source entity co-occurs with several targets. Capability metadata is
-    attached from the spec map. Returns the graph plus warnings.
+    attached from the spec map, resolved per sensor with ``lookup_spec``.
+    Columns are found by their canonical names. Returns the graph plus
+    warnings.
     """
-    del mapping  # resolution happens through canonical column names
     specs = specs or {}
     warnings: list[str] = []
     graph = ContextGraph()
@@ -614,8 +611,10 @@ def pair_relationships(
 ) -> list[ColumnPairRelation]:
     """Query all unordered column pairs for relatedness, concepts, hierarchy.
 
-    A backend failure on one pair is logged and that pair is dropped; the
-    remaining pairs' results are kept.
+    Two batches: every pair's relatedness, then one concept query per column
+    of a related pair plus one hierarchy query per related pair. A backend
+    failure drops only the pairs whose answers it affects; the remaining
+    pairs' results are kept.
     """
     templates = templates or DEFAULT_TEMPLATES
     pairs = list(combinations(headers, 2))
@@ -623,61 +622,50 @@ def pair_relationships(
         render_prompt(templates["pair_related"], {"col_a": a, "col_b": b})
         for a, b in pairs
     ]
+    answered: list[tuple[tuple[str, str], bool]] = []
+    for (a, b), answer in zip(
+        pairs, complete_many(backend, related_prompts, ResponseFormat.YES_NO)
+    ):
+        if isinstance(answer, GatewayError):
+            logger.warning("pair (%s, %s) failed: %s", a, b, answer)
+        else:
+            answered.append(((a, b), bool(answer.parsed)))
 
-    def ask_related(prompt: str):
-        try:
-            return complete(backend, prompt, ResponseFormat.YES_NO)
-        except GatewayError as exc:
-            return exc
-
-    if backend.max_parallel > 1 and len(related_prompts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=backend.max_parallel) as pool:
-            completions = list(pool.map(ask_related, related_prompts))
-    else:
-        completions = [ask_related(p) for p in related_prompts]
+    related = [pair for pair, is_related in answered if is_related]
+    columns = list(dict.fromkeys(column for pair in related for column in pair))
+    answers = complete_many(
+        backend,
+        [render_prompt(templates["pair_concept"], {"col": c}) for c in columns]
+        + [
+            render_prompt(templates["pair_hierarchy"], {"col_a": a, "col_b": b})
+            for a, b in related
+        ],
+        ResponseFormat.SINGLE_LABEL,
+    )
+    concepts = dict(zip(columns, answers))
+    hierarchies = dict(zip(related, answers[len(columns):]))
 
     relations: list[ColumnPairRelation] = []
-    for (a, b), completion in zip(pairs, completions):
-        if isinstance(completion, GatewayError):
-            logger.warning("pair (%s, %s) failed: %s", a, b, completion)
+    for (a, b), is_related in answered:
+        if not is_related:
+            relations.append(ColumnPairRelation(a, b, related=False))
             continue
-        try:
-            if not completion.parsed:
-                relations.append(ColumnPairRelation(a, b, related=False))
-                continue
-            concept_a = complete(
-                backend,
-                render_prompt(templates["pair_concept"], {"col": a}),
-                ResponseFormat.SINGLE_LABEL,
-            ).parsed
-            concept_b = complete(
-                backend,
-                render_prompt(templates["pair_concept"], {"col": b}),
-                ResponseFormat.SINGLE_LABEL,
-            ).parsed
-            answer = complete(
-                backend,
-                render_prompt(
-                    templates["pair_hierarchy"], {"col_a": a, "col_b": b}
-                ),
-                ResponseFormat.SINGLE_LABEL,
-            ).parsed
-            token = str(answer).strip().upper()
-            hierarchy = {
-                "A": Hierarchy.ATTRIBUTE_OF_A,
-                "B": Hierarchy.ATTRIBUTE_OF_B,
-            }.get(token, Hierarchy.INDEPENDENT)
-            relations.append(
-                ColumnPairRelation(
-                    a, b, related=True,
-                    concept_a=str(concept_a), concept_b=str(concept_b),
-                    hierarchy=hierarchy,
-                )
+        concept_a, concept_b, answer = concepts[a], concepts[b], hierarchies[(a, b)]
+        failed = [x for x in (concept_a, concept_b, answer) if isinstance(x, GatewayError)]
+        if failed:
+            logger.warning("pair (%s, %s) failed: %s", a, b, failed[0])
+            continue
+        hierarchy = {
+            "A": Hierarchy.ATTRIBUTE_OF_A,
+            "B": Hierarchy.ATTRIBUTE_OF_B,
+        }.get(str(answer.parsed).strip().upper(), Hierarchy.INDEPENDENT)
+        relations.append(
+            ColumnPairRelation(
+                a, b, related=True,
+                concept_a=str(concept_a.parsed), concept_b=str(concept_b.parsed),
+                hierarchy=hierarchy,
             )
-        except GatewayError as exc:
-            logger.warning("pair (%s, %s) failed: %s", a, b, exc)
+        )
     return relations
 
 

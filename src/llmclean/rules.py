@@ -15,6 +15,7 @@ Rule files hold one rule per line as ``kind: ruletext`` with ``#`` comments.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -53,6 +54,9 @@ class SensorSpec:
     unit: str = ""
 
     def __post_init__(self):
+        # A NaN bound would fail every range check and flag every reading.
+        if math.isnan(self.min_value) or math.isnan(self.max_value):
+            raise ValueError(f"NaN bound for {self.sensor_model!r}")
         if self.min_value > self.max_value:
             raise ValueError(
                 f"min {self.min_value} exceeds max {self.max_value} "

@@ -319,15 +319,6 @@ class TestRunAll:
         report = run_all(d, [fd, fd])
         assert len(report.findings) == 1
 
-    def test_parallel_equals_serial(self):
-        d = table(
-            ["System", "SensingDevice", "Device"],
-            ["s1", "sd", "d1"],
-            [None, "sd", "d2"],
-        )
-        rules = [rule('t1&EQ(t1.System,"")', rule_id="m"), rule(FD_RULE, rule_id="f")]
-        assert run_all(d, rules, parallel=4).flagged_cells == run_all(d, rules).flagged_cells
-
     def test_report_json_schema(self):
         import json
 

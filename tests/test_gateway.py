@@ -120,11 +120,6 @@ class TestReplayBackend:
         with pytest.raises(ReplayMissError):
             complete(backend, "unknown", ResponseFormat.YES_NO)
 
-    def test_non_strict_miss_returns_empty(self, tmp_path):
-        backend = ReplayBackend(make_cassette(tmp_path, {"p": "yes"}), strict=False)
-        assert complete(backend, "unknown", ResponseFormat.YES_NO).parsed is False
-        assert complete(backend, "unknown", ResponseFormat.LABEL_LIST).parsed == ()
-
     def test_bit_deterministic_across_instances(self, tmp_path):
         path = make_cassette(tmp_path, {"p": "a, b"})
         first = complete(ReplayBackend(path), "p", ResponseFormat.LABEL_LIST)
@@ -142,8 +137,10 @@ class TestReplayBackend:
         prompts = [f"p{i}" for i in range(16)]
         path = make_cassette(tmp_path, {p: "yes" for p in prompts})
         backend = ReplayBackend(path)
-        results = complete_many(backend, prompts, ResponseFormat.YES_NO)
-        assert all(c.parsed is True for c in results)
+        results = complete_many(backend, prompts[:8] + ["unknown"] + prompts[8:],
+                                ResponseFormat.YES_NO)
+        assert isinstance(results[8], ReplayMissError)
+        assert all(c.parsed is True for c in results[:8] + results[9:])
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -8,7 +8,13 @@ from llmclean.context_model import ATTACHED_TO, DEPLOYED_AT, extract_ofds, seria
 from llmclean.dataset import Cell, Dataset, MISSING, cell_text, normalize_missing
 from llmclean.ensemble import EnsembleConfig
 from llmclean.errors import ModelError, SchemaError
-from llmclean.gateway import PromptTemplate, ReplayBackend, ResponseFormat, render_prompt
+from llmclean.gateway import (
+    PromptTemplate,
+    ReplayBackend,
+    ResponseFormat,
+    cassette_key,
+    render_prompt,
+)
 from llmclean.generation import (
     CLASSIFY_TEMPLATE,
     CONCEPT_TEMPLATE,
@@ -284,11 +290,21 @@ class TestSensorInfo:
         assert spec == SensorSpec("m", 1.0, 2.0, "C")
 
     def test_llm_source(self, tmp_path):
-        source = LLMKnowledge(ReplayBackend("unused", strict=False))
+        source = LLMKnowledge(ReplayBackend("unused"))
         prompt = render_prompt(source.template, {"model": "ds18b20"})
         path = make_cassette(tmp_path, {prompt: "-55, 125"})
         source = LLMKnowledge(ReplayBackend(path))
         assert source.lookup("ds18b20") == SensorSpec("ds18b20", -55.0, 125.0)
+
+    def test_llm_source_nan_bound_is_no_answer(self, tmp_path):
+        prompt = render_prompt(LLMKnowledge(ReplayBackend("unused")).template, {"model": "m"})
+        source = LLMKnowledge(ReplayBackend(make_cassette(tmp_path, {prompt: "nan, 125"})))
+        assert source.lookup("m") is None
+
+    def test_local_file_nan_bound_is_no_answer(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text('{"m": {"min": NaN, "max": 125}}')
+        assert LocalFileKnowledge(str(path)).lookup("m") is None
 
 
 class TestSanitize:
@@ -401,7 +417,7 @@ class TestBuildIotGraph:
             "ds18b20": SensorSpec("ds18b20", -55.0, 125.0, "C"),
             "wsdcgq11lm": SensorSpec("wsdcgq11lm", -20.0, 60.0, "C"),
         }
-        graph, warnings = build_iot_graph(sanitize_for_graph(renamed), mapping, {
+        graph, warnings = build_iot_graph(sanitize_for_graph(renamed), {
             name: specs[name.rsplit("_", 1)[0]]
             for name in ("ds18b20_1", "ds18b20_2", "wsdcgq11lm_1", "wsdcgq11lm_2")
         })
@@ -502,6 +518,56 @@ class TestPairRelationships:
         path = make_cassette(tmp_path, entries)
         relations = pair_relationships(headers, ReplayBackend(path))
         assert len(relations) == 2
+
+    def test_concept_asked_once_per_column(self, tmp_path):
+        headers = ["ZipCode", "City", "State", "Score"]
+        path = pair_cassette(
+            tmp_path, headers,
+            {
+                ("ZipCode", "City"): ("postal area", "municipality", "A"),
+                ("ZipCode", "State"): ("postal area", "region", "A"),
+                ("City", "State"): ("municipality", "region", "A"),
+            },
+        )
+        backend = ReplayBackend(path)
+        asked: list[str] = []
+        lookup = backend.lookup
+
+        def counting_lookup(prompt):
+            asked.append(prompt)
+            return lookup(prompt)
+
+        backend.lookup = counting_lookup
+        relations = pair_relationships(headers, backend)
+        assert sum(r.related for r in relations) == 3
+        concept_prompts = [p for p in asked if p.startswith(CONCEPT_TEMPLATE.task_text[:20])]
+        assert sorted(concept_prompts) == sorted(
+            render_prompt(CONCEPT_TEMPLATE, {"col": c}) for c in ("ZipCode", "City", "State")
+        )
+        assert len(asked) == 6 + 3 + 3  # relatedness, concepts, hierarchies
+
+    def test_missing_concept_drops_only_its_pairs(self, tmp_path):
+        headers = ["ZipCode", "City", "State", "Score"]
+        path = pair_cassette(
+            tmp_path, headers,
+            {
+                ("ZipCode", "City"): ("postal area", "municipality", "A"),
+                ("City", "State"): ("municipality", "region", "A"),
+            },
+        )
+        cassette = json.loads(open(path, encoding="utf-8").read())
+        del cassette[cassette_key(render_prompt(CONCEPT_TEMPLATE, {"col": "State"}))]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cassette, fh)
+        relations = pair_relationships(headers, ReplayBackend(path))
+        pairs = {(r.column_a, r.column_b): r.related for r in relations}
+        assert pairs == {
+            ("ZipCode", "City"): True,
+            ("ZipCode", "State"): False,
+            ("ZipCode", "Score"): False,
+            ("City", "Score"): False,
+            ("State", "Score"): False,
+        }
 
 
 class TestBuildRelationalGraph:

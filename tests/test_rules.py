@@ -199,6 +199,12 @@ class TestPayloads:
         with pytest.raises(ValueError):
             SensorSpec("bad", 10.0, 1.0)
 
+    def test_sensor_spec_rejects_nan_bound(self):
+        with pytest.raises(ValueError):
+            SensorSpec("bad", float("nan"), 125.0)
+        with pytest.raises(ValueError):
+            SensorSpec("bad", 0.0, float("nan"))
+
     def test_invalid_rule_structures(self):
         with pytest.raises(ValueError):
             OfdRule(DependencyKind.DENIAL, ("t1",), ())
