@@ -17,7 +17,7 @@ from .dataset import (
     normalize_missing,
     split_train_validation,
 )
-from .detection import DetectionReport, SimilaritySpec, run_all
+from .detection import DetectionReport, run_all
 from .ensemble import (
     EnsembleConfig,
     EvalRecord,
@@ -47,7 +47,6 @@ __all__ = [
     "PlaceholderSet",
     "SearchSpec",
     "SensorSpec",
-    "SimilaritySpec",
     "find_best_ensemble",
     "find_consensus",
     "inject_errors",

@@ -21,7 +21,7 @@ from . import context_model, detection, ensemble, evaluation, generation
 from .dataset import Dataset, dataset_to_csv, load_csv, normalize_missing
 from .errors import GatewayError, LLMCleanError
 from .gateway import API_KEY_ENV, ENDPOINT_ENV, RemoteBackend, ReplayBackend
-from .rules import SensorSpec, parse_rule_file, render_rule_file
+from .rules import SensorSpec, parse_rule_file, parse_sensor_spec, render_rule_file
 
 logger = logging.getLogger(__name__)
 
@@ -90,20 +90,7 @@ def _load_specs(path: str | None) -> dict[str, SensorSpec]:
     table = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(table, dict):
         raise LLMCleanError(f"{path}: sensor specs must be a JSON object keyed by model")
-    specs = {}
-    for model, entry in table.items():
-        if not isinstance(entry, dict):
-            raise LLMCleanError(f"sensor spec {model!r} must be an object with min and max")
-        try:
-            specs[model] = SensorSpec(
-                model, float(entry["min"]), float(entry["max"]), str(entry.get("unit", ""))
-            )
-        except (KeyError, TypeError, ValueError):
-            raise LLMCleanError(
-                f"sensor spec {model!r} needs numeric min <= max "
-                f"(got min={entry.get('min')!r}, max={entry.get('max')!r})"
-            ) from None
-    return specs
+    return {model: parse_sensor_spec(model, entry) for model, entry in table.items()}
 
 
 def _parse_fd_pair(text: str | None) -> tuple[str | None, str | None]:
@@ -115,23 +102,39 @@ def _parse_fd_pair(text: str | None) -> tuple[str | None, str | None]:
     return determinant, dependent
 
 
-def _classify(args, headers) -> generation.DatasetClass:
-    backend = _make_backend(args)
-    config = ensemble.EnsembleConfig(threshold=1, prompts=("classify",))
+def _load_ensemble_config(path: str):
+    """The classify ensemble and its prompt templates from an --ensemble-config file."""
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise LLMCleanError(f"{path}: ensemble config must be a JSON object")
     templates = dict(generation.DEFAULT_TEMPLATES)
-    if args.ensemble_config:
-        raw = json.loads(Path(args.ensemble_config).read_text(encoding="utf-8"))
-        config = ensemble.EnsembleConfig(
-            threshold=int(raw["threshold"]), prompts=tuple(raw["prompts"])
-        )
+    try:
         for t in raw.get("templates", []):
             template = generation.PromptTemplate(
-                id=t["id"],
-                task_text=t["task_text"],
+                id=str(t["id"]),
+                task_text=str(t["task_text"]),
                 response_format=generation.ResponseFormat(t.get("format", "yes_no")),
-                few_shot=tuple(tuple(pair) for pair in t.get("few_shot", [])),
+                few_shot=tuple((str(q), str(a)) for q, a in t.get("few_shot", [])),
             )
             templates[template.id] = template
+        config = ensemble.EnsembleConfig(
+            threshold=int(raw["threshold"]), prompts=tuple(map(str, raw["prompts"]))
+        )
+    except KeyError as exc:
+        raise LLMCleanError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise LLMCleanError(f"{path}: {exc}") from None
+    for prompt_id in config.prompts:
+        if prompt_id not in templates:
+            raise LLMCleanError(f"{path}: prompt {prompt_id!r} has no template")
+    return config, templates
+
+
+def _classify(args, headers) -> generation.DatasetClass:
+    backend = _make_backend(args)
+    config, templates = ensemble.EnsembleConfig(threshold=1, prompts=("classify",)), None
+    if args.ensemble_config:
+        config, templates = _load_ensemble_config(args.ensemble_config)
     return generation.classify_dataset(headers, backend, config, templates)
 
 
@@ -169,7 +172,7 @@ def cmd_build_context(args) -> int:
         manifest.warnings.extend(mapping.warnings)
         manifest.mapping = dict(sorted(mapping.assignments.items()))
         d = generation.rename_columns(d, mapping)
-        d, excluded = generation.generate_columns(d, mapping, generation.SynthConfig(), specs)
+        d, excluded = generation.generate_columns(d, mapping)
         manifest.excluded_concepts = excluded
         sanitized = generation.sanitize_for_graph(d)
         graph, build_warnings = generation.build_iot_graph(sanitized, specs)
@@ -269,6 +272,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
+    if not 0.0 < args.val_fraction < 1.0:
+        raise LLMCleanError(f"--val-fraction must lie in (0, 1), got {args.val_fraction}")
     text = Path(args.records).read_text(encoding="utf-8")
     records = ensemble.read_records_jsonl(text)
     if not records:

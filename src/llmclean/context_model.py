@@ -389,7 +389,7 @@ def _temporal_rule(from_label: str, to_label: str) -> OfdRule:
     )
     return OfdRule(
         DependencyKind.TEMPORAL, ("t1", "t2"), preds,
-        id=f"temporal:{from_label}->{to_label}", link=(from_label, to_label),
+        id=f"temporal:{from_label}->{to_label}",
     )
 
 

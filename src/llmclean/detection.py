@@ -87,20 +87,6 @@ class DetectionReport:
         )
 
 
-@dataclass(frozen=True)
-class SimilaritySpec:
-    """Normalized string similarity: 1 - edit_distance / max_length."""
-
-    metric: str = "levenshtein"
-    threshold: float = 0.75
-
-    def __post_init__(self):
-        if self.metric != "levenshtein":
-            raise ValueError(f"unknown similarity metric {self.metric!r}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
-
-
 def levenshtein(a: str, b: str) -> int:
     if a == b:
         return 0
@@ -121,6 +107,7 @@ def levenshtein(a: str, b: str) -> int:
 
 
 def similarity(a: str, b: str) -> float:
+    """Normalized string similarity: 1 - edit_distance / max_length."""
     if a == b:
         return 1.0
     longest = max(len(a), len(b))
@@ -150,11 +137,11 @@ def fd_columns(rule: OfdRule) -> tuple[str, str]:
     return det, dep
 
 
-def _resolve(d: Dataset, rule: OfdRule, column: str) -> int:
+def _resolve(d: Dataset, rule_id: str, column: str) -> int:
     try:
         return d.column_index(column)
     except SchemaError as exc:
-        raise RuleError(f"rule {rule.id!r}: {exc}") from None
+        raise RuleError(f"rule {rule_id!r}: {exc}") from None
 
 
 def detect_missing(d: Dataset, rule: OfdRule) -> list[Finding]:
@@ -173,7 +160,7 @@ def detect_missing(d: Dataset, rule: OfdRule) -> list[Finding]:
     columns = [o for o in operands if isinstance(o, ColumnRef)]
     if len(literals) != 1 or len(columns) != 1:
         raise RuleError(f"rule {rule.id!r}: unary rule needs one column and one literal")
-    col_idx = _resolve(d, rule, columns[0].column)
+    col_idx = _resolve(d, rule.id, columns[0].column)
     column_name = d.headers[col_idx]
     target_missing = PlaceholderSet.default().matches(literals[0].value)
     findings = []
@@ -193,8 +180,8 @@ def detect_missing(d: Dataset, rule: OfdRule) -> list[Finding]:
 def detect_fd_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
     """Group by determinant, flag dependent cells deviating from the mode."""
     det, dep = fd_columns(rule)
-    det_idx = _resolve(d, rule, det)
-    dep_idx = _resolve(d, rule, dep)
+    det_idx = _resolve(d, rule.id, det)
+    dep_idx = _resolve(d, rule.id, dep)
     dep_name = d.headers[dep_idx]
 
     groups: dict[Cell, list[int]] = defaultdict(list)
@@ -233,17 +220,18 @@ def _sim_predicates(rule: OfdRule) -> tuple[str, float, str, float]:
 
 
 def detect_matching_violations(
-    d: Dataset, rule: OfdRule, sim: SimilaritySpec, exact: bool = False
+    d: Dataset, rule: OfdRule, exact: bool = False
 ) -> list[Finding]:
     """Flag both dependent cells of pairs where A-similarity holds but B's fails.
 
-    By default candidate pairs are restricted to rows sharing the first
-    characters of the determinant value (cheap blocking); ``exact=True``
-    enumerates all pairs.
+    Each SIM predicate carries its own threshold. By default candidate pairs
+    are restricted to rows sharing the first ``BLOCK_KEY_LEN`` characters of
+    the determinant value (cheap blocking, which misses pairs that differ in
+    those characters); ``exact=True`` enumerates all pairs.
     """
     col_a, theta_a, col_b, theta_b = _sim_predicates(rule)
-    a_idx = _resolve(d, rule, col_a)
-    b_idx = _resolve(d, rule, col_b)
+    a_idx = _resolve(d, rule.id, col_a)
+    b_idx = _resolve(d, rule.id, col_b)
     b_name = d.headers[b_idx]
 
     usable = [
@@ -300,10 +288,11 @@ def detect_capability_violations(
     """Check sensor readings against their min/max specs (closed interval).
 
     Returns the findings plus the set of sensor ids present in the data but
-    without any spec (reported as uncovered, never flagged).
+    without any spec (reported as uncovered, never flagged). A table without
+    ``sensor`` or ``value`` columns raises RuleError naming ``rule_id``.
     """
-    sensor_idx = d.column_index("sensor")
-    value_idx = d.column_index("value")
+    sensor_idx = _resolve(d, rule_id, "sensor")
+    value_idx = _resolve(d, rule_id, "value")
     value_name = d.headers[value_idx]
     findings: list[Finding] = []
     uncovered: set[str] = set()
@@ -340,8 +329,6 @@ def temporal_link(rule: OfdRule) -> tuple[str, str, str]:
     if set(by_alias) != set(rule.aliases):
         raise RuleError(f"rule {rule.id!r}: each alias needs a device predicate")
     column = by_alias[rule.aliases[0]][0]
-    if rule.link is not None:
-        return column, rule.link[0], rule.link[1]
     return column, by_alias[rule.aliases[0]][1], by_alias[rule.aliases[1]][1]
 
 
@@ -351,9 +338,7 @@ def _timestamp_value(cell: Cell) -> float | None:
     return None
 
 
-def detect_temporal_violations(
-    d: Dataset, rule: OfdRule, link: tuple[str, str] | None = None
-) -> list[Finding]:
+def detect_temporal_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
     """Flag downstream timestamp cells that do not strictly follow upstream ones.
 
     Rows are paired by a correlation column when one exists; otherwise the
@@ -361,9 +346,7 @@ def detect_temporal_violations(
     with the k-th of the downstream device.
     """
     device_col, from_device, to_device = temporal_link(rule)
-    if link is not None:
-        from_device, to_device = link
-    device_idx = _resolve(d, rule, device_col)
+    device_idx = _resolve(d, rule.id, device_col)
     try:
         ts_idx = d.column_index("timestamp")
     except SchemaError:
@@ -430,7 +413,6 @@ def _dispatch(
     d: Dataset,
     rule: OfdRule,
     specs: Mapping[str, SensorSpec],
-    sim: SimilaritySpec,
     exact_matching: bool,
 ) -> list[Finding]:
     kind = rule.kind
@@ -441,7 +423,7 @@ def _dispatch(
     if kind in (DependencyKind.DEVICE_LINK, DependencyKind.LOCALITY):
         return detect_fd_violations(d, rule)
     if kind is DependencyKind.MATCHING:
-        return detect_matching_violations(d, rule, sim, exact=exact_matching)
+        return detect_matching_violations(d, rule, exact=exact_matching)
     if kind is DependencyKind.CAPABILITY:
         sensor_id = _capability_sensor(rule)
         spec = rule.spec or lookup_spec(specs, sensor_id)
@@ -467,7 +449,6 @@ def run_all(
     d: Dataset,
     rules: Sequence[OfdRule],
     specs: Mapping[str, SensorSpec] | None = None,
-    sim: SimilaritySpec | None = None,
     exact_matching: bool = False,
 ) -> DetectionReport:
     """Enforce every rule; merge findings with (cell, rule) de-duplication.
@@ -477,9 +458,7 @@ def run_all(
     spec available from any capability rule or the spec map are counted as
     uncovered.
     """
-    specs = dict(specs or {})
-    sim = sim or SimilaritySpec()
-    merged_specs = dict(specs)
+    merged_specs = dict(specs or {})
     for rule in rules:
         if rule.kind is DependencyKind.CAPABILITY and rule.spec is not None:
             try:
@@ -492,7 +471,7 @@ def run_all(
     seen: set[tuple[int, str, str]] = set()
     for rule in rules:
         try:
-            findings = _dispatch(d, rule, merged_specs, sim, exact_matching)
+            findings = _dispatch(d, rule, merged_specs, exact_matching)
         except RuleError as exc:
             report.skipped_rules.append((rule.id, str(exc)))
             continue

@@ -175,8 +175,17 @@ def find_best_ensemble(
     return [EnsembleConfig(threshold, subset) for threshold, subset in winners]
 
 
+def _labels(value: object) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise TypeError(f"expected a list of string labels, got {value!r}")
+    return value
+
+
 def read_records_jsonl(text: str) -> list[EvalRecord]:
-    """Parse records from JSON Lines: {"instance":..,"truth":[..],"answers":{..}}."""
+    """Parse records from JSON Lines: {"instance":..,"truth":[..],"answers":{..}}.
+
+    Labels are lists of strings; anything else is a ValueError naming the line.
+    """
     records: list[EvalRecord] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -184,8 +193,15 @@ def read_records_jsonl(text: str) -> list[EvalRecord]:
             continue
         try:
             obj = json.loads(line)
+            answers = obj["answers"]
+            if not isinstance(answers, dict):
+                raise TypeError(f"answers must be an object, got {answers!r}")
             records.append(
-                EvalRecord.make(str(obj["instance"]), obj["truth"], obj["answers"])
+                EvalRecord.make(
+                    str(obj["instance"]),
+                    _labels(obj["truth"]),
+                    {prompt: _labels(answer) for prompt, answer in answers.items()},
+                )
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"bad record on line {line_no}: {exc}") from None

@@ -16,6 +16,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
@@ -25,22 +26,17 @@ from .context_model import (
     Concept,
     ContextGraph,
     DEPLOYED_AT,
-    MATCHES_WITH,
-    MATCH_THRESHOLD,
-    ObjKind,
     PART_OF,
     RELATED_TO,
-    Triple,
     add_edge,
     add_entity,
     add_sensor_bounds,
-    node_id,
     validate_graph,
 )
 from .dataset import Cell, CellKind, Dataset, cell_text, modal_value
 from .detection import lookup_spec
 from .ensemble import EnsembleConfig, find_consensus
-from .errors import GatewayError, SchemaError
+from .errors import GatewayError, LLMCleanError, SchemaError
 from .gateway import (
     Backend,
     PromptTemplate,
@@ -49,7 +45,7 @@ from .gateway import (
     complete_many,
     render_prompt,
 )
-from .rules import SensorSpec
+from .rules import SensorSpec, parse_sensor_spec
 
 logger = logging.getLogger(__name__)
 
@@ -88,7 +84,10 @@ _ROLE_CONCEPTS: dict[str, Concept] = {
     "Sensor": Concept.SENSOR,
     "Location": Concept.LOCATION,
 }
-SYNTHESIZABLE = ("System", "Device", "SensingDevice", "Sensor", "MinValue", "MaxValue")
+#: Concepts ``generate_columns`` can synthesize when no column maps to them.
+SYNTHESIZABLE = ("System", "Device", "SensingDevice", "Sensor")
+SYNTH_SYSTEM_ID = "system_1"
+_SYNTH_ID_PREFIXES = {"Device": "device", "SensingDevice": "sensing", "Sensor": "sensor"}
 
 #: Reference header list shown to the model as a known-IoT example.
 IOT_REFERENCE_HEADERS = (
@@ -179,18 +178,6 @@ class ColumnPairRelation:
     concept_a: str = ""
     concept_b: str = ""
     hierarchy: Hierarchy = Hierarchy.INDEPENDENT
-    similarity_threshold: float | None = None
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    """Knobs for synthetic column generation."""
-
-    system_id: str = "system_1"
-    device_per_location: bool = True
-    default_min: float = 0.0
-    default_max: float = 100.0
-    generate_bounds: bool = False  # add MinValue/MaxValue columns when absent
 
 
 def classify_dataset(
@@ -303,25 +290,19 @@ def _distinct_non_missing(d: Dataset, idx: int) -> list[str]:
 
 
 def generate_columns(
-    d: Dataset,
-    mapping: ConceptMapping,
-    cfg: SynthConfig,
-    specs: Mapping[str, SensorSpec] | None = None,
+    d: Dataset, mapping: ConceptMapping
 ) -> tuple[Dataset, list[str]]:
     """Append synthetic columns for synthesizable missing concepts.
 
-    Device/sensing-device/sensor ids are derived one per distinct location
-    when ``device_per_location`` is set (a single id otherwise); min/max
-    columns come from sensor specs when known, the config defaults otherwise.
-    Returns the widened dataset plus the concepts that could not be
-    synthesized. Existing columns are never removed or reordered.
+    The system column holds ``system_1``; device, sensing-device and sensor
+    ids are derived one per distinct location (``device_1``, ``device_2``, ...
+    in sorted location order, ``_0`` for a missing location, ``_1`` on every
+    row when the table has no location column). Returns the widened dataset
+    plus the concepts that could not be synthesized. Existing columns are
+    never removed or reordered.
     """
-    specs = specs or {}
     present = {h.lower() for h in d.headers}
-    wanted = [c for c in ("System", "Device", "SensingDevice", "Sensor") if c in mapping.missing]
-    if cfg.generate_bounds:
-        wanted += ["MinValue", "MaxValue"]
-    to_add = [c for c in wanted if c.lower() not in present]
+    to_add = [c for c in SYNTHESIZABLE if c in mapping.missing and c.lower() not in present]
     excluded = [
         role for role in mapping.missing
         if role not in SYNTHESIZABLE and CANONICAL_NAMES.get(role, role).lower() not in present
@@ -329,63 +310,27 @@ def generate_columns(
     if not to_add:
         return d, excluded
 
-    location_idx = None
     if d.has_column("location"):
         location_idx = d.column_index("location")
+        index = {loc: k + 1 for k, loc in enumerate(_distinct_non_missing(d, location_idx))}
+        slots = [
+            0 if r[location_idx].is_missing else index[cell_text(r[location_idx])]
+            for r in d.rows
+        ]
+    else:
+        slots = [1] * d.n_rows
 
-    def per_location_ids(prefix: str) -> list[str]:
-        if cfg.device_per_location and location_idx is not None:
-            locations = _distinct_non_missing(d, location_idx)
-            index = {loc: k + 1 for k, loc in enumerate(locations)}
-            return [
-                f"{prefix}_{index.get(cell_text(r[location_idx]), 0)}"
-                if not r[location_idx].is_missing
-                else f"{prefix}_0"
-                for r in d.rows
-            ]
-        return [f"{prefix}_1"] * d.n_rows
-
-    headers = list(d.headers)
-    columns: list[list[Cell]] = [list(col) for col in zip(*d.rows)] if d.rows else [
-        [] for _ in d.headers
-    ]
-
-    def append(name: str, cells: list[Cell]):
-        headers.append(name)
-        columns.append(cells)
-
+    added: list[list[Cell]] = []
     for concept in to_add:
         if concept == "System":
-            append("System", [Cell.text(cfg.system_id)] * d.n_rows)
-        elif concept == "Device":
-            append("Device", [Cell.text(v) for v in per_location_ids("device")])
-        elif concept == "SensingDevice":
-            append(
-                "SensingDevice", [Cell.text(v) for v in per_location_ids("sensing")]
-            )
-        elif concept == "Sensor":
-            append("sensor", [Cell.text(v) for v in per_location_ids("sensor")])
-        elif concept in ("MinValue", "MaxValue"):
-            sensor_cells = None
-            sensor_pos = [i for i, h in enumerate(headers) if h.lower() == "sensor"]
-            if sensor_pos:
-                sensor_cells = columns[sensor_pos[0]]
-            cells = []
-            for i in range(d.n_rows):
-                spec = None
-                if sensor_cells is not None and not sensor_cells[i].is_missing:
-                    spec = lookup_spec(specs, cell_text(sensor_cells[i]))
-                if spec is not None:
-                    bound = spec.min_value if concept == "MinValue" else spec.max_value
-                else:
-                    bound = cfg.default_min if concept == "MinValue" else cfg.default_max
-                cells.append(Cell.number(bound))
-            append(concept, cells)
-
-    rows = tuple(
-        tuple(columns[c][i] for c in range(len(headers))) for i in range(d.n_rows)
-    )
-    return Dataset(tuple(headers), rows), excluded
+            added.append([Cell.text(SYNTH_SYSTEM_ID)] * d.n_rows)
+        else:
+            prefix = _SYNTH_ID_PREFIXES[concept]
+            ids = {k: Cell.text(f"{prefix}_{k}") for k in set(slots)}
+            added.append([ids[k] for k in slots])
+    headers = d.headers + tuple(CANONICAL_NAMES[c] for c in to_add)
+    rows = tuple(row + extra for row, extra in zip(d.rows, zip(*added)))
+    return Dataset(headers, rows), excluded
 
 
 class KnowledgeSource(Protocol):
@@ -396,26 +341,30 @@ class KnowledgeSource(Protocol):
 
 @dataclass
 class LocalFileKnowledge:
-    """Sensor specs from a JSON file: {"model": {"min":..,"max":..,"unit":..}}."""
+    """Sensor specs from a JSON file: {"model": {"min":..,"max":..,"unit":..}}.
+
+    The file is read on the first lookup and kept; an entry that is not a
+    usable spec answers ``None``.
+    """
 
     path: str
 
-    def lookup(self, sensor_model: str) -> SensorSpec | None:
+    @cached_property
+    def _table(self) -> dict:
         try:
             table = json.loads(Path(self.path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise GatewayError(f"sensor knowledge file unreadable: {exc}") from None
-        entry = table.get(sensor_model)
-        if not isinstance(entry, dict):
+        if not isinstance(table, dict):
+            raise GatewayError(f"sensor knowledge file {self.path} is not a JSON object")
+        return table
+
+    def lookup(self, sensor_model: str) -> SensorSpec | None:
+        if sensor_model not in self._table:
             return None
         try:
-            return SensorSpec(
-                sensor_model,
-                float(entry["min"]),
-                float(entry["max"]),
-                str(entry.get("unit", "")),
-            )
-        except (KeyError, TypeError, ValueError):
+            return parse_sensor_spec(sensor_model, self._table[sensor_model])
+        except LLMCleanError:
             return None
 
 
@@ -671,9 +620,8 @@ def pair_relationships(
 
 def build_relational_graph(relations: Sequence[ColumnPairRelation]) -> ContextGraph:
     """Column names become attribute concept nodes; hierarchies become
-    part-of edges (finer concept -> coarser concept), independent related
-    pairs a generic related-to edge, and similarity-annotated pairs a
-    matching relation. Cyclic hierarchies are a model error.
+    part-of edges (finer concept -> coarser concept) and independent related
+    pairs a generic related-to edge. Cyclic hierarchies are a model error.
     """
     graph = ContextGraph()
     for rel in relations:
@@ -688,20 +636,8 @@ def build_relational_graph(relations: Sequence[ColumnPairRelation]) -> ContextGr
             graph = add_edge(graph, PART_OF, rel.column_a, rel.column_b)
         elif rel.hierarchy is Hierarchy.ATTRIBUTE_OF_B:
             graph = add_edge(graph, PART_OF, rel.column_b, rel.column_a)
-        elif rel.similarity_threshold is None:
+        else:
             a, b = sorted((rel.column_a, rel.column_b))
             graph = add_edge(graph, RELATED_TO, a, b)
-        if rel.similarity_threshold is not None:
-            graph = add_edge(graph, MATCHES_WITH, rel.column_a, rel.column_b)
-            graph = graph.with_triples(
-                [
-                    Triple(
-                        node_id(rel.column_a),
-                        MATCH_THRESHOLD,
-                        float(rel.similarity_threshold),
-                        ObjKind.NUMBER,
-                    )
-                ]
-            )
     validate_graph(graph)
     return graph

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import RuleParseError
+from .errors import LLMCleanError, RuleParseError
 
 DEFAULT_SIM_THRESHOLD = 0.75
 
@@ -64,6 +64,25 @@ class SensorSpec:
             )
 
 
+def parse_sensor_spec(model: str, entry: object) -> SensorSpec:
+    """Build the spec of one sensor-spec JSON entry: ``{"min":..,"max":..,"unit":..}``.
+
+    Raises LLMCleanError naming the model unless the entry is an object with
+    numeric ``min <= max``.
+    """
+    if not isinstance(entry, dict):
+        raise LLMCleanError(f"sensor spec {model!r} must be an object with min and max")
+    try:
+        return SensorSpec(
+            model, float(entry["min"]), float(entry["max"]), str(entry.get("unit", ""))
+        )
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise LLMCleanError(
+            f"sensor spec {model!r} needs numeric min <= max "
+            f"(got min={entry.get('min')!r}, max={entry.get('max')!r})"
+        ) from None
+
+
 @dataclass(frozen=True)
 class ColumnRef:
     alias: str
@@ -99,9 +118,8 @@ class OfdRule:
 
     Equality covers the grammar-visible structure (kind, aliases,
     predicates); ``id`` and the carried payloads (sensor spec, concrete
-    entity mapping, temporal link) are bookkeeping extracted from a context
-    graph and are excluded from comparison so that parse/render round-trips
-    are exact.
+    entity mapping) are bookkeeping extracted from a context graph and are
+    excluded from comparison so that parse/render round-trips are exact.
     """
 
     kind: DependencyKind
@@ -110,7 +128,6 @@ class OfdRule:
     id: str = field(default="", compare=False)
     spec: SensorSpec | None = field(default=None, compare=False)
     mapping: dict[str, str] | None = field(default=None, compare=False)
-    link: tuple[str, str] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 1 <= len(self.aliases) <= 2:

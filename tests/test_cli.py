@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from llmclean.cli import EXIT_EXTERNAL, EXIT_INPUT, EXIT_OK, main
 from llmclean.context_model import deserialize, extract_ofds
@@ -61,6 +63,34 @@ class TestClassify:
         code = main(["classify", iot_csv, "--backend", "replay", "--cassette", cassette])
         assert code == 3
         assert "internal error" in capsys.readouterr().err
+
+
+class TestEnsembleConfigFile:
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            ({"prompts": ["classify"]}, "'threshold'"),
+            ({"threshold": 1}, "'prompts'"),
+            ([1, 2], "JSON object"),
+            ({"threshold": 1, "prompts": ["ghost"]}, "'ghost'"),
+            ({"threshold": 1, "prompts": ["p"], "templates": [{"id": "p"}]}, "'task_text'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["classify", "build-context"])
+    def test_malformed_config_exit_one(
+        self, iot_csv, cassette, tmp_path, capsys, command, config, key
+    ):
+        path = tmp_path / "ensemble.json"
+        path.write_text(json.dumps(config))
+        code = main(
+            [
+                command, iot_csv, "--backend", "replay", "--cassette", cassette,
+                "--ensemble-config", str(path), "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err
 
 
 def expected_triple_count() -> int:
@@ -411,6 +441,21 @@ class TestEnsembleCommand:
         assert code == EXIT_INPUT
         assert "no records" in capsys.readouterr().err
 
+    def test_answers_not_an_object_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"instance": "a", "truth": ["A"], "answers": ["A"]}\n')
+        code = main(["ensemble", str(path)])
+        assert code == EXIT_INPUT
+        assert "bad record on line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fraction", ["2", "1", "0", "-0.5", "nan"])
+    def test_val_fraction_outside_unit_interval_exit_one(self, tmp_path, capsys, fraction):
+        path = tmp_path / "records.jsonl"
+        path.write_text(write_records_jsonl(self._records()))
+        code = main(["ensemble", str(path), "--val-fraction", fraction])
+        assert code == EXIT_INPUT
+        assert "--val-fraction" in capsys.readouterr().err
+
     def test_separate_validation_file(self, tmp_path, capsys):
         train = tmp_path / "train.jsonl"
         val = tmp_path / "val.jsonl"
@@ -418,3 +463,102 @@ class TestEnsembleCommand:
         val.write_text(write_records_jsonl(self._records()[:2]))
         code = main(["ensemble", str(train), "--val-records", str(val), "--tr-range", "1"])
         assert code == EXIT_OK
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["m", "min", "max", "unit", "A"]), inner, max_size=3),
+    max_leaves=8,
+)
+NUMBERS = st.integers(-5, 5) | st.just(10**400) | st.floats(allow_nan=True)
+SENSOR_SPECS = JSON_VALUES | st.dictionaries(
+    st.sampled_from(["m", "m_1", "sensor"]),
+    st.fixed_dictionaries({"min": NUMBERS, "max": NUMBERS}, optional={"unit": JSON_VALUES})
+    | JSON_VALUES,
+    max_size=2,
+)
+CSV_TOKENS = st.sampled_from(
+    ["sensor", "value", "Sensor", "a", "Device", "timestamp", "message", "m", "m_1",
+     "1", "-2.5", "1e999", "nan", "", "N/A", "2024-01-01T00:00:00Z", "1700000000000",
+     '"x,y"', '"', "\xff"]
+)
+CSV_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.integers(1, 4)
+    .flatmap(lambda width: st.lists(st.lists(CSV_TOKENS, min_size=width, max_size=width),
+                                    min_size=1, max_size=6))
+    .map(lambda rows: "\n".join(map(",".join, rows)).encode("utf-8", "surrogateescape")),
+)
+RULE_COLUMNS = st.sampled_from(["sensor", "value", "a", "Device", "timestamp", "ghost"])
+RULE_LINE = st.builds(
+    lambda kind, body: f"{kind}: {body}",
+    st.sampled_from(["denial", "matching", "capability", "temporal", "locality",
+                     "monitoring", "bogus"]),
+    st.one_of(
+        st.builds('t1&EQ(t1.{},"{}")'.format, RULE_COLUMNS, CSV_TOKENS),
+        st.builds("t1&t2&EQ(t1.{0},t2.{0})&IQ(t1.{1},t2.{1})".format,
+                  RULE_COLUMNS, RULE_COLUMNS),
+        st.builds("t1&t2&SIM{0}(t1.{1},t2.{1})&SIM{0}(t1.{2},t2.{2})".format,
+                  st.integers(0, 100), RULE_COLUMNS, RULE_COLUMNS),
+        st.builds('t1&t2&EQ(t1.{0},"{1}")&EQ(t2.{0},"{2}")'.format,
+                  RULE_COLUMNS, CSV_TOKENS, CSV_TOKENS),
+    ),
+)
+RULE_TEXT = st.lists(RULE_LINE, max_size=4).map("\n".join) | st.text(
+    alphabet='tq12&EQIMS(),."a: #\n', max_size=40
+)
+LABELS = st.lists(st.sampled_from(["A", "B", 1, None]), max_size=3)
+RECORD_LINE = st.one_of(
+    st.text(max_size=20),
+    st.builds(
+        json.dumps,
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "instance": JSON_VALUES,
+                "truth": LABELS | JSON_VALUES,
+                "answers": st.dictionaries(st.sampled_from(["p1", "p2"]), LABELS, max_size=2)
+                | JSON_VALUES,
+            },
+        ),
+    ),
+)
+
+
+class TestFuzzedInputsExitCleanly:
+    """Malformed user input is an input error (exit 1), never an internal one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        csv_bytes=CSV_BYTES,
+        rule_text=RULE_TEXT,
+        sensors=SENSOR_SPECS,
+        exact=st.booleans(),
+    )
+    def test_detect(self, csv_bytes, rule_text, sensors, exact):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "data.csv").write_bytes(csv_bytes)
+            (tmp / "rules.ofd").write_text(rule_text, encoding="utf-8")
+            (tmp / "sensors.json").write_text(json.dumps(sensors), encoding="utf-8")
+            argv = [
+                "detect", str(tmp / "data.csv"), "--rules", str(tmp / "rules.ofd"),
+                "--sensors", str(tmp / "sensors.json"), "--out-dir", str(tmp / "out"),
+            ]
+            assert main(argv + ["--exact-matching"] * exact) in (EXIT_OK, EXIT_INPUT)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lines=st.lists(RECORD_LINE, max_size=4),
+        fraction=st.floats(allow_nan=True, allow_infinity=True),
+        tr_range=st.integers(-1, 3),
+    )
+    def test_ensemble(self, lines, fraction, tr_range):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.jsonl"
+            path.write_text("\n".join(lines), encoding="utf-8")
+            argv = ["ensemble", str(path), f"--val-fraction={fraction!r}",
+                    f"--tr-range={tr_range}"]
+            assert main(argv) in (EXIT_OK, EXIT_INPUT)

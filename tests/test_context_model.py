@@ -18,6 +18,7 @@ from llmclean.context_model import (
     serialize,
     validate_graph,
 )
+from llmclean.detection import temporal_link
 from llmclean.errors import GraphParseError, ModelError
 from llmclean.rules import DependencyKind, SensorSpec
 
@@ -160,7 +161,9 @@ class TestExtractOfds:
     def test_temporal_rule_from_forwarding_edge(self):
         rules = extract_ofds(iot_graph())
         temporal = [r for r in rules if r.kind is DependencyKind.TEMPORAL]
-        assert [r.link for r in temporal] == [("device_in_1", "device_main")]
+        assert [temporal_link(r) for r in temporal] == [
+            ("Device", "device_in_1", "device_main")
+        ]
 
     def test_monitoring_edges_yield_no_rule(self):
         g = add_entity(ContextGraph(), Concept.DEVICE, "d", {"label": "d"})

@@ -11,7 +11,6 @@ from llmclean.dataset import (
     normalize_missing,
 )
 from llmclean.detection import (
-    SimilaritySpec,
     detect_capability_violations,
     detect_fd_violations,
     detect_matching_violations,
@@ -26,9 +25,6 @@ from llmclean.errors import RuleError
 from llmclean.rules import DependencyKind, OfdRule, SensorSpec, parse_rule
 
 from oracles import lev_recursive, oracle_findings
-
-SIM = SimilaritySpec()
-
 
 def rule(text: str, kind=DependencyKind.DENIAL, rule_id="r1") -> OfdRule:
     return parse_rule(text, kind, rule_id=rule_id)
@@ -151,7 +147,7 @@ MATCH_RULE = "t1&t2&SIM75(t1.ProviderNumber,t2.ProviderNumber)&SIM75(t1.PhoneNum
 class TestDetectMatchingViolations:
     def test_identical_pair_clean(self):
         d = table(["ProviderNumber", "PhoneNumber"], ["10018", "2125551234"], ["10018", "2125551234"])
-        assert detect_matching_violations(d, rule(MATCH_RULE, DependencyKind.MATCHING), SIM) == []
+        assert detect_matching_violations(d, rule(MATCH_RULE, DependencyKind.MATCHING)) == []
 
     def test_similar_determinant_dissimilar_dependent(self):
         d = table(
@@ -161,7 +157,7 @@ class TestDetectMatchingViolations:
         )
         # reference similarity: identical A (1.0 >= .75); B distance is high
         assert similarity("2125551234", "9995550000") < 0.75
-        findings = detect_matching_violations(d, rule(MATCH_RULE, DependencyKind.MATCHING), SIM)
+        findings = detect_matching_violations(d, rule(MATCH_RULE, DependencyKind.MATCHING))
         assert {(f.cell.row, f.cell.column) for f in findings} == {
             (0, "PhoneNumber"),
             (1, "PhoneNumber"),
@@ -170,7 +166,7 @@ class TestDetectMatchingViolations:
     def test_threshold_one_distinct_determinants(self):
         text = "t1&t2&SIM100(t1.A,t2.A)&SIM100(t1.B,t2.B)"
         d = table(["A", "B"], ["aaa", "x"], ["bbb", "y"], ["ccc", "z"])
-        assert detect_matching_violations(d, rule(text, DependencyKind.MATCHING), SIM) == []
+        assert detect_matching_violations(d, rule(text, DependencyKind.MATCHING)) == []
 
     def test_blocking_equals_exact_on_shared_prefixes(self):
         rng = random.Random(1)
@@ -181,13 +177,13 @@ class TestDetectMatchingViolations:
             rows.append([base, phone])
         d = table(["ProviderNumber", "PhoneNumber"], *rows)
         r = rule(MATCH_RULE, DependencyKind.MATCHING)
-        blocked = detect_matching_violations(d, r, SIM, exact=False)
-        exact = detect_matching_violations(d, r, SIM, exact=True)
+        blocked = detect_matching_violations(d, r, exact=False)
+        exact = detect_matching_violations(d, r, exact=True)
         assert blocked == exact
 
     def test_missing_cells_skipped(self):
         d = table(["A", "B"], ["aa", None], ["aa", "zz"])
-        assert detect_matching_violations(d, rule(MATCH_RULE.replace("ProviderNumber", "A").replace("PhoneNumber", "B"), DependencyKind.MATCHING), SIM) == []
+        assert detect_matching_violations(d, rule(MATCH_RULE.replace("ProviderNumber", "A").replace("PhoneNumber", "B"), DependencyKind.MATCHING)) == []
 
 
 class TestDetectCapabilityViolations:
@@ -305,6 +301,14 @@ class TestRunAll:
         report = run_all(d, [cap], specs={"ds18b20": SensorSpec("ds18b20", -55, 125)})
         assert report.flagged_cells == {(0, "value")}
         assert report.uncovered_sensors == 0
+
+    def test_capability_without_sensor_columns_skipped(self):
+        d = table(["a", "b"], [None, "x"])
+        missing = rule('t1&EQ(t1.a,"")', rule_id="missing")
+        cap = rule('t1&EQ(t1.sensor,"m")', DependencyKind.CAPABILITY, "cap")
+        report = run_all(d, [missing, cap], specs={"m": SensorSpec("m", 0, 1)})
+        assert report.flagged_cells == {(0, "a")}
+        assert [r for r, _ in report.skipped_rules] == ["cap"]
 
     def test_capability_without_spec_counts_uncovered(self):
         d = table(["sensor", "value"], ["mystery_1", 1.0])

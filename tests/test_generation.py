@@ -4,7 +4,21 @@ import json
 
 import pytest
 
-from llmclean.context_model import ATTACHED_TO, DEPLOYED_AT, extract_ofds, serialize
+from llmclean.context_model import (
+    ATTACHED_TO,
+    DEPLOYED_AT,
+    MATCHES_WITH,
+    MATCH_THRESHOLD,
+    Concept,
+    ContextGraph,
+    ObjKind,
+    Triple,
+    add_edge,
+    add_entity,
+    extract_ofds,
+    node_id,
+    serialize,
+)
 from llmclean.dataset import Cell, Dataset, MISSING, cell_text, normalize_missing
 from llmclean.ensemble import EnsembleConfig
 from llmclean.errors import ModelError, SchemaError
@@ -28,7 +42,6 @@ from llmclean.generation import (
     LocalFileKnowledge,
     MAP_COLUMN_TEMPLATE,
     RELATED_TEMPLATE,
-    SynthConfig,
     build_iot_graph,
     build_relational_graph,
     classify_dataset,
@@ -212,7 +225,7 @@ class TestGenerateColumns:
 
     def test_structural_columns_added(self):
         mapping = ConceptMapping(missing=["System", "Device", "SensingDevice", "Sensor"])
-        out, excluded = generate_columns(self._base(), mapping, SynthConfig())
+        out, excluded = generate_columns(self._base(), mapping)
         assert out.headers == (
             "value", "location", "timestamp", "System", "Device", "SensingDevice", "sensor"
         )
@@ -220,44 +233,37 @@ class TestGenerateColumns:
 
     def test_nothing_missing_unchanged(self):
         mapping = ConceptMapping(missing=[])
-        out, excluded = generate_columns(self._base(), mapping, SynthConfig())
+        out, excluded = generate_columns(self._base(), mapping)
         assert out == self._base()
         assert excluded == []
 
     def test_two_locations_two_devices(self):
         mapping = ConceptMapping(missing=["Device"])
-        out, _ = generate_columns(self._base(), mapping, SynthConfig(device_per_location=True))
+        out, _ = generate_columns(self._base(), mapping)
         devices = {cell_text(c) for c in out.column("Device")}
         assert len(devices) == 2
 
-    def test_device_per_location_off_single_device(self):
-        mapping = ConceptMapping(missing=["Device"])
-        out, _ = generate_columns(self._base(), mapping, SynthConfig(device_per_location=False))
-        assert {cell_text(c) for c in out.column("Device")} == {"device_1"}
-
-    def test_bounds_from_specs_and_defaults(self):
-        d = Dataset.from_lists(
-            ["sensor", "value"],
-            [[Cell.text("ds18b20_1"), Cell.number(20.0)], [Cell.text("odd"), Cell.number(1.0)]],
-        )
-        mapping = ConceptMapping(missing=[])
-        cfg = SynthConfig(generate_bounds=True, default_min=-1.0, default_max=1.0)
-        specs = {"ds18b20": SensorSpec("ds18b20", -55.0, 125.0)}
-        out, _ = generate_columns(d, mapping, cfg, specs)
-        assert out.headers[-2:] == ("MinValue", "MaxValue")
-        assert out.rows[0][2] == Cell.number(-55.0)
-        assert out.rows[1][3] == Cell.number(1.0)
+    def test_ids_follow_sorted_locations(self):
+        mapping = ConceptMapping(missing=["System", "Sensor"])
+        out, _ = generate_columns(self._base(), mapping)
+        assert [cell_text(c) for c in out.column("System")] == ["system_1"] * 3
+        assert [cell_text(c) for c in out.column("sensor")] == [
+            "sensor_1", "sensor_2", "sensor_1"
+        ]
+        no_location = Dataset.from_lists(["value"], [[Cell.number(1.0)]] * 2)
+        out, _ = generate_columns(no_location, ConceptMapping(missing=["Device"]))
+        assert [cell_text(c) for c in out.column("Device")] == ["device_1"] * 2
 
     def test_non_synthesizable_concepts_excluded(self):
         d = Dataset.from_lists(["value"], [[Cell.number(1.0)]])
         mapping = ConceptMapping(missing=["Location", "Timestamp", "Device"])
-        out, excluded = generate_columns(d, mapping, SynthConfig())
+        out, excluded = generate_columns(d, mapping)
         assert "Location" in excluded and "Timestamp" in excluded
         assert out.has_column("Device")
 
     def test_existing_columns_preserved_in_order(self):
         mapping = ConceptMapping(missing=["System"])
-        out, _ = generate_columns(self._base(), mapping, SynthConfig())
+        out, _ = generate_columns(self._base(), mapping)
         assert out.headers[:3] == self._base().headers
 
 
@@ -305,6 +311,20 @@ class TestSensorInfo:
         path = tmp_path / "k.json"
         path.write_text('{"m": {"min": NaN, "max": 125}}')
         assert LocalFileKnowledge(str(path)).lookup("m") is None
+
+    def test_local_file_read_once(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"m": {"min": 0, "max": 1}, "bad": {"min": 1}}))
+        source = LocalFileKnowledge(str(path))
+        assert source.lookup("m") == SensorSpec("m", 0.0, 1.0)
+        path.unlink()
+        assert source.lookup("bad") is None
+        assert source.lookup("m") == SensorSpec("m", 0.0, 1.0)
+
+    def test_local_file_not_an_object_skipped(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text("[1, 2]")
+        assert extract_sensor_info("m", [LocalFileKnowledge(str(path))]) is None
 
 
 class TestSanitize:
@@ -596,13 +616,14 @@ class TestBuildRelationalGraph:
         assert "A" in str(exc.value) and "B" in str(exc.value)
 
     def test_matching_annotation_yields_sim_rule(self):
-        relations = [
-            ColumnPairRelation(
-                "ProviderNumber", "PhoneNumber", related=True,
-                similarity_threshold=0.75,
-            )
-        ]
-        graph = build_relational_graph(relations)
+        # No stage emits matchesWith; user-supplied graphs may carry it.
+        graph = ContextGraph()
+        for column in ("ProviderNumber", "PhoneNumber"):
+            graph = add_entity(graph, Concept.ATTRIBUTE, column, {"label": column})
+        graph = add_edge(graph, MATCHES_WITH, "ProviderNumber", "PhoneNumber")
+        graph = graph.with_triples(
+            [Triple(node_id("ProviderNumber"), MATCH_THRESHOLD, 0.75, ObjKind.NUMBER)]
+        )
         rules = extract_ofds(graph)
         matching = [r for r in rules if r.kind is DependencyKind.MATCHING]
         assert len(matching) == 1

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from llmclean.detection import temporal_link
 from llmclean.errors import RuleParseError
 from llmclean.rules import (
     ColumnRef,
@@ -191,9 +192,15 @@ class TestPayloads:
             id="capability:x",
             spec=SensorSpec("x", 0.0, 1.0),
             mapping={"a": "b"},
-            link=("a", "b"),
         )
         assert loaded == plain
+
+    def test_temporal_pair_comes_from_literals(self):
+        rule = parse_rule(
+            't1&t2&EQ(t1.Device,"device_in_1")&EQ(t2.Device,"device_main")',
+            DependencyKind.TEMPORAL,
+        )
+        assert temporal_link(rule) == ("Device", "device_in_1", "device_main")
 
     def test_sensor_spec_ordering(self):
         with pytest.raises(ValueError):
