@@ -13,8 +13,10 @@ Prefixes used throughout (documented in the README):
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import GraphParseError, ModelError
@@ -111,11 +113,17 @@ class ContextGraph:
     def with_triples(self, new: Iterable[Triple]) -> "ContextGraph":
         return ContextGraph(self.triples | frozenset(new), self.prefixes)
 
+    @cached_property
+    def _by_subject_predicate(self) -> dict[tuple[str, str], list[Triple]]:
+        index: dict[tuple[str, str], list[Triple]] = defaultdict(list)
+        for t in self.triples:
+            index[t.subject, t.predicate].append(t)
+        for found in index.values():
+            found.sort(key=lambda t: str(t.obj))
+        return index
+
     def objects(self, subject: str, predicate: str) -> list[Triple]:
-        return sorted(
-            (t for t in self.triples if t.subject == subject and t.predicate == predicate),
-            key=lambda t: str(t.obj),
-        )
+        return list(self._by_subject_predicate.get((subject, predicate), ()))
 
     def by_predicate(self, predicate: str) -> list[Triple]:
         return sorted(
@@ -279,11 +287,7 @@ def _node_types(g: ContextGraph) -> dict[str, Concept]:
 
 
 def node_label(g: ContextGraph, node: str) -> str:
-    labels = [
-        str(t.obj)
-        for t in g.triples
-        if t.subject == node and t.predicate == LABEL and t.obj_kind is ObjKind.TEXT
-    ]
+    labels = [str(t.obj) for t in g.objects(node, LABEL) if t.obj_kind is ObjKind.TEXT]
     return min(labels) if labels else node.split(":", 1)[-1]
 
 

@@ -283,36 +283,27 @@ def lookup_spec(specs: Mapping[str, SensorSpec], sensor_id: str) -> SensorSpec |
 
 
 def detect_capability_violations(
-    d: Dataset, specs: Mapping[str, SensorSpec], rule_id: str = "capability"
-) -> tuple[list[Finding], set[str]]:
-    """Check sensor readings against their min/max specs (closed interval).
+    d: Dataset, rule: OfdRule, spec: SensorSpec
+) -> list[Finding]:
+    """Check the readings of rows whose sensor is the rule's literal against
+    ``spec`` (closed interval).
 
-    Returns the findings plus the set of sensor ids present in the data but
-    without any spec (reported as uncovered, never flagged). A table without
-    ``sensor`` or ``value`` columns raises RuleError naming ``rule_id``.
+    A table without ``sensor`` or ``value`` columns raises RuleError.
     """
-    sensor_idx = _resolve(d, rule_id, "sensor")
-    value_idx = _resolve(d, rule_id, "value")
+    sensor_id = _capability_sensor(rule)
+    sensor_idx = _resolve(d, rule.id, "sensor")
+    value_idx = _resolve(d, rule.id, "value")
     value_name = d.headers[value_idx]
     findings: list[Finding] = []
-    uncovered: set[str] = set()
     for i, row in enumerate(d.rows):
-        sensor_cell = row[sensor_idx]
-        if sensor_cell.is_missing:
-            continue
-        sensor_id = cell_text(sensor_cell)
-        spec = lookup_spec(specs, sensor_id)
-        if spec is None:
-            uncovered.add(sensor_id)
-            continue
-        value = row[value_idx]
-        if value.is_missing:
+        sensor_cell, value = row[sensor_idx], row[value_idx]
+        if sensor_cell.is_missing or value.is_missing or cell_text(sensor_cell) != sensor_id:
             continue
         if value.kind is not CellKind.NUMBER:
-            findings.append(Finding(CellRef(i, value_name), rule_id, "type_mismatch"))
+            findings.append(Finding(CellRef(i, value_name), rule.id, "type_mismatch"))
         elif not spec.min_value <= float(value.value) <= spec.max_value:
-            findings.append(Finding(CellRef(i, value_name), rule_id, "capability_range"))
-    return findings, uncovered
+            findings.append(Finding(CellRef(i, value_name), rule.id, "capability_range"))
+    return findings
 
 
 def temporal_link(rule: OfdRule) -> tuple[str, str, str]:
@@ -425,12 +416,8 @@ def _dispatch(
     if kind is DependencyKind.MATCHING:
         return detect_matching_violations(d, rule, exact=exact_matching)
     if kind is DependencyKind.CAPABILITY:
-        sensor_id = _capability_sensor(rule)
-        spec = rule.spec or lookup_spec(specs, sensor_id)
-        if spec is None:
-            return []
-        findings, _ = detect_capability_violations(d, {sensor_id: spec}, rule.id)
-        return findings
+        spec = rule.spec or lookup_spec(specs, _capability_sensor(rule))
+        return [] if spec is None else detect_capability_violations(d, rule, spec)
     if kind is DependencyKind.TEMPORAL:
         return detect_temporal_violations(d, rule)
     raise RuleError(f"rule {rule.id!r}: no check defined for kind {kind.value!r}")
@@ -453,9 +440,11 @@ def run_all(
 ) -> DetectionReport:
     """Enforce every rule; merge findings with (cell, rule) de-duplication.
 
-    A rule that cannot be applied is recorded under ``skipped_rules`` and
-    never aborts the remaining rules. Sensors appearing in the data with no
-    spec available from any capability rule or the spec map are counted as
+    Structurally equal rules (same kind, aliases, predicates and spec) are
+    checked once and their findings reported under each rule's id. A rule
+    that cannot be applied is recorded under ``skipped_rules`` and never
+    aborts the remaining rules. Sensors appearing in the data with no spec
+    available from any capability rule or the spec map are counted as
     uncovered.
     """
     merged_specs = dict(specs or {})
@@ -469,17 +458,20 @@ def run_all(
     start = time.perf_counter()
     report = DetectionReport()
     seen: set[tuple[int, str, str]] = set()
+    checked: dict[tuple[OfdRule, SensorSpec | None], list[Finding]] = {}
     for rule in rules:
-        try:
-            findings = _dispatch(d, rule, merged_specs, exact_matching)
-        except RuleError as exc:
-            report.skipped_rules.append((rule.id, str(exc)))
-            continue
-        for f in findings:
-            key = (f.cell.row, f.cell.column, f.rule_id)
+        check = (rule, rule.spec)
+        if check not in checked:
+            try:
+                checked[check] = _dispatch(d, rule, merged_specs, exact_matching)
+            except RuleError as exc:  # not cached: the message names this rule
+                report.skipped_rules.append((rule.id, str(exc)))
+                continue
+        for f in checked[check]:
+            key = (f.cell.row, f.cell.column, rule.id)
             if key not in seen:
                 seen.add(key)
-                report.findings.append(f)
+                report.findings.append(Finding(f.cell, rule.id, f.reason))
 
     uncovered: set[str] = set()
     if any(r.kind is DependencyKind.CAPABILITY for r in rules):

@@ -57,6 +57,9 @@ class ErrorSpec:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
+        # A non-finite outlier would be stored as a missing cell.
+        if not math.isfinite(self.outlier_multiplier):
+            raise ValueError(f"outlier_multiplier must be finite, got {self.outlier_multiplier}")
         if self.fd_swap_rate > 0 and not (self.fd_determinant and self.fd_dependent):
             raise ValueError("fd_swap_rate needs fd_determinant and fd_dependent")
 
@@ -234,6 +237,10 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
         for i, c in rng.sample(eligible, count):
             old = float(grid[i][c].value)
             new_value = old * spec.outlier_multiplier if old != 0 else spec.outlier_multiplier
+            if not math.isfinite(new_value):
+                raise ValueError(
+                    f"outlier_multiplier {spec.outlier_multiplier} takes {old} out of float range"
+                )
             take(i, c, Cell.number(new_value), "outlier")
 
     dirty = Dataset(d.headers, tuple(tuple(row) for row in grid))

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import csv
 import json
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from llmclean.cli import EXIT_EXTERNAL, EXIT_INPUT, EXIT_OK, main
 from llmclean.context_model import deserialize, extract_ofds
@@ -356,6 +357,18 @@ class TestEvaluate:
         assert code == EXIT_INPUT
         assert "sensor specs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("multiplier", ["nan", "inf", "-inf", "1e308"])
+    def test_non_finite_outlier_exit_one(self, tmp_path, capsys, multiplier):
+        csv_path, rules_path = self._write_simple(tmp_path)
+        code = main(
+            [
+                "evaluate", csv_path, "--rules", rules_path,
+                "--outlier-rate", "0.5", f"--multiplier={multiplier}",
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "multiplier" in capsys.readouterr().err
+
     def test_round_trip_metrics(self, tmp_path, capsys):
         csv_path, rules_path = self._write_simple(tmp_path)
         code = main(
@@ -527,6 +540,10 @@ RECORD_LINE = st.one_of(
 )
 
 
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+EVAL_COLUMNS = st.sampled_from(["System", "Value", "Ghost"])
+
+
 class TestFuzzedInputsExitCleanly:
     """Malformed user input is an input error (exit 1), never an internal one."""
 
@@ -562,3 +579,42 @@ class TestFuzzedInputsExitCleanly:
             argv = ["ensemble", str(path), f"--val-fraction={fraction!r}",
                     f"--tr-range={tr_range}"]
             assert main(argv) in (EXIT_OK, EXIT_INPUT)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rates=st.lists(st.just(0.0) | st.floats(0, 1) | FLOATS, min_size=3, max_size=3),
+        multiplier=st.just(0.0) | FLOATS,
+        fd_pair=st.none() | st.sampled_from(["System:Value", "Value:System", "System:Ghost", ":"]),
+        columns=st.lists(
+            st.none() | st.lists(EVAL_COLUMNS, min_size=1, max_size=2).map(",".join),
+            min_size=2, max_size=2,
+        ),
+    )
+    @example(rates=[0.0, 0.5, 0.0], multiplier=float("nan"), fd_pair=None, columns=[None, None])
+    def test_evaluate(self, rates, multiplier, fd_pair, columns):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            values = ["0", "20.5", "-3", "1e300"]
+            (tmp / "clean.csv").write_text(
+                "System,Value\n" + "".join(f"s{i % 3},{values[i % 4]}\n" for i in range(12))
+            )
+            (tmp / "rules.ofd").write_text('denial: t1&EQ(t1.System,"")\n')
+            argv = [
+                "evaluate", str(tmp / "clean.csv"), "--rules", str(tmp / "rules.ofd"),
+                "--out-dir", str(tmp / "out"), f"--multiplier={multiplier!r}",
+            ]
+            for flag, rate in zip(("missing-rate", "outlier-rate", "fd-swap-rate"), rates):
+                argv.append(f"--{flag}={rate!r}")
+            for flag, value in zip(("missing-columns", "outlier-columns", "fd-pair"),
+                                   columns + [fd_pair]):
+                if value is not None:
+                    argv.append(f"--{flag}={value}")
+            code = main(argv)
+            assert code in (EXIT_OK, EXIT_INPUT)
+            if code == EXIT_OK:
+                with open(tmp / "out" / "dirty.csv", newline="", encoding="utf-8") as fh:
+                    header, *rows = csv.reader(fh)
+                for line in (tmp / "out" / "truth.jsonl").read_text().splitlines():
+                    entry = json.loads(line)
+                    if entry["kind"] == "outlier":
+                        assert rows[entry["row"]][header.index(entry["column"])] != ""

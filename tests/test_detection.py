@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+from llmclean import detection
 from llmclean.dataset import (
     Cell,
     Dataset,
@@ -187,28 +189,32 @@ class TestDetectMatchingViolations:
 
 
 class TestDetectCapabilityViolations:
-    SPECS = {"ds18b20": SensorSpec("ds18b20", -55.0, 125.0)}
+    SPEC = SensorSpec("ds18b20", -55.0, 125.0)
+    RULE = rule('t1&EQ(t1.sensor,"ds18b20_1")', DependencyKind.CAPABILITY, "cap")
 
     def test_out_of_range_flagged(self):
         d = table(["sensor", "value"], ["ds18b20_1", 999.0], ["ds18b20_1", 20.0])
-        findings, uncovered = detect_capability_violations(d, self.SPECS)
+        findings = detect_capability_violations(d, self.RULE, self.SPEC)
         assert [(f.cell.row, f.reason) for f in findings] == [(0, "capability_range")]
-        assert uncovered == set()
 
     def test_boundary_values_not_flagged(self):
         d = table(["sensor", "value"], ["ds18b20_1", -55.0], ["ds18b20_1", 125.0])
-        findings, _ = detect_capability_violations(d, self.SPECS)
-        assert findings == []
+        assert detect_capability_violations(d, self.RULE, self.SPEC) == []
+
+    def test_other_sensor_rows_not_checked(self):
+        d = table(["sensor", "value"], ["mystery_9", 999.0], ["ds18b20_2", 999.0])
+        assert detect_capability_violations(d, self.RULE, self.SPEC) == []
 
     def test_sensor_without_spec_uncovered(self):
         d = table(["sensor", "value"], ["mystery_9", 1.0])
-        findings, uncovered = detect_capability_violations(d, self.SPECS)
-        assert findings == []
-        assert uncovered == {"mystery_9"}
+        assert detect_capability_violations(d, self.RULE, self.SPEC) == []
+        report = run_all(d, [self.RULE], specs={"ds18b20": self.SPEC})
+        assert report.findings == []
+        assert report.uncovered_sensors == 1
 
     def test_text_value_is_type_mismatch(self):
         d = table(["sensor", "value"], ["ds18b20_1", "hot"])
-        findings, _ = detect_capability_violations(d, self.SPECS)
+        findings = detect_capability_violations(d, self.RULE, self.SPEC)
         assert findings[0].reason == "type_mismatch"
 
     def test_suffix_stripping(self):
@@ -317,6 +323,42 @@ class TestRunAll:
         assert report.findings == []
         assert report.uncovered_sensors == 1
 
+    def test_each_distinct_check_runs_once(self, monkeypatch):
+        d = table(
+            ["sensor", "value", "SensingDevice", "Device"],
+            ["m", 5.0, "s", "d1"],
+            ["m", 50.0, "s", "d2"],
+            ["m", 5.0, "s", "d1"],
+        )
+        other_fd = "t1&t2&EQ(t1.Device,t2.Device)&IQ(t1.sensor,t2.sensor)"
+        cap = rule('t1&EQ(t1.sensor,"m")', DependencyKind.CAPABILITY)
+        rules = [
+            rule(FD_RULE, rule_id="f1"),
+            rule(FD_RULE, rule_id="f2"),
+            rule(other_fd, rule_id="g"),
+            dataclasses.replace(cap, id="narrow", spec=SensorSpec("m", 0, 10)),
+            dataclasses.replace(cap, id="wide", spec=SensorSpec("m", 0, 100)),
+        ]
+        alone = {
+            (f.cell.row, f.cell.column, f.rule_id)
+            for r in rules
+            for f in run_all(d, [r]).findings
+        }
+        calls = []
+        fd_kernel = detection.detect_fd_violations
+        monkeypatch.setattr(
+            detection, "detect_fd_violations", lambda *a: calls.append(a) or fd_kernel(*a)
+        )
+        report = run_all(d, rules)
+        assert {(f.cell.row, f.cell.column, f.rule_id) for f in report.findings} == alone
+        assert len(calls) == 2
+        assert report.per_rule_counts == {"f1": 1, "f2": 1, "narrow": 1}
+
+        bad = [rule('t1&EQ(t1.Ghost,"")', rule_id=i) for i in ("bad1", "bad2")]
+        skipped = run_all(d, bad).skipped_rules
+        assert [r for r, _ in skipped] == ["bad1", "bad2"]
+        assert all(repr(r) in message for r, message in skipped)
+
     def test_deduplicates_same_cell_same_rule(self):
         d = table(["SensingDevice", "Device"], ["s", "d1"], ["s", "d2"], ["s", "d1"])
         fd = rule(FD_RULE, rule_id="f")
@@ -358,6 +400,16 @@ class TestOracleEquivalence:
         expected = oracle_findings(d, rules, specs)
         assert got == expected
         assert not report.skipped_rules
+
+    def test_capability_literal_selects_rows(self):
+        d = table(
+            ["sensor", "value"], ["ds18b20_1", 999.0], ["ds18b20", 999.0], ["ds18b20", 20.0]
+        )
+        specs = {"ds18b20": SensorSpec("ds18b20", -55.0, 125.0)}
+        cap = rule('t1&EQ(t1.sensor,"ds18b20")', DependencyKind.CAPABILITY, "cap")
+        report = run_all(d, [cap], specs=specs)
+        got = {(f.cell.row, f.cell.column, f.rule_id) for f in report.findings}
+        assert got == oracle_findings(d, [cap], specs) == {(1, "value", "cap")}
 
     def test_findings_sorted_and_unique(self):
         d, rules, specs = _random_dataset_and_rules(99)

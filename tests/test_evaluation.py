@@ -115,6 +115,16 @@ class TestInjectErrors:
         with pytest.raises(ValueError):
             ErrorSpec(fd_swap_rate=0.1)  # no fd pair named
 
+    @pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_multiplier_rejected(self, multiplier):
+        with pytest.raises(ValueError, match="outlier_multiplier"):
+            ErrorSpec(outlier_rate=0.1, outlier_multiplier=multiplier)
+
+    def test_overflowing_outlier_rejected(self):
+        spec = ErrorSpec(outlier_rate=0.5, outlier_multiplier=1e308)
+        with pytest.raises(ValueError, match="outlier_multiplier"):
+            inject_errors(numeric_table(10), spec)
+
     def test_truth_jsonl_round_trip(self):
         d = make_iot_dataset(n_rows=40)
         _, truth = inject_errors(
