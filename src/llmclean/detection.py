@@ -7,6 +7,9 @@ the mode itself is never flagged). Matching rules compare row pairs under a
 normalized string-similarity metric, with prefix blocking to stay sub-
 quadratic on large tables. Capability rules check sensor readings against
 min/max specs; temporal rules check message ordering between linked devices.
+Every kernel works on the dataset's dictionary-encoded columns: rows are
+selected through codes, and per-value work (cell text, block keys, verdicts)
+runs once per distinct value.
 
 Missing values never double-count: rows with a missing determinant are
 excluded from FD grouping, and pairs touching a missing cell are skipped by
@@ -28,7 +31,6 @@ from .dataset import (
     CellRef,
     Dataset,
     PlaceholderSet,
-    cell_text,
     modal_value,
 )
 from .errors import RuleError, SchemaError
@@ -161,47 +163,50 @@ def detect_missing(d: Dataset, rule: OfdRule) -> list[Finding]:
     if len(literals) != 1 or len(columns) != 1:
         raise RuleError(f"rule {rule.id!r}: unary rule needs one column and one literal")
     col_idx = _resolve(d, rule.id, columns[0].column)
-    column_name = d.headers[col_idx]
-    target_missing = PlaceholderSet.default().matches(literals[0].value)
-    findings = []
-    for i, row in enumerate(d.rows):
-        cell = row[col_idx]
-        if target_missing:
-            hit = cell.is_missing
-        else:
-            hit = cell.kind is CellKind.TEXT and cell.value == literals[0].value
-        if hit:
-            findings.append(
-                Finding(CellRef(i, column_name), rule.id, "missing_value")
-            )
-    return findings
+    column = d.columns[col_idx]
+    literal = literals[0].value
+    if PlaceholderSet.default().matches(literal):
+        hits = [k for k, cell in enumerate(column.values) if cell.is_missing]
+    else:
+        hits = [
+            k for k, cell in enumerate(column.values)
+            if cell.kind is CellKind.TEXT and cell.value == literal
+        ]
+    name = d.headers[col_idx]
+    return [
+        Finding(CellRef(i, name), rule.id, "missing_value") for i in column.rows_of(hits)
+    ]
 
 
 def detect_fd_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
-    """Group by determinant, flag dependent cells deviating from the mode."""
+    """Group by determinant, flag dependent cells deviating from the mode.
+
+    Works on ``(determinant code, dependent code)`` pair counts: each
+    group's mode is taken once, then the rows holding a deviating pair are
+    flagged.
+    """
     det, dep = fd_columns(rule)
-    det_idx = _resolve(d, rule.id, det)
+    det_col = d.columns[_resolve(d, rule.id, det)]
     dep_idx = _resolve(d, rule.id, dep)
+    dep_col = d.columns[dep_idx]
     dep_name = d.headers[dep_idx]
 
-    groups: dict[Cell, list[int]] = defaultdict(list)
-    for i, row in enumerate(d.rows):
-        if not row[det_idx].is_missing:
-            groups[row[det_idx]].append(i)
-
-    findings: list[Finding] = []
-    for det_value in groups:
-        rows = groups[det_value]
-        candidates = Counter(
-            d.rows[i][dep_idx] for i in rows if not d.rows[i][dep_idx].is_missing
-        )
-        if not candidates:
-            continue
-        mode = modal_value(candidates)
-        for i in rows:
-            if d.rows[i][dep_idx] != mode:
-                findings.append(Finding(CellRef(i, dep_name), rule.id, "fd_violation"))
-    return findings
+    pairs = Counter(zip(det_col.codes, dep_col.codes))
+    det_missing, dep_missing = det_col.missing_code, dep_col.missing_code
+    groups: dict[int, dict[int, int]] = defaultdict(dict)
+    for (a, b), n in pairs.items():
+        if a != det_missing and b != dep_missing:
+            groups[a][b] = n
+    modes = {
+        a: modal_value(counts, key=dep_col.texts.__getitem__)
+        for a, counts in groups.items()
+    }
+    deviating = {(a, b) for a, b in pairs if a in modes and b != modes[a]}
+    return [
+        Finding(CellRef(i, dep_name), rule.id, "fd_violation")
+        for i, pair in enumerate(zip(det_col.codes, dep_col.codes))
+        if pair in deviating
+    ]
 
 
 def _sim_predicates(rule: OfdRule) -> tuple[str, float, str, float]:
@@ -230,27 +235,32 @@ def detect_matching_violations(
     those characters); ``exact=True`` enumerates all pairs.
     """
     col_a, theta_a, col_b, theta_b = _sim_predicates(rule)
-    a_idx = _resolve(d, rule.id, col_a)
+    a_col = d.columns[_resolve(d, rule.id, col_a)]
     b_idx = _resolve(d, rule.id, col_b)
+    b_col = d.columns[b_idx]
     b_name = d.headers[b_idx]
 
-    usable = [
-        i
-        for i, row in enumerate(d.rows)
-        if not row[a_idx].is_missing and not row[b_idx].is_missing
+    # Rows with equal (A, B) codes compare alike with every other row, and
+    # never flag each other (similarity 1.0 meets any threshold), so each
+    # distinct pair is compared once.
+    a_missing, b_missing = a_col.missing_code, b_col.missing_code
+    a_texts, b_texts = a_col.texts, b_col.texts
+    distinct = [
+        (a, b) for a, b in dict.fromkeys(zip(a_col.codes, b_col.codes))
+        if a != a_missing and b != b_missing
     ]
     if exact:
-        blocks = [usable]
+        blocks = [distinct]
     else:
-        keyed: dict[str, list[int]] = defaultdict(list)
-        for i in usable:
-            keyed[cell_text(d.rows[i][a_idx])[:BLOCK_KEY_LEN]].append(i)
-        blocks = [keyed[k] for k in sorted(keyed)]
+        keyed: dict[str, list[tuple[int, int]]] = defaultdict(list)
+        for pair in distinct:
+            keyed[a_texts[pair[0]][:BLOCK_KEY_LEN]].append(pair)
+        blocks = [block for block in keyed.values() if len(block) > 1]
 
-    flagged: set[int] = set()
+    flagged: set[tuple[int, int]] = set()
     for block in blocks:
-        texts_a = [cell_text(d.rows[i][a_idx]) for i in block]
-        texts_b = [cell_text(d.rows[i][b_idx]) for i in block]
+        texts_a = [a_texts[a] for a, _ in block]
+        texts_b = [b_texts[b] for _, b in block]
         for x in range(len(block)):
             for y in range(x + 1, len(block)):
                 ax, ay = texts_a[x], texts_a[y]
@@ -264,7 +274,8 @@ def detect_matching_violations(
                     flagged.add(block[y])
     return [
         Finding(CellRef(i, b_name), rule.id, "matching_violation")
-        for i in sorted(flagged)
+        for i, pair in enumerate(zip(a_col.codes, b_col.codes))
+        if pair in flagged
     ]
 
 
@@ -288,16 +299,18 @@ def detect_capability_violations(
     """Check the readings of rows whose sensor is the rule's literal against
     ``spec`` (closed interval).
 
-    A table without ``sensor`` or ``value`` columns raises RuleError.
+    The literal is matched against the sensor column's distinct values. A
+    table without ``sensor`` or ``value`` columns raises RuleError.
     """
     sensor_id = _capability_sensor(rule)
-    sensor_idx = _resolve(d, rule.id, "sensor")
+    sensors = d.columns[_resolve(d, rule.id, "sensor")]
     value_idx = _resolve(d, rule.id, "value")
+    values = d.columns[value_idx]
     value_name = d.headers[value_idx]
     findings: list[Finding] = []
-    for i, row in enumerate(d.rows):
-        sensor_cell, value = row[sensor_idx], row[value_idx]
-        if sensor_cell.is_missing or value.is_missing or cell_text(sensor_cell) != sensor_id:
+    for i in sensors.rows_of(sensors.codes_of(sensor_id)):
+        value = values.values[values.codes[i]]
+        if value.is_missing:
             continue
         if value.kind is not CellKind.NUMBER:
             findings.append(Finding(CellRef(i, value_name), rule.id, "type_mismatch"))
@@ -337,12 +350,14 @@ def detect_temporal_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
     with the k-th of the downstream device.
     """
     device_col, from_device, to_device = temporal_link(rule)
-    device_idx = _resolve(d, rule.id, device_col)
+    devices = d.columns[_resolve(d, rule.id, device_col)]
     try:
         ts_idx = d.column_index("timestamp")
     except SchemaError:
         raise RuleError(f"rule {rule.id!r}: dataset has no timestamp column") from None
     ts_name = d.headers[ts_idx]
+    ts_codes = d.columns[ts_idx].codes
+    stamps = [_timestamp_value(cell) for cell in d.columns[ts_idx].values]
 
     corr_idx = None
     for name in _CORRELATION_COLUMNS:
@@ -351,14 +366,11 @@ def detect_temporal_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
             break
 
     def rows_for(device: str) -> list[tuple[float, int]]:
-        out = []
-        for i, row in enumerate(d.rows):
-            if row[device_idx].is_missing or cell_text(row[device_idx]) != device:
-                continue
-            ts = _timestamp_value(row[ts_idx])
-            if ts is not None:
-                out.append((ts, i))
-        return out
+        return [
+            (stamps[ts_codes[i]], i)
+            for i in devices.rows_of(devices.codes_of(device))
+            if stamps[ts_codes[i]] is not None
+        ]
 
     findings: list[Finding] = []
     seen: set[int] = set()
@@ -370,30 +382,24 @@ def detect_temporal_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
                 Finding(CellRef(downstream_row, ts_name), rule.id, "temporal_order")
             )
 
+    froms, tos = rows_for(from_device), rows_for(to_device)
     if corr_idx is not None:
+        corr = d.columns[corr_idx]
+        corr_missing = corr.missing_code
         pairs: dict[str, tuple[list[tuple[float, int]], list[tuple[float, int]]]] = {}
-        for i, row in enumerate(d.rows):
-            if row[corr_idx].is_missing or row[device_idx].is_missing:
-                continue
-            ts = _timestamp_value(row[ts_idx])
-            if ts is None:
-                continue
-            key = cell_text(row[corr_idx])
-            device = cell_text(row[device_idx])
-            slot = pairs.setdefault(key, ([], []))
-            if device == from_device:
-                slot[0].append((ts, i))
-            elif device == to_device:
-                slot[1].append((ts, i))
+        # A row whose device is both ends counts as upstream only.
+        for side, entries in enumerate((froms, [] if to_device == from_device else tos)):
+            for ts, i in entries:
+                code = corr.codes[i]
+                if code != corr_missing:
+                    pairs.setdefault(corr.texts[code], ([], []))[side].append((ts, i))
         for key in sorted(pairs):
             froms, tos = pairs[key]
             for t_from, _ in froms:
                 for t_to, row_to in tos:
                     check(t_from, t_to, row_to)
     else:
-        froms = sorted(rows_for(from_device))
-        tos = sorted(rows_for(to_device))
-        for (t_from, _), (t_to, row_to) in zip(froms, tos):
+        for (t_from, _), (t_to, row_to) in zip(sorted(froms), sorted(tos)):
             check(t_from, t_to, row_to)
 
     findings.sort(key=lambda f: f.cell.row)
@@ -416,7 +422,7 @@ def _dispatch(
     if kind is DependencyKind.MATCHING:
         return detect_matching_violations(d, rule, exact=exact_matching)
     if kind is DependencyKind.CAPABILITY:
-        spec = rule.spec or lookup_spec(specs, _capability_sensor(rule))
+        spec = _capability_spec(rule, specs)
         return [] if spec is None else detect_capability_violations(d, rule, spec)
     if kind is DependencyKind.TEMPORAL:
         return detect_temporal_violations(d, rule)
@@ -432,6 +438,10 @@ def _capability_sensor(rule: OfdRule) -> str:
     return pred.right.value
 
 
+def _capability_spec(rule: OfdRule, specs: Mapping[str, SensorSpec]) -> SensorSpec | None:
+    return rule.spec or lookup_spec(specs, _capability_sensor(rule))
+
+
 def run_all(
     d: Dataset,
     rules: Sequence[OfdRule],
@@ -443,8 +453,9 @@ def run_all(
     Structurally equal rules (same kind, aliases, predicates and spec) are
     checked once and their findings reported under each rule's id. A rule
     that cannot be applied is recorded under ``skipped_rules`` and never
-    aborts the remaining rules. Sensors appearing in the data with no spec
-    available from any capability rule or the spec map are counted as
+    aborts the remaining rules. Distinct sensors in the data that no
+    capability rule with a spec checks (a rule whose literal is the sensor
+    id and whose spec comes from the rule or the spec map) are counted as
     uncovered.
     """
     merged_specs = dict(specs or {})
@@ -473,16 +484,17 @@ def run_all(
                 seen.add(key)
                 report.findings.append(Finding(f.cell, rule.id, f.reason))
 
-    uncovered: set[str] = set()
-    if any(r.kind is DependencyKind.CAPABILITY for r in rules):
-        if d.has_column("sensor"):
-            sensor_idx = d.column_index("sensor")
-            for row in d.rows:
-                if not row[sensor_idx].is_missing:
-                    sensor_id = cell_text(row[sensor_idx])
-                    if lookup_spec(merged_specs, sensor_id) is None:
-                        uncovered.add(sensor_id)
-    report.uncovered_sensors = len(uncovered)
+    if any(r.kind is DependencyKind.CAPABILITY for r in rules) and d.has_column("sensor"):
+        covered = {
+            _capability_sensor(rule)
+            for rule in rules
+            if rule.kind is DependencyKind.CAPABILITY
+            and (rule, rule.spec) in checked
+            and _capability_spec(rule, merged_specs) is not None
+        }
+        sensors = d.columns[d.column_index("sensor")]
+        present = {t for cell, t in zip(sensors.values, sensors.texts) if not cell.is_missing}
+        report.uncovered_sensors = len(present - covered)
 
     report.findings.sort(key=lambda f: (f.cell.row, f.cell.column, f.rule_id))
     report.duration_ms = (time.perf_counter() - start) * 1000.0

@@ -60,6 +60,8 @@ class ErrorSpec:
         # A non-finite outlier would be stored as a missing cell.
         if not math.isfinite(self.outlier_multiplier):
             raise ValueError(f"outlier_multiplier must be finite, got {self.outlier_multiplier}")
+        if self.outlier_multiplier == 1:  # every "outlier" would equal its clean reading
+            raise ValueError("outlier_multiplier must not be 1")
         if self.fd_swap_rate > 0 and not (self.fd_determinant and self.fd_dependent):
             raise ValueError("fd_swap_rate needs fd_determinant and fd_dependent")
 
@@ -240,6 +242,10 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
             if not math.isfinite(new_value):
                 raise ValueError(
                     f"outlier_multiplier {spec.outlier_multiplier} takes {old} out of float range"
+                )
+            if new_value == old:
+                raise ValueError(
+                    f"outlier_multiplier {spec.outlier_multiplier} leaves the reading {old} unchanged"
                 )
             take(i, c, Cell.number(new_value), "outlier")
 

@@ -23,8 +23,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import requests
-
 from .errors import FormatError, GatewayError, ReplayMissError, TemplateError, TransportError
 
 logger = logging.getLogger(__name__)
@@ -172,6 +170,8 @@ Backend = RemoteBackend | ReplayBackend
 
 
 def _remote_call(backend: RemoteBackend, prompt: str) -> str:
+    import requests  # here, not at the top: only this backend needs its slow import
+
     token = os.environ.get(backend.token_env)
     if not token:
         raise TransportError(f"auth token not set ({backend.token_env})")

@@ -345,3 +345,20 @@ def oracle_load_csv(data: bytes, has_header: bool = True) -> Dataset:
     kinds = [_oracle_column_kind([rec[c] for rec in body]) for c in range(len(headers))]
     rows = [[_oracle_type_cell(rec[c], kinds[c]) for c in range(len(headers))] for rec in body]
     return Dataset.from_lists(headers, rows)
+
+
+def oracle_normalize_missing(d: Dataset) -> Dataset:
+    """Row-wise placeholder folding: every text cell checked on its own."""
+    placeholders = PlaceholderSet.default()
+    return Dataset.from_lists(
+        d.headers,
+        [
+            [
+                Cell(CellKind.MISSING, None)
+                if c.kind is CellKind.TEXT and placeholders.matches(c.value)
+                else c
+                for c in row
+            ]
+            for row in d.rows
+        ],
+    )

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -35,6 +37,15 @@ def iot_csv(tmp_path) -> str:
 def cassette(tmp_path, iot_csv) -> str:
     headers = load_csv(Path(iot_csv).read_bytes()).headers
     return make_cassette(tmp_path, iot_pipeline_responses(headers), "iot.json")
+
+
+def test_importing_cli_does_not_load_requests():
+    # Only the remote backend needs requests; detect and replay runs skip its import.
+    code = "import sys, llmclean.cli; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestClassify:
@@ -369,6 +380,21 @@ class TestEvaluate:
         assert code == EXIT_INPUT
         assert "multiplier" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("multiplier, reading", [("1", "20.5"), ("0", "0")])
+    def test_no_op_outlier_exit_one(self, tmp_path, capsys, multiplier, reading):
+        _, rules_path = self._write_simple(tmp_path)
+        csv_path = tmp_path / "three.csv"
+        csv_path.write_text("System,Value\n" + "".join(f"s{i},{reading}\n" for i in range(3)))
+        code = main(
+            [
+                "evaluate", str(csv_path), "--rules", rules_path, "--out-dir", str(tmp_path / "out"),
+                "--outlier-rate", "0.5", "--multiplier", multiplier, "--seed", "1",
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "multiplier" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.json").exists()
+
     def test_round_trip_metrics(self, tmp_path, capsys):
         csv_path, rules_path = self._write_simple(tmp_path)
         code = main(
@@ -591,6 +617,7 @@ class TestFuzzedInputsExitCleanly:
         ),
     )
     @example(rates=[0.0, 0.5, 0.0], multiplier=float("nan"), fd_pair=None, columns=[None, None])
+    @example(rates=[0.0, 0.5, 0.0], multiplier=1.0, fd_pair=None, columns=[None, None])
     def test_evaluate(self, rates, multiplier, fd_pair, columns):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -617,4 +644,5 @@ class TestFuzzedInputsExitCleanly:
                 for line in (tmp / "out" / "truth.jsonl").read_text().splitlines():
                     entry = json.loads(line)
                     if entry["kind"] == "outlier":
-                        assert rows[entry["row"]][header.index(entry["column"])] != ""
+                        dirty = rows[entry["row"]][header.index(entry["column"])]
+                        assert dirty not in ("", entry["original"])

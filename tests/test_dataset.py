@@ -23,7 +23,7 @@ from llmclean.dataset import (
 from llmclean.errors import SchemaError, StructuralError
 
 from conftest import IOT_HEADERS, make_iot_dataset
-from oracles import oracle_load_csv
+from oracles import oracle_load_csv, oracle_normalize_missing
 
 
 def _load(text: str, **kw) -> Dataset:
@@ -91,10 +91,13 @@ _NUMBERS = st.one_of(
     st.integers(-1000, 1000).map(str),
     st.floats().map(repr),
     st.sampled_from(["nan", "inf", "-inf", " 2.5 ", "1e400"]),
+    # Equal numbers spelled apart, which must share one cell.
+    st.sampled_from(["1", "1.0", "+1", " 1", "1e0", "-0", "0.0"]),
 )
 _TEXTS = st.one_of(
     st.text(alphabet='bdxy ,"', max_size=5).filter(str.strip),
     st.sampled_from(["N/A", "null", "none", "1969-12-31T00:00:00Z", "2021-13-01"]),
+    st.sampled_from([" n/a ", "NULL", "None ", " NaN"]),
 )
 _BLANKS = st.sampled_from(["", " ", "\t"])
 _ANY = st.one_of(_STAMPS, _NUMBERS, _TEXTS, _BLANKS)
@@ -126,10 +129,29 @@ def _csv_bytes(draw) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def _rowwise_csv(d: Dataset) -> str:
+    # Reference rendering: cell_text of every cell, row by row.
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(d.headers)
+    for row in d.rows:
+        writer.writerow([cell_text(c) for c in row])
+    return buf.getvalue()
+
+
 class TestLoadCsvOracle:
     @given(_csv_bytes(), st.booleans())
     def test_matches_per_cell_typing(self, data, has_header):
-        assert load_csv(data, has_header=has_header) == oracle_load_csv(data, has_header)
+        d = load_csv(data, has_header=has_header)
+        expected = oracle_load_csv(data, has_header)
+        assert d == expected
+        assert Dataset(d.headers, d.rows) == d
+        assert dataset_to_csv(d) == _rowwise_csv(expected)
+        normalized = normalize_missing(d)
+        assert normalized == oracle_normalize_missing(expected)
+        assert dataset_to_csv(normalized) == _rowwise_csv(normalized)
+        for column in normalized.columns:  # equal cells share one code
+            assert len(set(column.values)) == len(column.values)
 
     @pytest.mark.parametrize("text", ["a,b\n", "\n\n", "t\n1700000000000\nx\n"])
     def test_edge_shapes_match_per_cell_typing(self, text):

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from llmclean import detection
 from llmclean.dataset import (
     Cell,
     Dataset,
     MISSING,
+    cell_text,
+    load_csv,
     normalize_missing,
 )
 from llmclean.detection import (
@@ -26,7 +31,12 @@ from llmclean.detection import (
 from llmclean.errors import RuleError
 from llmclean.rules import DependencyKind, OfdRule, SensorSpec, parse_rule
 
-from oracles import lev_recursive, oracle_findings
+from oracles import (
+    lev_recursive,
+    oracle_findings,
+    oracle_load_csv,
+    oracle_normalize_missing,
+)
 
 def rule(text: str, kind=DependencyKind.DENIAL, rule_id="r1") -> OfdRule:
     return parse_rule(text, kind, rule_id=rule_id)
@@ -323,6 +333,20 @@ class TestRunAll:
         assert report.findings == []
         assert report.uncovered_sensors == 1
 
+    @pytest.mark.parametrize(
+        "rows, literal",
+        [
+            ([["ds18b20_3", 999.0], ["ds18b20_7", 20.0]], "ds18b20_7"),
+            ([["ds18b20_1", 999.0]], "ds18b20"),  # the spec fallback picks a spec only
+        ],
+    )
+    def test_uncovered_counts_sensors_no_rule_checks(self, rows, literal):
+        d = table(["sensor", "value"], *rows)
+        cap = rule(f't1&EQ(t1.sensor,"{literal}")', DependencyKind.CAPABILITY, "cap")
+        report = run_all(d, [cap], specs={"ds18b20": SensorSpec("ds18b20", -55, 125)})
+        assert report.findings == []
+        assert report.uncovered_sensors == 1
+
     def test_each_distinct_check_runs_once(self, monkeypatch):
         d = table(
             ["sensor", "value", "SensingDevice", "Device"],
@@ -359,6 +383,42 @@ class TestRunAll:
         assert [r for r, _ in skipped] == ["bad1", "bad2"]
         assert all(repr(r) in message for r, message in skipped)
 
+    def test_kernels_reached_through_module_names(self, monkeypatch):
+        # perfbench/tracer.py times each kernel by rebinding these module names
+        # and sizes the loader's output by n_rows * n_cols.
+        d = normalize_missing(
+            load_csv(
+                b"sensor,value,Device,SensingDevice,timestamp,CodeA,CodeB\n"
+                b"m_1,500,dev_a,sd,1000000000002,abcd1,x\n"
+                b"N/A,5,dev_b,sd,1000000000001,abcd2,y\n"
+            )
+        )
+        assert (d.n_rows, d.n_cols) == (2, 7)
+        rules = [
+            rule('t1&EQ(t1.sensor,"")', rule_id="missing"),
+            rule(FD_RULE, rule_id="fd"),
+            rule(MATCH_RULE.replace("ProviderNumber", "CodeA").replace("PhoneNumber", "CodeB"),
+                 DependencyKind.MATCHING, "matching"),
+            rule('t1&EQ(t1.sensor,"m_1")', DependencyKind.CAPABILITY, "capability"),
+            parse_rule(TEMPORAL_RULE_TEXT, DependencyKind.TEMPORAL, rule_id="temporal"),
+        ]
+        calls = []
+        for name in ("detect_missing", "detect_fd_violations", "detect_matching_violations",
+                     "detect_capability_violations", "detect_temporal_violations"):
+            kernel = getattr(detection, name)
+            monkeypatch.setattr(
+                detection, name,
+                lambda *a, _k=kernel, _n=name, **kw: calls.append(_n) or _k(*a, **kw),
+            )
+        report = run_all(d, rules, specs={"m": SensorSpec("m", 0, 100)})
+        assert sorted(calls) == sorted(
+            ["detect_missing", "detect_fd_violations", "detect_matching_violations",
+             "detect_capability_violations", "detect_temporal_violations"]
+        )
+        assert report.per_rule_counts == {
+            "capability": 1, "fd": 1, "matching": 2, "missing": 1, "temporal": 1,
+        }
+
     def test_deduplicates_same_cell_same_rule(self):
         d = table(["SensingDevice", "Device"], ["s", "d1"], ["s", "d2"], ["s", "d1"])
         fd = rule(FD_RULE, rule_id="f")
@@ -390,6 +450,49 @@ class TestRunAll:
 
 from conftest import random_dataset_and_rules as _random_dataset_and_rules
 
+# Raw CSV spellings per column: equal numbers spelled apart, placeholders in
+# mixed case and with padding, blanks (missing determinants and dependents).
+_RAW_POOLS = {
+    "sensor": ["ds18b20_1", "ds18b20_2", "m_1", "", " N/A ", "null", "NULL", "none "],
+    "value": ["1", "1.0", "+1", " 1", "1e0", "999", "-60", "20.5", "", "N/A", " nan", "hot"],
+    "Device": ["dev_a", "dev_b", "dev_c", "", "n/a"],
+    "SensingDevice": ["sd1", "sd2", "", "Null"],
+    "timestamp": ["100000000000", "100000000001", "+100000000001", "", "2021-03-01T00:00:00Z", "x"],
+    "Code": ["abcd1", "abcd2", "abce1", "zz", "", "abcd1 "],
+}
+_LOADED_RULES = [
+    ('t1&EQ(t1.sensor,"")', DependencyKind.DENIAL),
+    ('t1&EQ(t1.Device,"N/A")', DependencyKind.DENIAL),
+    ('t1&EQ(t1.Device,"dev_c")', DependencyKind.DENIAL),
+    (FD_RULE, DependencyKind.DENIAL),
+    ("t1&t2&EQ(t1.sensor,t2.sensor)&IQ(t1.Device,t2.Device)", DependencyKind.DEVICE_LINK),
+    ("t1&t2&EQ(t1.Device,t2.Device)&IQ(t1.value,t2.value)", DependencyKind.LOCALITY),
+    ("t1&t2&EQ(t1.value,t2.value)&IQ(t1.Code,t2.Code)", DependencyKind.LOCALITY),
+    ("t1&t2&SIM75(t1.Code,t2.Code)&SIM75(t1.Device,t2.Device)", DependencyKind.MATCHING),
+    ("t1&t2&SIM60(t1.value,t2.value)&SIM90(t1.sensor,t2.sensor)", DependencyKind.MATCHING),
+    ('t1&EQ(t1.sensor,"ds18b20_1")', DependencyKind.CAPABILITY),
+    (TEMPORAL_RULE_TEXT, DependencyKind.TEMPORAL),
+    ('t1&t2&EQ(t1.Device,"")&EQ(t2.Device,"dev_a")', DependencyKind.TEMPORAL),
+]
+
+
+def _rowwise_blocked_matching(d: Dataset, r: OfdRule) -> set[int]:
+    """Rows the prefix-blocked matching check flags, comparing every row pair."""
+    first, second = r.predicates
+    a, b = d.column_index(first.left.column), d.column_index(second.left.column)
+    flagged = set()
+    for i in range(d.n_rows):
+        for j in range(i + 1, d.n_rows):
+            cells = (d.rows[i][a], d.rows[j][a], d.rows[i][b], d.rows[j][b])
+            if any(c.is_missing for c in cells):
+                continue
+            ai, aj, bi, bj = map(cell_text, cells)
+            if ai[:detection.BLOCK_KEY_LEN] != aj[:detection.BLOCK_KEY_LEN]:
+                continue
+            if similarity(ai, aj) >= first.sim_threshold and similarity(bi, bj) < second.sim_threshold:
+                flagged |= {i, j}
+    return flagged
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", range(12))
@@ -400,6 +503,44 @@ class TestOracleEquivalence:
         expected = oracle_findings(d, rules, specs)
         assert got == expected
         assert not report.skipped_rules
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_loaded_tables_match_definition_oracle(self, data):
+        n_rows = data.draw(st.integers(1, 14))
+        columns = {
+            name: data.draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+            for name, pool in _RAW_POOLS.items()
+        }
+        if data.draw(st.booleans()):
+            columns["message"] = data.draw(
+                st.lists(st.sampled_from(["m1", "m2", "", " N/A"]), min_size=n_rows, max_size=n_rows)
+            )
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
+        raw = buf.getvalue().encode("utf-8")
+
+        d = normalize_missing(load_csv(raw))
+        reference = oracle_normalize_missing(oracle_load_csv(raw))
+        rules = [rule(text, kind, f"r{i}") for i, (text, kind) in enumerate(_LOADED_RULES)]
+        for literal in ("m_1", ""):  # a missing sensor never matches a literal
+            rules.append(
+                dataclasses.replace(
+                    rule(f't1&EQ(t1.sensor,"{literal}")', DependencyKind.CAPABILITY, f"own{literal}"),
+                    spec=SensorSpec("m", 0, 10),
+                )
+            )
+        specs = {"ds18b20": SensorSpec("ds18b20", -55.0, 125.0)}
+        report = run_all(d, rules, specs=specs, exact_matching=True)
+        got = {(f.cell.row, f.cell.column, f.rule_id) for f in report.findings}
+        assert got == oracle_findings(reference, rules, specs)
+        assert not report.skipped_rules
+        matching = [r for r in rules if r.kind is DependencyKind.MATCHING]
+        for r in matching:
+            blocked = {f.cell.row for f in detect_matching_violations(d, r)}
+            assert blocked == _rowwise_blocked_matching(reference, r)
 
     def test_capability_literal_selects_rows(self):
         d = table(

@@ -120,6 +120,17 @@ class TestInjectErrors:
         with pytest.raises(ValueError, match="outlier_multiplier"):
             ErrorSpec(outlier_rate=0.1, outlier_multiplier=multiplier)
 
+    def test_no_op_multiplier_rejected(self):
+        with pytest.raises(ValueError, match="outlier_multiplier"):
+            ErrorSpec(outlier_rate=0.1, outlier_multiplier=1.0)
+
+    def test_unchanged_outlier_rejected(self):
+        # A zero reading is replaced by the multiplier itself, so 0 leaves it 0.
+        zeros = Dataset.from_lists(["v"], [[Cell.number(0.0)]] * 4)
+        spec = ErrorSpec(outlier_rate=0.5, outlier_multiplier=0.0)
+        with pytest.raises(ValueError, match="unchanged"):
+            inject_errors(zeros, spec)
+
     def test_overflowing_outlier_rejected(self):
         spec = ErrorSpec(outlier_rate=0.5, outlier_multiplier=1e308)
         with pytest.raises(ValueError, match="outlier_multiplier"):
