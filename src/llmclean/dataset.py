@@ -317,6 +317,8 @@ def _parse_timestamp_text(text: str) -> int | None:
     if _INT_RE.fullmatch(s):
         v = int(s)
         return v if v >= EPOCH_MS_MIN else None
+    if not (s[:4].isascii() and s[:4].isdigit()):  # fromisoformat needs a 4-digit year
+        return None
     iso = s[:-1] + "+00:00" if s.endswith(("Z", "z")) else s
     try:
         dt = datetime.fromisoformat(iso)

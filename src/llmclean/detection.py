@@ -387,8 +387,7 @@ def detect_temporal_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
         corr = d.columns[corr_idx]
         corr_missing = corr.missing_code
         pairs: dict[str, tuple[list[tuple[float, int]], list[tuple[float, int]]]] = {}
-        # A row whose device is both ends counts as upstream only.
-        for side, entries in enumerate((froms, [] if to_device == from_device else tos)):
+        for side, entries in enumerate((froms, tos)):
             for ts, i in entries:
                 code = corr.codes[i]
                 if code != corr_missing:

@@ -171,8 +171,8 @@ def random_dataset_and_rules(seed: int):
                 f't1&EQ(t1.sensor,"{sensor}")', DependencyKind.CAPABILITY, f"cap_{sensor}"
             )
         )
-    if rng.random() < 0.5 and len(devices) >= 2:
-        a, b = rng.sample(devices, 2)
+    if rng.random() < 0.5:
+        a, b = rng.choice(devices), rng.choice(devices)  # may pin the same device
         rules.append(
             parse_rule(
                 f't1&t2&EQ(t1.Device,"{a}")&EQ(t2.Device,"{b}")',

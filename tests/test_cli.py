@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import subprocess
@@ -40,12 +41,31 @@ def cassette(tmp_path, iot_csv) -> str:
 
 
 def test_importing_cli_does_not_load_requests():
-    # Only the remote backend needs requests; detect and replay runs skip its import.
-    code = "import sys, llmclean.cli; print('requests' in sys.modules)"
+    # Only the remote backend speaks HTTP; detect and replay runs skip those imports.
+    code = (
+        "import sys, llmclean.cli; "
+        "print([m for m in ('requests', 'urllib.request', 'http.client', 'ssl') if m in sys.modules])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+
+
+def test_package_needs_only_the_standard_library():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project.get("dependencies", []) == []
+    for path in sorted((root / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "requests" for n in names), path
 
 
 class TestClassify:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from llmclean.dataset import (
     EPOCH_MS_MIN,
+    _parse_timestamp_text,
     Cell,
     CellKind,
     Dataset,
@@ -23,7 +24,7 @@ from llmclean.dataset import (
 from llmclean.errors import SchemaError, StructuralError
 
 from conftest import IOT_HEADERS, make_iot_dataset
-from oracles import oracle_load_csv, oracle_normalize_missing
+from oracles import _oracle_timestamp, oracle_load_csv, oracle_normalize_missing
 
 
 def _load(text: str, **kw) -> Dataset:
@@ -137,6 +138,29 @@ def _rowwise_csv(d: Dataset) -> str:
     for row in d.rows:
         writer.writerow([cell_text(c) for c in row])
     return buf.getvalue()
+
+
+# ISO spellings the year check must let through, and year-less or
+# non-ASCII ones that fromisoformat rejects anyway.
+_TIMESTAMP_SPELLINGS = [
+    "20240101", "20240101T000005Z", "2024-W01-2", "2024-01-01T00:00:05Z", "2024-01-01T00:00:05z",
+    "2024-01-01", " 2024-01-01 12:00:00+05:30 ", "2024-001", "2024", "2024-",
+    "\u0662\u0660\u0662\u0664-01-01", "\uff12\uff10\uff12\uff14-01-01",
+    "+2024-01-01", "-2024-01-01", "Z", "z", "24-01-01", "1e5", "12.5", "abcd",
+]
+
+
+class TestTimestampParse:
+    @given(
+        st.one_of(
+            st.sampled_from(_TIMESTAMP_SPELLINGS),
+            st.tuples(st.sampled_from(_TIMESTAMP_SPELLINGS), st.text(max_size=12)).map("".join),
+            st.text(),
+        )
+    )
+    def test_year_check_changes_no_parse(self, text):
+        # _oracle_timestamp is the parse without the year check.
+        assert _parse_timestamp_text(text) == _oracle_timestamp(text)
 
 
 class TestLoadCsvOracle:

@@ -277,6 +277,19 @@ class TestDetectTemporalViolations:
         findings = detect_temporal_violations(d, temporal_rule())
         assert [f.cell.row for f in findings] == [3]
 
+    def test_self_linked_rule_with_correlation_column(self):
+        # Every row is both upstream and downstream, as in the oracle.
+        d = load_csv(
+            b"Device,timestamp,message\n"
+            b"dev_a,2024-01-01T00:00:05,m1\n"
+            b"dev_a,2024-01-01T00:00:01,m1\n"
+        )
+        r = rule(
+            't1&t2&EQ(t1.Device,"dev_a")&EQ(t2.Device,"dev_a")', DependencyKind.TEMPORAL, "self"
+        )
+        got = {(f.cell.row, f.cell.column, f.rule_id) for f in run_all(d, [r]).findings}
+        assert got == oracle_findings(d, [r], {}) == {(0, "timestamp", "self"), (1, "timestamp", "self")}
+
     def test_missing_timestamp_column(self):
         d = table(["Device"], ["dev_a"])
         with pytest.raises(RuleError):
@@ -472,6 +485,7 @@ _LOADED_RULES = [
     ("t1&t2&SIM60(t1.value,t2.value)&SIM90(t1.sensor,t2.sensor)", DependencyKind.MATCHING),
     ('t1&EQ(t1.sensor,"ds18b20_1")', DependencyKind.CAPABILITY),
     (TEMPORAL_RULE_TEXT, DependencyKind.TEMPORAL),
+    ('t1&t2&EQ(t1.Device,"dev_a")&EQ(t2.Device,"dev_a")', DependencyKind.TEMPORAL),
     ('t1&t2&EQ(t1.Device,"")&EQ(t2.Device,"dev_a")', DependencyKind.TEMPORAL),
 ]
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -147,6 +148,8 @@ class _Handler(BaseHTTPRequestHandler):
     behavior = "ok"
     seen_bodies: list[dict] = []
     failures_left = 0
+    redirect_code = 302
+    redirect_to = ""
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -160,7 +163,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(401)
             self.end_headers()
             return
-        payload = json.dumps(
+        if _Handler.behavior == "redirect":
+            self.send_response(_Handler.redirect_code)
+            self.send_header("Location", _Handler.redirect_to)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        payload = b"<html>busy</html>" if _Handler.behavior == "garbage" else json.dumps(
             {"choices": [{"message": {"role": "assistant", "content": "yes"}}]}
         ).encode()
         self.send_response(200)
@@ -173,16 +182,47 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _RedirectTarget(BaseHTTPRequestHandler):
+    """Second server: records every request that reaches it."""
+
+    seen_headers: list[dict[str, str]] = []
+
+    def do_GET(self):
+        _RedirectTarget.seen_headers.append(dict(self.headers))
+        self.send_response(204)
+        self.end_headers()
+
+    do_POST = do_GET
+
+    def log_message(self, *args):
+        pass
+
+
+def _serve(handler):
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
 @pytest.fixture
 def http_server():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = _serve(_Handler)
     _Handler.behavior = "ok"
     _Handler.seen_bodies = []
     _Handler.failures_left = 0
+    _Handler.redirect_code = 302
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def redirect_target():
+    server = _serve(_RedirectTarget)
+    _RedirectTarget.seen_headers = []
+    yield f"http://127.0.0.1:{server.server_port}/elsewhere"
+    server.shutdown()
+    server.server_close()
 
 
 class TestRemoteBackend:
@@ -246,6 +286,76 @@ class TestRemoteBackend:
             complete(backend, "p", ResponseFormat.YES_NO)
         elapsed = time.perf_counter() - start
         assert elapsed < backend.max_attempts * backend.timeout + 0.5
+
+
+TOKEN = "sk-very-secret-token"
+
+
+class TestRemoteTransport:
+    @pytest.mark.parametrize("code", [302, 307])
+    def test_redirect_refused(self, http_server, redirect_target, monkeypatch, code):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        _Handler.behavior = "redirect"
+        _Handler.redirect_code = code
+        _Handler.redirect_to = redirect_target
+        backend = RemoteBackend(http_server, "m", timeout=5.0, backoff_base=0.01)
+        with pytest.raises(TransportError, match="redirect"):
+            complete(backend, "p", ResponseFormat.YES_NO)
+        assert len(_Handler.seen_bodies) == 1
+        assert _RedirectTarget.seen_headers == []
+
+    def test_non_json_body_is_format_error(self, http_server, monkeypatch):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        _Handler.behavior = "garbage"
+        backend = RemoteBackend(http_server, "m", timeout=5.0)
+        with pytest.raises(FormatError) as info:
+            complete(backend, "p", ResponseFormat.YES_NO)
+        assert info.value.raw_text == "<html>busy</html>"
+
+    @pytest.mark.parametrize("behavior", ["flaky", "reject", "redirect"])
+    def test_token_not_in_error(self, http_server, redirect_target, monkeypatch, behavior):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        _Handler.behavior = behavior
+        _Handler.failures_left = 99
+        _Handler.redirect_to = redirect_target
+        backend = RemoteBackend(http_server, "m", timeout=5.0, backoff_base=0.01)
+        with pytest.raises(TransportError) as info:
+            complete(backend, "p", ResponseFormat.YES_NO)
+        exc: BaseException | None = info.value
+        while exc is not None:
+            assert TOKEN not in str(exc) and TOKEN not in repr(exc)
+            exc = exc.__cause__ or exc.__context__
+
+    def test_closed_port_retried_then_raises(self, monkeypatch, caplog):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        with socket.socket() as sock:  # bound, never listening: connections are refused
+            sock.bind(("127.0.0.1", 0))
+            backend = RemoteBackend(
+                f"http://127.0.0.1:{sock.getsockname()[1]}/v1", "m", timeout=5.0, backoff_base=0.01
+            )
+            with caplog.at_level(logging.DEBUG, logger="llmclean.gateway"):
+                with pytest.raises(TransportError, match="after 3 attempts"):
+                    complete(backend, "p", ResponseFormat.YES_NO)
+        assert sum(r.getMessage().startswith("POST ") for r in caplog.records) == 3
+
+    def test_timeout_bounds_each_attempt(self, monkeypatch):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        with socket.socket() as sock:  # listening, never accepting: the reply never comes
+            sock.bind(("127.0.0.1", 0))
+            sock.listen(8)
+            backend = RemoteBackend(
+                f"http://127.0.0.1:{sock.getsockname()[1]}/v1", "m", timeout=0.2, backoff_base=0.01
+            )
+            start = time.perf_counter()
+            with pytest.raises(TransportError, match="timed out"):
+                complete(backend, "p", ResponseFormat.YES_NO)
+            elapsed = time.perf_counter() - start
+        assert 3 * 0.2 <= elapsed < 3 * 0.2 + 1.0
+
+    @pytest.mark.parametrize("endpoint", ["file:///etc/hosts", "ftp://127.0.0.1/x", "127.0.0.1:80"])
+    def test_non_http_endpoint_rejected(self, endpoint):
+        with pytest.raises(ValueError):
+            RemoteBackend(endpoint, "m")
 
 
 class TestFewShotSelection:
