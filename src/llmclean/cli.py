@@ -9,6 +9,7 @@ is no silent network access. Exit codes: 0 success, 1 input error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -67,8 +68,22 @@ class RunManifest:
 
 
 def _load_dataset(path: str) -> Dataset:
-    with open(path, "rb") as fh:
-        return load_csv(fh)
+    """Load a CSV with the cyclic collector paused, then freeze the table.
+
+    The loader leaves no cyclic garbage, so a collection during the load
+    would free nothing and only walk the table being built. Freezing keeps
+    later collections off the loaded table; :func:`main` unfreezes.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "rb") as fh:
+            d = load_csv(fh)
+    finally:
+        if enabled:
+            gc.enable()
+    gc.freeze()
+    return d
 
 
 def _make_backend(args: argparse.Namespace):
@@ -100,6 +115,16 @@ def _parse_fd_pair(text: str | None) -> tuple[str | None, str | None]:
     if not determinant or not dependent:
         raise LLMCleanError(f"--fd-pair expects determinant:dependent, got {text!r}")
     return determinant, dependent
+
+
+def _parse_value_columns(text: str) -> list[tuple[str, str]]:
+    pairs = []
+    for item in text.split(","):
+        column, _, label = item.partition(":")
+        if not column or not label:
+            raise LLMCleanError(f"--value-columns expects column:label pairs, got {item!r}")
+        pairs.append((column, label))
+    return pairs
 
 
 def _load_ensemble_config(path: str):
@@ -166,8 +191,7 @@ def cmd_build_context(args) -> int:
     specs = _load_specs(args.sensors)
     if dataset_class is generation.DatasetClass.IOT:
         if args.value_columns:
-            pairs = [tuple(item.split(":", 1)) for item in args.value_columns.split(",")]
-            d = generation.split_sensors(d, pairs)
+            d = generation.split_sensors(d, _parse_value_columns(args.value_columns))
         mapping = generation.map_columns(d.headers, backend)
         manifest.warnings.extend(mapping.warnings)
         manifest.mapping = dict(sorted(mapping.assignments.items()))
@@ -390,6 +414,8 @@ def main(argv: list[str] | None = None) -> int:
         logger.exception("internal error")
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        gc.unfreeze()
 
 
 def entrypoint() -> None:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import chain, compress, count, islice, repeat
+from operator import attrgetter, is_, itemgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import SchemaError, StructuralError
@@ -131,10 +131,20 @@ class PlaceholderSet:
 
 
 def _encoder() -> defaultdict:
-    """A dict that gives each key not seen before the next code (0, 1, 2, ...)."""
-    codes: defaultdict = defaultdict()
-    codes.default_factory = codes.__len__
-    return codes
+    """A dict that gives each key not seen before the next code (0, 1, 2, ...).
+
+    The counter holds no reference back to the dict, so a finished encoder is
+    freed by reference counting alone and leaves no cyclic garbage.
+    """
+    return defaultdict(count().__next__)
+
+
+_value = attrgetter("value")
+
+
+def _is_text(cells: Iterable[Cell]) -> list[bool]:
+    """Whether each cell is a text cell, in one C-level pass."""
+    return list(map(is_, map(attrgetter("kind"), cells), repeat(CellKind.TEXT)))
 
 
 class Column:
@@ -168,6 +178,8 @@ class Column:
     @cached_property
     def texts(self) -> tuple[str, ...]:
         """``cell_text`` of each distinct value, by code."""
+        if all(_is_text(self.values)):  # a text cell's text is its value
+            return tuple(map(_value, self.values))
         return tuple(map(cell_text, self.values))
 
     @cached_property
@@ -353,6 +365,32 @@ def _majority_parse(
     return parsed if hits > half else None
 
 
+def _timestamps_all(values: list[str]) -> list[int] | None:
+    """Every value as epoch ms, or None unless each is an unsigned epoch-ms integer."""
+    stripped = list(map(str.strip, values))
+    if not all(map(str.isdecimal, stripped)):  # isdecimal is _INT_RE's \d+ without a sign
+        return None
+    ints = list(map(int, stripped))
+    return ints if min(ints) >= EPOCH_MS_MIN else None
+
+
+def _numbers_all(values: list[str]) -> list[float] | None:
+    """Every value as a float, or None unless each is a finite number."""
+    try:
+        floats = list(map(float, values))
+    except ValueError:
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
+# Per kind, in vote order: the batch parse of the common case (every value
+# parses), the per-value parse, and the cell constructor.
+_KINDS = (
+    (CellKind.TIMESTAMP, _timestamps_all, _parse_timestamp_text, Cell.timestamp),
+    (CellKind.NUMBER, _numbers_all, _parse_number_text, Cell.number),
+)
+
+
 def _type_column(raws: list[str], raw_codes: list[int]) -> Column:
     """Type one column given its distinct raw values and each row's raw code.
 
@@ -362,20 +400,27 @@ def _type_column(raws: list[str], raw_codes: list[int]) -> Column:
     does not fit the winning kind, and every empty or whitespace-only value,
     stays text (NaN/inf collapse to Missing). Each distinct raw value is
     parsed once, and raw values that type to equal cells share one code.
+
+    Each kind is first tried in batch: when every non-empty value parses, it
+    wins the vote outright and its cells are built in C-level passes. Only
+    otherwise is the vote counted value by value.
     """
     counts = Counter(raw_codes)
-    filled = {raw: counts[k] for k, raw in enumerate(raws) if raw.strip()}
-    typed: dict[str, Cell] = {}
-    for parse, make in (
-        (_parse_timestamp_text, Cell.timestamp),
-        (_parse_number_text, Cell.number),
-    ):
+    # Each non-blank raw value with its row count, the weight of its vote.
+    filled = dict(compress(zip(raws, map(counts.__getitem__, count())), map(str.strip, raws)))
+    for kind, parse_all, parse, make in _KINDS:
+        xs = parse_all(list(filled)) if filled else None
+        if xs is not None:
+            typed = dict(zip(filled, map(Cell, repeat(kind), xs)))
+            if len(typed) == len(raws) and len(set(xs)) == len(xs):
+                return Column(tuple(typed.values()), tuple(raw_codes))
+            break
         parsed = _majority_parse(filled, parse)
         if parsed is not None:
             typed = {v: make(x) for v, x in parsed.items()}
             break
-    if not typed:  # distinct raw strings are distinct text cells
-        return Column(tuple(Cell(CellKind.TEXT, v) for v in raws), tuple(raw_codes))
+    else:  # distinct raw strings are distinct text cells
+        return Column(tuple(map(Cell, repeat(CellKind.TEXT), raws)), tuple(raw_codes))
     cells = [typed.get(v) or Cell(CellKind.TEXT, v) for v in raws]
     return Column.merged(cells, raw_codes)
 
@@ -439,17 +484,20 @@ def dataset_to_csv(d: Dataset) -> str:
 def normalize_missing(d: Dataset, placeholders: PlaceholderSet | None = None) -> Dataset:
     """Fold placeholder text cells ("N/A", "null", empty, ...) into Missing.
 
-    Works on each column's distinct values; a column without placeholders is
-    shared unchanged. Idempotent; never touches number or timestamp cells.
+    Works on each column's distinct values, matching all its text values in
+    one pass; a column without placeholders is shared unchanged. Idempotent;
+    never touches number or timestamp cells.
     """
-    p = placeholders or PlaceholderSet.default()
+    tokens = (placeholders or PlaceholderSet.default()).tokens
     columns = []
     for column in d.columns:
-        folded = [
-            MISSING if cell.kind is CellKind.TEXT and p.matches(cell.value) else cell
-            for cell in column.values
-        ]
-        if any(a is not b for a, b in zip(folded, column.values)):
+        is_text = _is_text(column.values)
+        texts = map(_value, compress(column.values, is_text))
+        hits = list(map(tokens.__contains__, map(str.lower, map(str.strip, texts))))
+        if any(hits):
+            folded = list(column.values)
+            for code in compress(compress(count(), is_text), hits):  # the texts that hit
+                folded[code] = MISSING
             column = Column.merged(folded, column.codes)
         columns.append(column)
     return Dataset.from_columns(d.headers, columns, d.n_rows)

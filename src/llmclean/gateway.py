@@ -24,7 +24,14 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FormatError, GatewayError, ReplayMissError, TemplateError, TransportError
+from .errors import (
+    FormatError,
+    GatewayError,
+    LLMCleanError,
+    ReplayMissError,
+    TemplateError,
+    TransportError,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -117,8 +124,15 @@ def cassette_key(prompt: str) -> str:
 
 
 def load_cassette(path: str | Path) -> dict[str, dict[str, str]]:
+    """Read a cassette: a JSON object of entries, each with a string "response"."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        entries = json.load(fh)
+    if not isinstance(entries, dict):
+        raise LLMCleanError(f"{path}: cassette must be a JSON object keyed by prompt hash")
+    for key, entry in entries.items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("response"), str)):
+            raise LLMCleanError(f'{path}: cassette entry {key!r} has no string "response"')
+    return entries
 
 
 def save_cassette(path: str | Path, entries: Mapping[str, str]) -> None:

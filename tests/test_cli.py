@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import gc
 import json
 import subprocess
 import sys
@@ -123,6 +124,39 @@ class TestEnsembleConfigFile:
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert str(path) in err and key in err
+
+
+class TestMalformedCassette:
+    @pytest.mark.parametrize(
+        "body",
+        [["yes"], {"abc": {"prompt": "p"}}, {"abc": "yes"}, {"abc": {"response": 1}}],
+        ids=["list", "no-response", "string-entry", "non-string-response"],
+    )
+    @pytest.mark.parametrize("command", ["classify", "build-context"])
+    def test_exit_one_naming_the_file(self, iot_csv, tmp_path, capsys, command, body):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        code = main(
+            [
+                command, iot_csv, "--backend", "replay", "--cassette", str(path),
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and "internal error" not in err
+
+
+class TestCollectorState:
+    @pytest.mark.parametrize("text,exit_code", [("a,b\n1,x\n", EXIT_OK), ("a\n1\n1,2\n", EXIT_INPUT)])
+    def test_main_restores_the_collector(self, tmp_path, capsys, text, exit_code):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text(text)
+        rules_path = tmp_path / "rules.ofd"
+        rules_path.write_text('denial: t1&EQ(t1.a,"")\n')
+        assert main(["detect", str(csv_path), "--rules", str(rules_path)]) == exit_code
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
 
 
 def expected_triple_count() -> int:
@@ -304,6 +338,24 @@ class TestBuildContextSensorSplit:
         )
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["class"] == "IoT"
+
+
+    @pytest.mark.parametrize(
+        "value_columns,item",
+        [("Value", "Value"), (",", ""), ("temperature:Temp,co2", "co2"), (":Temp", ":Temp")],
+    )
+    def test_malformed_value_columns_exit_one(self, tmp_path, capsys, value_columns, item):
+        csv_path = tmp_path / "multi.csv"
+        csv_path.write_text("temperature,co2,place,time\n21.5,400,Room1,1700000000000\n")
+        code = main(
+            [
+                "build-context", str(csv_path),
+                "--backend", "replay", "--cassette", self._cassette(tmp_path),
+                "--value-columns", value_columns, "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert f"--value-columns expects column:label pairs, got {item!r}" in capsys.readouterr().err
 
 
 class TestDetect:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 from datetime import datetime
 
@@ -103,13 +104,41 @@ _TEXTS = st.one_of(
 _BLANKS = st.sampled_from(["", " ", "\t"])
 _ANY = st.one_of(_STAMPS, _NUMBERS, _TEXTS, _BLANKS)
 
+_EPOCHS = st.integers(EPOCH_MS_MIN, 10 * EPOCH_MS_MIN)
+_ARABIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+# Spellings of mostly one kind, drawn all distinct: such columns reach the
+# loader's batch pass, and its merge of spellings that parse equal.
+_DISTINCT = st.sampled_from(
+    [
+        _EPOCHS.map(str),
+        st.one_of(_EPOCHS, st.integers(0, EPOCH_MS_MIN - 1)).map(str),
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            st.sampled_from(["0.0", "-0.0", "0", "-0"]),
+        ),
+        st.one_of(
+            st.integers(-(10**6), 10**6).map(str),
+            st.sampled_from(["1_000", "1000", "1e3", "+1000", "+100000000000"]),
+        ),
+        st.one_of(_EPOCHS, st.integers(0, 10**6)).map(lambda n: str(n).translate(_ARABIC_DIGITS)),
+        st.one_of(st.floats().map(repr), st.sampled_from(["inf", "-inf", "nan", "Infinity", "1e400"])),
+        st.one_of(st.text(alphabet="bdxy ", min_size=1, max_size=5), _TEXTS),
+    ]
+)
+
 
 @st.composite
 def _column(draw, n_rows: int) -> list[str]:
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["repeats", "distinct", "tie"]))
+    if shape == "repeats":
         # Few distinct values, many repeats, any mix of kinds.
         pool = draw(st.lists(_ANY, min_size=1, max_size=4))
         return draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+    if shape == "distinct":
+        blanks = draw(st.lists(_BLANKS, max_size=min(2, n_rows)))
+        size = n_rows - len(blanks)
+        values = draw(st.lists(draw(_DISTINCT), min_size=size, max_size=size, unique=True))
+        return draw(st.permutations(values + blanks))
     # Half the non-blank cells of one kind, half of another: the vote ties.
     hit, miss = draw(st.permutations([_STAMPS, _NUMBERS, _TEXTS]))[:2]
     half = n_rows // 2
@@ -174,7 +203,7 @@ class TestLoadCsvOracle:
         normalized = normalize_missing(d)
         assert normalized == oracle_normalize_missing(expected)
         assert dataset_to_csv(normalized) == _rowwise_csv(normalized)
-        for column in normalized.columns:  # equal cells share one code
+        for column in d.columns + normalized.columns:  # equal cells share one code
             assert len(set(column.values)) == len(column.values)
 
     @pytest.mark.parametrize("text", ["a,b\n", "\n\n", "t\n1700000000000\nx\n"])
@@ -182,10 +211,44 @@ class TestLoadCsvOracle:
         data = text.encode("utf-8")
         assert load_csv(data) == oracle_load_csv(data)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ["0.0", "-0.0", "2.5"],
+            ["1_000", "1000", "7"],
+            ["100000000000", "+100000000000", "100000000001"],
+            ["\u0661" + "\u0660" * 11, "100000000000", "100000000002"],
+            ["100000000000", "100000000001", "5"],
+            ["1.5", "inf", "nan", "2.5"],
+            ["0.0", "-0.0", " "],
+        ],
+    )
+    def test_batch_edge_columns_match_per_cell_typing(self, values):
+        data = ("c\n" + "".join(f"{v}\n" for v in values)).encode("utf-8")
+        d = load_csv(data)
+        assert d == oracle_load_csv(data)
+        assert len(set(d.columns[0].values)) == len(d.columns[0].values)
+
     def test_equal_raw_values_share_one_cell(self):
         d = _load("a,b\nx,1.5\nx,1.5\ny,2\n")
         assert d.rows[0][0] is d.rows[1][0]
         assert d.rows[0][1] is d.rows[1][1]
+
+
+def test_load_and_normalize_leave_no_cyclic_garbage():
+    # A voted column (t), a batch-typed one with a merge (v: -0.0/0.0), and
+    # text columns with placeholders to fold (c, m).
+    rows = [(1_700_000_000_000 + i, f"{i}.5", f"code{i}", "N/A" if i % 3 else "x") for i in range(50)]
+    rows += [(1, "-0.0", "null", "1_000"), (2, "0.0", "", "1000")]
+    data = "t,v,c,m\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)
+    gc.collect()
+    gc.disable()
+    try:
+        normalize_missing(_load(data))
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
 
 
 class TestNormalizeMissing:

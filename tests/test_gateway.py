@@ -275,18 +275,6 @@ class TestRemoteBackend:
                 complete(backend, "p", ResponseFormat.YES_NO)
         assert "sk-very-secret-token" not in caplog.text
 
-    def test_bounded_latency(self, monkeypatch):
-        # Unroutable per RFC 5737; each attempt must respect the timeout.
-        monkeypatch.setenv("LLMCLEAN_API_KEY", "sk")
-        backend = RemoteBackend(
-            "http://192.0.2.1:9/v1", "m", timeout=0.2, backoff_base=0.05
-        )
-        start = time.perf_counter()
-        with pytest.raises(TransportError):
-            complete(backend, "p", ResponseFormat.YES_NO)
-        elapsed = time.perf_counter() - start
-        assert elapsed < backend.max_attempts * backend.timeout + 0.5
-
 
 TOKEN = "sk-very-secret-token"
 
@@ -339,6 +327,7 @@ class TestRemoteTransport:
         assert sum(r.getMessage().startswith("POST ") for r in caplog.records) == 3
 
     def test_timeout_bounds_each_attempt(self, monkeypatch):
+        # Every attempt waits out its timeout, and the whole call stays bounded.
         monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
         with socket.socket() as sock:  # listening, never accepting: the reply never comes
             sock.bind(("127.0.0.1", 0))
@@ -350,7 +339,8 @@ class TestRemoteTransport:
             with pytest.raises(TransportError, match="timed out"):
                 complete(backend, "p", ResponseFormat.YES_NO)
             elapsed = time.perf_counter() - start
-        assert 3 * 0.2 <= elapsed < 3 * 0.2 + 1.0
+        budget = backend.max_attempts * backend.timeout
+        assert budget <= elapsed < budget + 0.5
 
     @pytest.mark.parametrize("endpoint", ["file:///etc/hosts", "ftp://127.0.0.1/x", "127.0.0.1:80"])
     def test_non_http_endpoint_rejected(self, endpoint):
