@@ -275,6 +275,21 @@ class TestRemoteBackend:
                 complete(backend, "p", ResponseFormat.YES_NO)
         assert "sk-very-secret-token" not in caplog.text
 
+    def test_bounded_latency(self, monkeypatch):
+        # A server that never answers; each attempt must respect the timeout.
+        monkeypatch.setenv("LLMCLEAN_API_KEY", "sk")
+        with socket.socket() as sock:  # listening, never accepting
+            sock.bind(("127.0.0.1", 0))
+            sock.listen(8)
+            backend = RemoteBackend(
+                f"http://127.0.0.1:{sock.getsockname()[1]}/v1", "m", timeout=0.2, backoff_base=0.05
+            )
+            start = time.perf_counter()
+            with pytest.raises(TransportError):
+                complete(backend, "p", ResponseFormat.YES_NO)
+            elapsed = time.perf_counter() - start
+        assert elapsed < backend.max_attempts * backend.timeout + 0.5
+
 
 TOKEN = "sk-very-secret-token"
 
