@@ -340,21 +340,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ensemble-config", dest="ensemble_config",
                        help="JSON file with classify ensemble + templates")
 
-    def add_common(p):
-        p.add_argument("--parallel", type=int, default=4)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out-dir", dest="out_dir")
+    common = {"--parallel": {"type": int, "default": 4}, "--seed": {"type": int}, "--out-dir": {}}
+
+    def add_common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **common[flag])
 
     p = sub.add_parser("classify", help="print IoT or NonIoT for a CSV")
     p.add_argument("csv")
     add_backend_flags(p)
-    add_common(p)
+    add_common(p, "--parallel", "--out-dir")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("build-context", help="generate graph, rules, transformed CSV")
     p.add_argument("csv")
     add_backend_flags(p)
-    add_common(p)
+    add_common(p, "--parallel", "--seed", "--out-dir")
     p.add_argument("--sensors", help="sensor spec JSON file")
     p.add_argument("--value-columns", dest="value_columns",
                    help="comma-separated column:label pairs to split into rows")
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensors", help="sensor spec JSON file")
     p.add_argument("--exact-matching", dest="exact_matching", action="store_true",
                    help="disable blocking for matching rules")
-    add_common(p)
+    add_common(p, "--parallel", "--out-dir")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("evaluate", help="inject errors, detect, score")
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outlier-columns", dest="outlier_columns")
     p.add_argument("--fd-pair", dest="fd_pair", help="determinant:dependent")
     p.add_argument("--exact-matching", dest="exact_matching", action="store_true")
-    add_common(p)
+    add_common(p, "--parallel", "--seed", "--out-dir")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ensemble", help="search best prompt-ensemble configs")
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-records", dest="val_records")
     p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.5)
     p.add_argument("--tr-range", dest="tr_range", type=int, default=4)
-    add_common(p)
+    add_common(p, "--seed")
     p.set_defaults(func=cmd_ensemble)
 
     return parser

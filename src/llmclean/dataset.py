@@ -1,15 +1,14 @@
 """Typed in-memory tables: CSV ingestion, missing-value normalization, splitting.
 
-A table is an immutable grid of variant-typed cells. Cells are typed per
-column at load time (number / timestamp / text). Each column is stored
-dictionary-encoded: one int code per row plus a tuple of the column's
-distinct cells, so equal cells share one code and one immutable Cell. The
-loader, :func:`normalize_missing`, :func:`dataset_to_csv` and the detection
-kernels work on codes and on each column's distinct values; ``Dataset.rows``
-is a view built on first use. The usual missing-value placeholders are
-folded into a dedicated Missing variant by :func:`normalize_missing`. All
-operations are pure and return new values, so datasets can be shared freely
-across workers.
+A table is an immutable grid of variant-typed cells, typed per column at
+load time (number / timestamp / text). Each column is stored dictionary-
+encoded: one int code per row plus a tuple of the column's distinct cells,
+each held by some row, so equal cells share one code and one immutable Cell.
+Columns are what every stage reads and builds (loading, normalizing, writing,
+detection, error injection, graph building); ``Dataset.rows`` is a view built
+on first use. The usual missing-value placeholders are folded into a
+dedicated Missing variant by :func:`normalize_missing`. All operations are
+pure and return new values, so datasets can be shared freely across workers.
 """
 
 from __future__ import annotations
@@ -95,12 +94,6 @@ def cell_text(cell: Cell) -> str:
     return ""
 
 
-def modal_value(counts: Mapping[T, int], key: Callable[[T], str] = cell_text) -> T:
-    """Most frequent key of ``counts``; ties go to the smallest ``key(value)``."""
-    top = max(counts.values())
-    return min((value for value, n in counts.items() if n == top), key=key)
-
-
 @dataclass(frozen=True, slots=True)
 class CellRef:
     """Reference to one cell: 0-based row index plus column name."""
@@ -150,9 +143,9 @@ def _is_text(cells: Iterable[Cell]) -> list[bool]:
 class Column:
     """One dictionary-encoded column: row ``i`` holds ``values[codes[i]]``.
 
-    ``values`` are the column's distinct cells in order of first appearance,
-    so equal cells always share one code. The derived indexes below are
-    built on first use; the column never changes.
+    ``values`` are the column's distinct cells, each held by some row (built
+    by :meth:`merged` wherever cells may repeat or go unused). The derived
+    indexes below are built on first use; the column never changes.
     """
 
     def __init__(self, values: tuple[Cell, ...], codes: tuple[int, ...]):
@@ -161,15 +154,27 @@ class Column:
 
     @classmethod
     def merged(cls, cells: Sequence[Cell], codes: Iterable[int]) -> "Column":
-        """Column whose row ``i`` holds ``cells[codes[i]]``, equal cells merged."""
+        """Column whose row ``i`` holds ``cells[codes[i]]``, equal cells merged
+        and cells no row holds dropped (the rest keep their order)."""
+        codes = tuple(codes)
         # Keyed by kind identity: hashing a Cell runs Python code per call.
         first = _encoder()
         remap = list(map(first.__getitem__, [(id(c.kind), c.value) for c in cells]))
-        if len(first) == len(cells):
-            return cls(tuple(cells), tuple(codes))
+        if len(first) == len(cells) and len(set(codes)) == len(cells):
+            return cls(tuple(cells), codes)
+        merged = list(map(remap.__getitem__, codes))
+        used = sorted(set(merged))
+        if len(used) < len(first):  # renumber without the cells no row holds
+            merged = list(map(dict(zip(used, count())).__getitem__, merged))
         cell_of = dict(zip(reversed(remap), reversed(cells)))  # each code's first cell
-        values = tuple(map(cell_of.__getitem__, range(len(first))))
-        return cls(values, tuple(map(remap.__getitem__, codes)))
+        return cls(tuple(map(cell_of.__getitem__, used)), tuple(merged))
+
+    def replaced(self, cells: Mapping[int, Cell]) -> "Column":
+        """This column with row ``i`` holding ``cells[i]`` for each given row."""
+        codes = list(self.codes)
+        for code, row in enumerate(cells, start=len(self.values)):
+            codes[row] = code
+        return Column.merged(self.values + tuple(cells.values()), codes)
 
     def cells(self) -> Iterator[Cell]:
         """The column's cells in row order."""
@@ -200,9 +205,26 @@ class Column:
             k for k, t in enumerate(self.texts) if t == text and k != self.missing_code
         ]
 
-    def rows_of(self, codes: Iterable[int]) -> list[int]:
+    def row_indices(self, codes: Iterable[int]) -> list[int]:
         """Ascending indices of the rows holding any of ``codes``."""
         return sorted(chain.from_iterable(map(self._positions.__getitem__, codes)))
+
+
+def group_modes(
+    det: Column, dep: Column, pairs: Mapping[tuple[int, int], int] | None = None
+) -> dict[int, int]:
+    """Modal ``dep`` code of each non-missing ``det`` code.
+
+    Counts the rows where both cells are present; ties go to the smallest
+    ``cell_text``. ``pairs`` are the rows' ``(det, dep)`` code counts, when
+    the caller has them already.
+    """
+    groups: dict[int, dict[int, int]] = defaultdict(dict)
+    for (a, b), n in (pairs or Counter(zip(det.codes, dep.codes))).items():
+        if a != det.missing_code and b != dep.missing_code:
+            groups[a][b] = n
+    texts = dep.texts
+    return {a: min(counts, key=lambda b: (-counts[b], texts[b])) for a, counts in groups.items()}
 
 
 def _transpose(columns: Sequence[Iterable[T]], n_rows: int) -> Iterable[tuple[T, ...]]:
@@ -212,10 +234,10 @@ def _transpose(columns: Sequence[Iterable[T]], n_rows: int) -> Iterable[tuple[T,
 class Dataset:
     """Immutable table: unique non-empty headers and equal-length cell rows.
 
-    Each column is stored dictionary-encoded (:class:`Column`); every pass of
-    ``detect`` works on codes and dictionaries. ``rows`` is a view built on
-    first use. A dataset built from rows keeps those row tuples as its view
-    and encodes its columns on first use. Equality compares headers and rows.
+    Each column is stored dictionary-encoded (:class:`Column`); stages read
+    and build columns. ``rows`` is a view built on first use. A dataset
+    built from rows encodes its columns at once and keeps those row tuples
+    as its view. Equality compares headers and rows.
     """
 
     def __init__(self, headers: Sequence[str], rows: Iterable[tuple[Cell, ...]]):
@@ -229,6 +251,11 @@ class Dataset:
                 raise StructuralError(
                     f"row {i + 1} has {len(row)} cells, expected {width}", row=i + 1
                 )
+        every_row = range(self.n_rows)
+        self.columns = tuple(
+            Column.merged(list(map(itemgetter(j), self.rows)), every_row)
+            for j in range(width)
+        )
 
     @classmethod
     def from_lists(
@@ -250,14 +277,6 @@ class Dataset:
     @cached_property
     def rows(self) -> tuple[tuple[Cell, ...], ...]:
         return tuple(_transpose([c.cells() for c in self.columns], self.n_rows))
-
-    @cached_property
-    def columns(self) -> tuple[Column, ...]:
-        every_row = range(self.n_rows)
-        return tuple(
-            Column.merged(list(map(itemgetter(j), self.rows)), every_row)
-            for j in range(self.n_cols)
-        )
 
     @property
     def n_cols(self) -> int:

@@ -31,7 +31,7 @@ from .dataset import (
     CellRef,
     Dataset,
     PlaceholderSet,
-    modal_value,
+    group_modes,
 )
 from .errors import RuleError, SchemaError
 from .rules import ColumnRef, DependencyKind, Literal, OfdRule, SensorSpec
@@ -174,7 +174,7 @@ def detect_missing(d: Dataset, rule: OfdRule) -> list[Finding]:
         ]
     name = d.headers[col_idx]
     return [
-        Finding(CellRef(i, name), rule.id, "missing_value") for i in column.rows_of(hits)
+        Finding(CellRef(i, name), rule.id, "missing_value") for i in column.row_indices(hits)
     ]
 
 
@@ -192,15 +192,7 @@ def detect_fd_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
     dep_name = d.headers[dep_idx]
 
     pairs = Counter(zip(det_col.codes, dep_col.codes))
-    det_missing, dep_missing = det_col.missing_code, dep_col.missing_code
-    groups: dict[int, dict[int, int]] = defaultdict(dict)
-    for (a, b), n in pairs.items():
-        if a != det_missing and b != dep_missing:
-            groups[a][b] = n
-    modes = {
-        a: modal_value(counts, key=dep_col.texts.__getitem__)
-        for a, counts in groups.items()
-    }
+    modes = group_modes(det_col, dep_col, pairs)
     deviating = {(a, b) for a, b in pairs if a in modes and b != modes[a]}
     return [
         Finding(CellRef(i, dep_name), rule.id, "fd_violation")
@@ -308,7 +300,7 @@ def detect_capability_violations(
     values = d.columns[value_idx]
     value_name = d.headers[value_idx]
     findings: list[Finding] = []
-    for i in sensors.rows_of(sensors.codes_of(sensor_id)):
+    for i in sensors.row_indices(sensors.codes_of(sensor_id)):
         value = values.values[values.codes[i]]
         if value.is_missing:
             continue
@@ -368,7 +360,7 @@ def detect_temporal_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
     def rows_for(device: str) -> list[tuple[float, int]]:
         return [
             (stamps[ts_codes[i]], i)
-            for i in devices.rows_of(devices.codes_of(device))
+            for i in devices.row_indices(devices.codes_of(device))
             if stamps[ts_codes[i]] is not None
         ]
 

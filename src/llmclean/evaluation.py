@@ -13,6 +13,7 @@ import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .dataset import (
     Cell,
@@ -21,7 +22,7 @@ from .dataset import (
     Dataset,
     DEFAULT_PLACEHOLDER_TOKENS,
     cell_text,
-    modal_value,
+    group_modes,
 )
 from .detection import DetectionReport
 from .ensemble import score_micro_f1
@@ -133,11 +134,36 @@ _INJECTABLE_PLACEHOLDERS = tuple(DEFAULT_PLACEHOLDER_TOKENS)
 
 def _numeric_columns(d: Dataset) -> list[str]:
     numeric = []
-    for c, name in enumerate(d.headers):
-        cells = [row[c] for row in d.rows if not row[c].is_missing]
-        if cells and sum(x.kind is CellKind.NUMBER for x in cells) > len(cells) / 2:
+    for name, column in zip(d.headers, d.columns):
+        kinds = Counter(cell.kind for cell in column.cells())
+        present = d.n_rows - kinds[CellKind.MISSING]
+        if present and kinds[CellKind.NUMBER] > present / 2:
             numeric.append(name)
     return numeric
+
+
+def _resolve_targets(d: Dataset, names: Sequence[str], field: str) -> list[int]:
+    """Column indices of ``names``; a column named twice (after case folding) is an error."""
+    cols = [d.column_index(name) for name in names]
+    for k, c in enumerate(cols):
+        if c in cols[:k]:
+            raise ValueError(f"{field} names column {d.headers[c]!r} twice")
+    return cols
+
+
+def _with_cells(d: Dataset, changes: Mapping[tuple[int, int], Cell]) -> Dataset:
+    """``d`` holding ``changes[(row, column index)]`` in those cells.
+
+    Columns without a change are shared unchanged.
+    """
+    by_column: dict[int, dict[int, Cell]] = defaultdict(dict)
+    for (row, col), cell in changes.items():
+        by_column[col][row] = cell
+    columns = [
+        column.replaced(by_column[c]) if c in by_column else column
+        for c, column in enumerate(d.columns)
+    ]
+    return Dataset.from_columns(d.headers, columns, d.n_rows)
 
 
 def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
@@ -146,63 +172,45 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
     Counts are round-half-up of rate x eligible cells per corruption kind.
     Missing cells get a placeholder token (as a dirty export would); outliers
     are multiplied by the configured factor; FD swaps replace the dependent
-    value with a different group's mode.
+    value with a different group's mode. A target column named twice is an
+    error.
     """
     rng = random.Random(spec.seed)
-    grid: list[list[Cell]] = [list(row) for row in d.rows]
-    corrupted: set[tuple[int, int]] = set()
+    changes: dict[tuple[int, int], Cell] = {}  # (row, column index) -> new cell
     entries: list[Corruption] = []
 
-    def take(ref_row: int, ref_col: int, new_cell: Cell, kind: str):
-        corrupted.add((ref_row, ref_col))
-        entries.append(
-            Corruption(
-                CellRef(ref_row, d.headers[ref_col]), grid[ref_row][ref_col], kind
-            )
-        )
-        grid[ref_row][ref_col] = new_cell
+    def take(row: int, col: int, new_cell: Cell, kind: str):
+        column = d.columns[col]
+        original = column.values[column.codes[row]]
+        entries.append(Corruption(CellRef(row, d.headers[col]), original, kind))
+        changes[(row, col)] = new_cell
 
     # FD swaps go first: they need intact groups to pick replacement modes.
     if spec.fd_swap_rate > 0:
-        det_idx = d.column_index(spec.fd_determinant)
-        dep_idx = d.column_index(spec.fd_dependent)
-        groups: dict[Cell, list[int]] = defaultdict(list)
-        for i, row in enumerate(d.rows):
-            if not row[det_idx].is_missing and not row[dep_idx].is_missing:
-                groups[row[det_idx]].append(i)
-        modes: dict[Cell, Cell] = {}
-        for det_value, rows in groups.items():
-            modes[det_value] = modal_value(Counter(d.rows[i][dep_idx] for i in rows))
-        quota = {
-            det_value: (len(rows) - 1) // 2
-            for det_value, rows in groups.items()
-        }
-        eligible = [
-            (i, det_value)
-            for det_value in sorted(groups, key=cell_text)
-            for i in groups[det_value]
-        ]
+        pair = (spec.fd_determinant, spec.fd_dependent)
+        det_idx, dep_idx = _resolve_targets(d, pair, "the fd pair")
+        det, dep = d.columns[det_idx], d.columns[dep_idx]
+        modes = group_modes(det, dep)
+        groups: dict[int, list[int]] = defaultdict(list)  # rows with both cells present
+        for i, (a, b) in enumerate(zip(det.codes, dep.codes)):
+            if a in modes and b != dep.missing_code:
+                groups[a].append(i)
+        quota = {a: (len(rows) - 1) // 2 for a, rows in groups.items()}
+        eligible = [(i, a) for a in sorted(groups, key=det.texts.__getitem__) for i in groups[a]]
         count = round_half_up(spec.fd_swap_rate * d.n_rows)
         rng.shuffle(eligible)
         taken = 0
-        for i, det_value in eligible:
+        for i, a in eligible:
             if taken >= count:
                 break
-            if quota[det_value] <= 0:
+            if quota[a] <= 0:
                 continue
-            own_mode = modes[det_value]
-            other_modes = sorted(
-                {
-                    cell_text(m)
-                    for dv, m in modes.items()
-                    if dv != det_value and m != grid[i][dep_idx] and m != own_mode
-                }
-            )
+            excluded = (dep.codes[i], modes[a])  # the cell's value and its group's mode
+            other_modes = sorted({dep.texts[m] for m in modes.values() if m not in excluded})
             if not other_modes:
                 continue
-            replacement = rng.choice(other_modes)
-            take(i, dep_idx, Cell.text(replacement), "fd_swap")
-            quota[det_value] -= 1
+            take(i, dep_idx, Cell.text(rng.choice(other_modes)), "fd_swap")
+            quota[a] -= 1
             taken += 1
         if taken < count:
             raise ValueError(
@@ -210,10 +218,9 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
             )
 
     if spec.missing_rate > 0:
-        targets = spec.missing_columns or d.headers
-        cols = [d.column_index(c) for c in targets]
+        cols = _resolve_targets(d, spec.missing_columns or d.headers, "missing_columns")
         eligible = [
-            (i, c) for c in cols for i in range(d.n_rows) if (i, c) not in corrupted
+            (i, c) for c in cols for i in range(d.n_rows) if (i, c) not in changes
         ]
         count = round_half_up(spec.missing_rate * d.n_rows * len(cols))
         if count > len(eligible):
@@ -226,18 +233,18 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
         targets = spec.outlier_columns or _numeric_columns(d)
         if not targets:
             raise ValueError("no numeric columns available for outliers")
-        cols = [d.column_index(c) for c in targets]
+        cols = _resolve_targets(d, targets, "outlier_columns")
         eligible = [
             (i, c)
             for c in cols
-            for i in range(d.n_rows)
-            if (i, c) not in corrupted and grid[i][c].kind is CellKind.NUMBER
+            for i, cell in enumerate(d.columns[c].cells())
+            if (i, c) not in changes and cell.kind is CellKind.NUMBER
         ]
         count = round_half_up(spec.outlier_rate * d.n_rows * len(cols))
         if count > len(eligible):
             raise ValueError("outlier_rate exceeds remaining capacity")
         for i, c in rng.sample(eligible, count):
-            old = float(grid[i][c].value)
+            old = float(d.cell(i, d.headers[c]).value)
             new_value = old * spec.outlier_multiplier if old != 0 else spec.outlier_multiplier
             if not math.isfinite(new_value):
                 raise ValueError(
@@ -249,8 +256,7 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
                 )
             take(i, c, Cell.number(new_value), "outlier")
 
-    dirty = Dataset(d.headers, tuple(tuple(row) for row in grid))
-    return dirty, GroundTruth(tuple(entries))
+    return _with_cells(d, changes), GroundTruth(tuple(entries))
 
 
 def score_detection(
@@ -333,10 +339,15 @@ def score_repair(
     categorical = [h for h in clean.headers if h not in numeric]
     for column in categorical:
         c_idx = clean.column_index(column)
-        for i in range(clean.n_rows):
-            if repaired.rows[i][c_idx] != dirty.rows[i][c_idx]:
+        cells = zip(
+            repaired.columns[c_idx].cells(),
+            dirty.columns[c_idx].cells(),
+            clean.columns[c_idx].cells(),
+        )
+        for i, (fixed, before, original) in enumerate(cells):
+            if fixed != before:
                 actions.add((i, column))
-                if repaired.rows[i][c_idx] == clean.rows[i][c_idx]:
+                if fixed == original:
                     correct.add((i, column))
     cat_truth = {(r, c) for r, c in truth_refs if c not in numeric}
 
@@ -348,19 +359,16 @@ def score_repair(
 
 
 def _reconstruct_dirty(clean: Dataset, truth: GroundTruth) -> Dataset:
-    grid = [list(row) for row in clean.rows]
-    for c in truth.entries:
-        col = clean.column_index(c.ref.column)
-        # Without the real dirty table, mark the cell as changed; any value
-        # different from both clean and repaired suffices for action counting.
-        grid[c.ref.row][col] = Cell.text("\x00corrupted")
-    return Dataset(clean.headers, tuple(tuple(r) for r in grid))
+    # Without the real dirty table, mark the cell as changed; any value
+    # different from both clean and repaired suffices for action counting.
+    return _with_cells(clean, {
+        (c.ref.row, clean.column_index(c.ref.column)): Cell.text("\x00corrupted")
+        for c in truth.entries
+    })
 
 
 def repair_with_truth(dirty: Dataset, truth: GroundTruth) -> Dataset:
     """Perfect repair: restore every corrupted cell's original value."""
-    grid = [list(row) for row in dirty.rows]
-    for c in truth.entries:
-        grid[c.ref.row][dirty.column_index(c.ref.column)] = c.original
-    return Dataset(dirty.headers, tuple(tuple(r) for r in grid))
-
+    return _with_cells(dirty, {
+        (c.ref.row, dirty.column_index(c.ref.column)): c.original for c in truth.entries
+    })

@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import logging
 import statistics
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -33,7 +33,7 @@ from .context_model import (
     add_sensor_bounds,
     validate_graph,
 )
-from .dataset import Cell, CellKind, Dataset, cell_text, modal_value
+from .dataset import Cell, CellKind, Column, Dataset, group_modes
 from .detection import lookup_spec
 from .ensemble import EnsembleConfig, find_consensus
 from .errors import GatewayError, LLMCleanError, SchemaError
@@ -159,9 +159,6 @@ class ConceptMapping:
     missing: list[str] = field(default_factory=list)  # roles with no column
     warnings: list[str] = field(default_factory=list)
 
-    def column_for(self, role: str) -> str | None:
-        return self.assignments.get(role)
-
     def renames(self) -> dict[str, str]:
         return {
             column: CANONICAL_NAMES[role]
@@ -260,19 +257,25 @@ def split_sensors(
     """
     if not value_columns:
         raise SchemaError("no value columns given")
-    indices = []
-    for column, label in value_columns:
-        indices.append((d.column_index(column), label))
-    value_idx = {i for i, _ in indices}
-    carried = [i for i in range(d.n_cols) if i not in value_idx]
+    indices = [d.column_index(column) for column, _ in value_columns]
+    carried = [i for i in range(d.n_cols) if i not in indices]
+    k = len(indices)
+    # Output row r * k + j holds input row r's reading from the j-th value
+    # column: the value columns' dictionaries are concatenated, their codes
+    # shifted to match and interleaved.
+    sources = [d.columns[i] for i in indices]
+    starts = accumulate((len(c.values) for c in sources), initial=0)
+    shifted = [map(start.__add__, c.codes) for start, c in zip(starts, sources)]
+    readings = [cell for c in sources for cell in c.values]
+    columns = [
+        Column.merged([Cell.text(label) for _, label in value_columns], list(range(k)) * d.n_rows),
+        Column.merged(readings, chain.from_iterable(zip(*shifted))),
+    ]
+    for i in carried:
+        codes = d.columns[i].codes
+        columns.append(Column(d.columns[i].values, tuple(chain.from_iterable(zip(*[codes] * k)))))
     headers = ["sensor", "value"] + [d.headers[i] for i in carried]
-    rows = []
-    for row in d.rows:
-        for i, label in indices:
-            rows.append(
-                tuple([Cell.text(label), row[i]] + [row[j] for j in carried])
-            )
-    return Dataset.from_lists(headers, rows)
+    return Dataset.from_columns(headers, columns, d.n_rows * k)
 
 
 def rename_columns(d: Dataset, mapping: ConceptMapping) -> Dataset:
@@ -282,11 +285,11 @@ def rename_columns(d: Dataset, mapping: ConceptMapping) -> Dataset:
     collisions = {h for h in new_headers if new_headers.count(h) > 1}
     if collisions:
         raise SchemaError(f"rename collision on {sorted(collisions)}")
-    return Dataset(tuple(new_headers), d.rows)
+    return Dataset.from_columns(new_headers, d.columns, d.n_rows)
 
 
-def _distinct_non_missing(d: Dataset, idx: int) -> list[str]:
-    return sorted({cell_text(r[idx]) for r in d.rows if not r[idx].is_missing})
+def _distinct_non_missing(column: Column) -> list[str]:
+    return sorted({t for cell, t in zip(column.values, column.texts) if not cell.is_missing})
 
 
 def generate_columns(
@@ -311,26 +314,26 @@ def generate_columns(
         return d, excluded
 
     if d.has_column("location"):
-        location_idx = d.column_index("location")
-        index = {loc: k + 1 for k, loc in enumerate(_distinct_non_missing(d, location_idx))}
+        location = d.columns[d.column_index("location")]
+        index = {loc: k + 1 for k, loc in enumerate(_distinct_non_missing(location))}
+        # The slot of each distinct location value, and each row's value.
         slots = [
-            0 if r[location_idx].is_missing else index[cell_text(r[location_idx])]
-            for r in d.rows
+            0 if cell.is_missing else index[text]
+            for cell, text in zip(location.values, location.texts)
         ]
+        slot_codes = location.codes
     else:
-        slots = [1] * d.n_rows
+        slots, slot_codes = [1], [0] * d.n_rows
 
-    added: list[list[Cell]] = []
+    added = []
     for concept in to_add:
         if concept == "System":
-            added.append([Cell.text(SYNTH_SYSTEM_ID)] * d.n_rows)
+            added.append(Column.merged([Cell.text(SYNTH_SYSTEM_ID)], [0] * d.n_rows))
         else:
             prefix = _SYNTH_ID_PREFIXES[concept]
-            ids = {k: Cell.text(f"{prefix}_{k}") for k in set(slots)}
-            added.append([ids[k] for k in slots])
+            added.append(Column.merged([Cell.text(f"{prefix}_{k}") for k in slots], slot_codes))
     headers = d.headers + tuple(CANONICAL_NAMES[c] for c in to_add)
-    rows = tuple(row + extra for row, extra in zip(d.rows, zip(*added)))
-    return Dataset(headers, rows), excluded
+    return Dataset.from_columns(headers, d.columns + tuple(added), d.n_rows), excluded
 
 
 class KnowledgeSource(Protocol):
@@ -427,57 +430,45 @@ def sanitize_for_graph(d: Dataset) -> Dataset:
     the copy (the caller's dataset is never modified, so detection still sees
     the original errors).
     """
-    sensor_idx = d.column_index("sensor")
-    structural = [
-        d.column_index(name)
-        for name in _STRUCTURAL_COLUMNS
-        if name != "sensor" and d.has_column(name)
-    ]
-    value_idx = d.column_index("value") if d.has_column("value") else None
-
-    groups: dict[str, list[int]] = {}
-    for i, row in enumerate(d.rows):
-        if row[sensor_idx].is_missing:
+    sensor = d.columns[d.column_index("sensor")]
+    columns = list(d.columns)
+    for name in _STRUCTURAL_COLUMNS:
+        if name == "sensor" or not d.has_column(name):
             continue
-        groups.setdefault(cell_text(row[sensor_idx]), []).append(i)
+        idx = d.column_index(name)
+        column = d.columns[idx]
+        modes = group_modes(sensor, column)
+        repairs = {
+            i: column.values[modes[s]]
+            for i, (s, c) in enumerate(zip(sensor.codes, column.codes))
+            if s in modes and c != modes[s]
+        }
+        if repairs:
+            columns[idx] = column.replaced(repairs)
 
-    repairs: dict[tuple[int, int], Cell] = {}
     dropped: set[int] = set()
-    for sensor in sorted(groups):
-        rows = groups[sensor]
-        for col in structural:
-            counts = Counter(
-                d.rows[i][col] for i in rows if not d.rows[i][col].is_missing
-            )
-            if not counts:
-                continue
-            mode = modal_value(counts)
-            for i in rows:
-                if d.rows[i][col] != mode:
-                    repairs[(i, col)] = mode
-        if value_idx is not None:
-            numbers = [
-                (i, float(d.rows[i][value_idx].value))
-                for i in rows
-                if d.rows[i][value_idx].kind is CellKind.NUMBER
-            ]
+    if d.has_column("value"):
+        value = d.columns[d.column_index("value")]
+        readings = [
+            float(cell.value) if cell.kind is CellKind.NUMBER else None
+            for cell in value.values
+        ]
+        groups: dict[int, list[tuple[int, float]]] = defaultdict(list)
+        for i, (s, v) in enumerate(zip(sensor.codes, value.codes)):
+            if s != sensor.missing_code and readings[v] is not None:
+                groups[s].append((i, readings[v]))
+        for numbers in groups.values():
             if len(numbers) >= 4:
                 values = sorted(v for _, v in numbers)
                 q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
                 iqr = q3 - q1
                 low, high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-                for i, v in numbers:
-                    if not low <= v <= high:
-                        dropped.add(i)
+                dropped.update(i for i, v in numbers if not low <= v <= high)
 
-    rows_out = []
-    for i, row in enumerate(d.rows):
-        if i in dropped:
-            continue
-        if any((i, c) in repairs for c in range(d.n_cols)):
-            row = tuple(repairs.get((i, c), row[c]) for c in range(d.n_cols))
-        rows_out.append(row)
-    return Dataset(d.headers, tuple(rows_out))
+    if dropped:
+        kept = [i for i in range(d.n_rows) if i not in dropped]
+        columns = [Column.merged(c.values, map(c.codes.__getitem__, kept)) for c in columns]
+    return Dataset.from_columns(d.headers, columns, d.n_rows - len(dropped))
 
 
 def build_iot_graph(
@@ -498,55 +489,42 @@ def build_iot_graph(
     graph = ContextGraph()
 
     col = {
-        name: (d.column_index(name) if d.has_column(name) else None)
+        name: (d.columns[d.column_index(name)] if d.has_column(name) else None)
         for name in _STRUCTURAL_COLUMNS
     }
 
-    def entities(name: str, concept: Concept) -> list[str]:
-        idx = col[name]
-        if idx is None:
-            return []
-        values = _distinct_non_missing(d, idx)
-        nonlocal graph
-        for v in values:
+    for role, concept in _ROLE_CONCEPTS.items():
+        column = col[role.lower()]
+        for v in _distinct_non_missing(column) if column is not None else ():
             graph = add_entity(graph, concept, v, {"label": v})
-        return values
 
-    entities("system", Concept.SYSTEM)
-    entities("device", Concept.DEVICE)
-    entities("sensingdevice", Concept.SENSING_DEVICE)
-    entities("sensor", Concept.SENSOR)
-    entities("location", Concept.LOCATION)
-
-    def modal_edges(src: str, dst: str, predicate: str):
-        nonlocal graph
-        src_idx, dst_idx = col[src], col[dst]
-        if src_idx is None or dst_idx is None:
-            return
-        pairings: dict[str, dict[str, int]] = {}
-        for row in d.rows:
-            if row[src_idx].is_missing or row[dst_idx].is_missing:
-                continue
-            a, b = cell_text(row[src_idx]), cell_text(row[dst_idx])
-            pairings.setdefault(a, {})[b] = pairings.setdefault(a, {}).get(b, 0) + 1
-        for a in sorted(pairings):
-            targets = pairings[a]
-            winner = modal_value(targets, key=str)
-            if len(targets) > 1:
+    for src_name, dst_name, predicate in (
+        ("sensor", "sensingdevice", ATTACHED_TO),
+        ("sensingdevice", "device", ATTACHED_TO),
+        ("sensingdevice", "location", DEPLOYED_AT),
+        ("sensingdevice", "device", PART_OF),
+        ("device", "system", PART_OF),
+    ):
+        src, dst = col[src_name], col[dst_name]
+        if src is None or dst is None:
+            continue
+        pairs = Counter(zip(src.codes, dst.codes))
+        modes = group_modes(src, dst, pairs)
+        targets: dict[int, set[str]] = defaultdict(set)
+        for a, b in pairs:
+            if a in modes and b != dst.missing_code:
+                targets[a].add(dst.texts[b])
+        for a in sorted(modes, key=src.texts.__getitem__):
+            source, winner = src.texts[a], dst.texts[modes[a]]
+            if len(targets[a]) > 1:
                 warnings.append(
-                    f"{predicate}: {a!r} co-occurs with {sorted(targets)}; "
+                    f"{predicate}: {source!r} co-occurs with {sorted(targets[a])}; "
                     f"kept modal pairing {winner!r}"
                 )
-            graph = add_edge(graph, predicate, a, winner)
-
-    modal_edges("sensor", "sensingdevice", ATTACHED_TO)
-    modal_edges("sensingdevice", "device", ATTACHED_TO)
-    modal_edges("sensingdevice", "location", DEPLOYED_AT)
-    modal_edges("sensingdevice", "device", PART_OF)
-    modal_edges("device", "system", PART_OF)
+            graph = add_edge(graph, predicate, source, winner)
 
     if col["sensor"] is not None:
-        for sensor in _distinct_non_missing(d, col["sensor"]):
+        for sensor in _distinct_non_missing(col["sensor"]):
             spec = lookup_spec(specs, sensor)
             if spec is not None:
                 graph = add_sensor_bounds(graph, sensor, spec)

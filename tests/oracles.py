@@ -9,20 +9,27 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import random
 import re
+import statistics
+from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from itertools import combinations
 
 from llmclean.dataset import (
+    DEFAULT_PLACEHOLDER_TOKENS,
     EPOCH_MS_MIN,
     Cell,
     CellKind,
+    CellRef,
     Dataset,
     PlaceholderSet,
     cell_text,
 )
 from llmclean.ensemble import EvalRecord
+from llmclean.evaluation import Corruption, ErrorSpec, GroundTruth, round_half_up
 from llmclean.rules import ColumnRef, DependencyKind, Literal, OfdRule
 
 
@@ -361,4 +368,162 @@ def oracle_normalize_missing(d: Dataset) -> Dataset:
             ]
             for row in d.rows
         ],
+    )
+
+
+# Row-based references for error injection and the graph's working copy:
+# every cell is read through ``Dataset.rows`` and the result is rebuilt from
+# a row grid. Group modes are counted per group here, independently of
+# ``dataset.group_modes``.
+
+
+def _modal_cell(counts: Counter) -> Cell:
+    """Most frequent cell; ties go to the smallest ``cell_text``."""
+    top = max(counts.values())
+    return min((cell for cell, n in counts.items() if n == top), key=cell_text)
+
+
+def oracle_numeric_columns(d: Dataset) -> list[str]:
+    numeric = []
+    for c, name in enumerate(d.headers):
+        cells = [row[c] for row in d.rows if not row[c].is_missing]
+        if cells and sum(x.kind is CellKind.NUMBER for x in cells) > len(cells) / 2:
+            numeric.append(name)
+    return numeric
+
+
+def oracle_inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
+    """``evaluation.inject_errors`` on a grid of rows, drawing the same random stream."""
+    rng = random.Random(spec.seed)
+    grid: list[list[Cell]] = [list(row) for row in d.rows]
+    corrupted: set[tuple[int, int]] = set()
+    entries: list[Corruption] = []
+
+    def take(ref_row: int, ref_col: int, new_cell: Cell, kind: str):
+        corrupted.add((ref_row, ref_col))
+        entries.append(
+            Corruption(CellRef(ref_row, d.headers[ref_col]), grid[ref_row][ref_col], kind)
+        )
+        grid[ref_row][ref_col] = new_cell
+
+    if spec.fd_swap_rate > 0:
+        det_idx = d.column_index(spec.fd_determinant)
+        dep_idx = d.column_index(spec.fd_dependent)
+        groups: dict[Cell, list[int]] = defaultdict(list)
+        for i, row in enumerate(d.rows):
+            if not row[det_idx].is_missing and not row[dep_idx].is_missing:
+                groups[row[det_idx]].append(i)
+        modes = {
+            det_value: _modal_cell(Counter(d.rows[i][dep_idx] for i in rows))
+            for det_value, rows in groups.items()
+        }
+        quota = {det_value: (len(rows) - 1) // 2 for det_value, rows in groups.items()}
+        eligible = [
+            (i, det_value)
+            for det_value in sorted(groups, key=cell_text)
+            for i in groups[det_value]
+        ]
+        count = round_half_up(spec.fd_swap_rate * d.n_rows)
+        rng.shuffle(eligible)
+        taken = 0
+        for i, det_value in eligible:
+            if taken >= count:
+                break
+            if quota[det_value] <= 0:
+                continue
+            own_mode = modes[det_value]
+            other_modes = sorted(
+                {
+                    cell_text(m)
+                    for dv, m in modes.items()
+                    if dv != det_value and m != grid[i][dep_idx] and m != own_mode
+                }
+            )
+            if not other_modes:
+                continue
+            take(i, dep_idx, Cell.text(rng.choice(other_modes)), "fd_swap")
+            quota[det_value] -= 1
+            taken += 1
+        if taken < count:
+            raise ValueError(f"fd_swap capacity exhausted: wanted {count}, placed {taken}")
+
+    if spec.missing_rate > 0:
+        cols = [d.column_index(c) for c in spec.missing_columns or d.headers]
+        eligible = [(i, c) for c in cols for i in range(d.n_rows) if (i, c) not in corrupted]
+        count = round_half_up(spec.missing_rate * d.n_rows * len(cols))
+        if count > len(eligible):
+            raise ValueError("missing_rate exceeds remaining capacity")
+        for i, c in rng.sample(eligible, count):
+            take(i, c, Cell.text(rng.choice(DEFAULT_PLACEHOLDER_TOKENS)), "missing")
+
+    if spec.outlier_rate > 0:
+        targets = spec.outlier_columns or oracle_numeric_columns(d)
+        if not targets:
+            raise ValueError("no numeric columns available for outliers")
+        cols = [d.column_index(c) for c in targets]
+        eligible = [
+            (i, c)
+            for c in cols
+            for i in range(d.n_rows)
+            if (i, c) not in corrupted and grid[i][c].kind is CellKind.NUMBER
+        ]
+        count = round_half_up(spec.outlier_rate * d.n_rows * len(cols))
+        if count > len(eligible):
+            raise ValueError("outlier_rate exceeds remaining capacity")
+        for i, c in rng.sample(eligible, count):
+            old = float(grid[i][c].value)
+            new_value = old * spec.outlier_multiplier if old != 0 else spec.outlier_multiplier
+            if not math.isfinite(new_value) or new_value == old:
+                raise ValueError(f"outlier_multiplier {spec.outlier_multiplier} fails on {old}")
+            take(i, c, Cell.number(new_value), "outlier")
+
+    return Dataset(d.headers, tuple(map(tuple, grid))), GroundTruth(tuple(entries))
+
+
+def oracle_sanitize_for_graph(d: Dataset) -> Dataset:
+    """``generation.sanitize_for_graph`` on rows, grouped by each sensor's text."""
+    sensor_idx = d.column_index("sensor")
+    structural = [
+        d.column_index(name)
+        for name in ("system", "device", "sensingdevice", "location")
+        if d.has_column(name)
+    ]
+    value_idx = d.column_index("value") if d.has_column("value") else None
+
+    groups: dict[str, list[int]] = {}
+    for i, row in enumerate(d.rows):
+        if not row[sensor_idx].is_missing:
+            groups.setdefault(cell_text(row[sensor_idx]), []).append(i)
+
+    repairs: dict[tuple[int, int], Cell] = {}
+    dropped: set[int] = set()
+    for rows in groups.values():
+        for col in structural:
+            counts = Counter(d.rows[i][col] for i in rows if not d.rows[i][col].is_missing)
+            if not counts:
+                continue
+            mode = _modal_cell(counts)
+            for i in rows:
+                if d.rows[i][col] != mode:
+                    repairs[(i, col)] = mode
+        if value_idx is not None:
+            numbers = [
+                (i, float(d.rows[i][value_idx].value))
+                for i in rows
+                if d.rows[i][value_idx].kind is CellKind.NUMBER
+            ]
+            if len(numbers) >= 4:
+                q1, _, q3 = statistics.quantiles(
+                    sorted(v for _, v in numbers), n=4, method="inclusive"
+                )
+                low, high = q1 - 1.5 * (q3 - q1), q3 + 1.5 * (q3 - q1)
+                dropped.update(i for i, v in numbers if not low <= v <= high)
+
+    return Dataset(
+        d.headers,
+        tuple(
+            tuple(repairs.get((i, c), cell) for c, cell in enumerate(row))
+            for i, row in enumerate(d.rows)
+            if i not in dropped
+        ),
     )

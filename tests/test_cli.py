@@ -419,6 +419,36 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "--fd-pair" in err and "determinant:dependent" in err
 
+    @pytest.mark.parametrize("pair", ["a:a", "A:a"])
+    def test_fd_pair_naming_one_column_twice_exit_one(self, tmp_path, capsys, pair):
+        csv_path = tmp_path / "nine.csv"
+        csv_path.write_text("a,b\n" + "".join(f"k{i % 3},v{i % 3}\n" for i in range(9)))
+        rules_path = tmp_path / "rules.ofd"
+        rules_path.write_text('denial: t1&EQ(t1.a,"")\n')
+        code = main(
+            [
+                "evaluate", str(csv_path), "--rules", str(rules_path), "--out-dir",
+                str(tmp_path / "out"), "--fd-pair", pair, "--fd-swap-rate", "0.2",
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "'a' twice" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "truth.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "flags, column",
+        [
+            (["--missing-columns", "System,system", "--missing-rate", "0.1"], "System"),
+            (["--missing-columns", "Value,System,Value", "--missing-rate", "0.1"], "Value"),
+            (["--outlier-columns", "Value,Value", "--outlier-rate", "0.3"], "Value"),
+        ],
+    )
+    def test_target_column_named_twice_exit_one(self, tmp_path, capsys, flags, column):
+        csv_path, rules_path = self._write_simple(tmp_path)
+        code = main(["evaluate", csv_path, "--rules", rules_path, *flags])
+        assert code == EXIT_INPUT
+        assert f"{column!r} twice" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "entry",
         [{"min": 1}, {"min": "low", "max": 2}, {"min": 0, "max": None},
@@ -516,6 +546,26 @@ class TestEvaluate:
         assert (out_dir / "dirty.csv").exists()
         assert (out_dir / "truth.jsonl").exists()
         assert (out_dir / "metrics.json").exists()
+
+
+class TestUnreadFlagsRefused:
+    """Flags a command never read are gone; argparse refuses them (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "x.csv", "--backend", "replay", "--seed", "1"],
+            ["detect", "x.csv", "--rules", "r.ofd", "--seed", "1"],
+            ["ensemble", "r.jsonl", "--parallel", "2"],
+            ["ensemble", "r.jsonl", "--out-dir", "out"],
+        ],
+        ids=["classify-seed", "detect-seed", "ensemble-parallel", "ensemble-out-dir"],
+    )
+    def test_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 class TestEnsembleCommand:
