@@ -339,28 +339,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", help="remote model name")
         p.add_argument("--ensemble-config", dest="ensemble_config",
                        help="JSON file with classify ensemble + templates")
-
-    common = {"--parallel": {"type": int, "default": 4}, "--seed": {"type": int}, "--out-dir": {}}
-
-    def add_common(p, *flags):
-        for flag in flags:
-            p.add_argument(flag, **common[flag])
+        p.add_argument("--parallel", type=int, default=4,
+                       help="bound on concurrent backend calls")
 
     p = sub.add_parser("classify", help="print IoT or NonIoT for a CSV")
     p.add_argument("csv")
     add_backend_flags(p)
-    add_common(p, "--parallel", "--out-dir")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("build-context", help="generate graph, rules, transformed CSV")
     p.add_argument("csv")
     add_backend_flags(p)
-    add_common(p, "--parallel", "--seed", "--out-dir")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out-dir", default="out")
     p.add_argument("--sensors", help="sensor spec JSON file")
     p.add_argument("--value-columns", dest="value_columns",
                    help="comma-separated column:label pairs to split into rows")
     p.add_argument("--assume-class", dest="assume_class", choices=("IoT", "NonIoT"))
-    p.set_defaults(func=cmd_build_context, out_dir="out")
+    p.set_defaults(func=cmd_build_context)
 
     p = sub.add_parser("detect", help="enforce rules against a CSV")
     p.add_argument("csv")
@@ -369,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensors", help="sensor spec JSON file")
     p.add_argument("--exact-matching", dest="exact_matching", action="store_true",
                    help="disable blocking for matching rules")
-    add_common(p, "--parallel", "--out-dir")
+    p.add_argument("--parallel", type=int, default=4)
+    p.add_argument("--out-dir")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("evaluate", help="inject errors, detect, score")
@@ -385,7 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outlier-columns", dest="outlier_columns")
     p.add_argument("--fd-pair", dest="fd_pair", help="determinant:dependent")
     p.add_argument("--exact-matching", dest="exact_matching", action="store_true")
-    add_common(p, "--parallel", "--seed", "--out-dir")
+    p.add_argument("--parallel", type=int, default=4)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out-dir")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ensemble", help="search best prompt-ensemble configs")
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-records", dest="val_records")
     p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.5)
     p.add_argument("--tr-range", dest="tr_range", type=int, default=4)
-    add_common(p, "--seed")
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_ensemble)
 
     return parser

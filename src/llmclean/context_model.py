@@ -6,6 +6,12 @@ vocabulary; entity attributes are ``llmc:``-prefixed literal triples. The
 serialized form is an N-Triples-style line format, sorted for deterministic
 output.
 
+A graph is an immutable value built once: ``entity``, ``edge`` and
+``sensor_bounds`` return triples that a builder collects into one
+``ContextGraph``. ``validate_graph`` checks edges against one table of allowed
+(source, target) concepts and finds ``partOf`` cycles with the iterative
+topological sort of ``graphlib``, so chains of any depth are accepted.
+
 Prefixes used throughout (documented in the README):
 ``rdf:`` ``ssn:`` ``iot-lite:`` ``iot-context:`` ``llmc:``
 """
@@ -14,10 +20,11 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from graphlib import CycleError, TopologicalSorter
+from typing import Mapping
 
 from .errors import GraphParseError, ModelError
 from .rules import (
@@ -108,10 +115,6 @@ class Triple:
 @dataclass(frozen=True)
 class ContextGraph:
     triples: frozenset[Triple] = frozenset()
-    prefixes: Mapping[str, str] = field(default_factory=lambda: PREFIXES, compare=False)
-
-    def with_triples(self, new: Iterable[Triple]) -> "ContextGraph":
-        return ContextGraph(self.triples | frozenset(new), self.prefixes)
 
     @cached_property
     def _by_subject_predicate(self) -> dict[tuple[str, str], list[Triple]]:
@@ -144,13 +147,12 @@ def node_id(entity_id: str) -> str:
     return f"llmc:{slug(entity_id)}"
 
 
-def add_entity(
-    g: ContextGraph,
+def entity(
     concept: Concept,
     entity_id: str,
     attrs: Mapping[str, str | float] | None = None,
-) -> ContextGraph:
-    """Add a typed entity plus one literal triple per attribute. Idempotent."""
+) -> list[Triple]:
+    """A typed entity's triples: its type plus one literal per attribute."""
     if not entity_id:
         raise ValueError("entity id must be non-empty")
     node = node_id(entity_id)
@@ -160,17 +162,17 @@ def add_entity(
             triples.append(Triple(node, f"llmc:{name}", float(value), ObjKind.NUMBER))
         else:
             triples.append(Triple(node, f"llmc:{name}", str(value), ObjKind.TEXT))
-    return g.with_triples(triples)
+    return triples
 
 
-def add_edge(g: ContextGraph, predicate: str, from_id: str, to_id: str) -> ContextGraph:
+def edge(predicate: str, from_id: str, to_id: str) -> Triple:
     if predicate not in EDGE_PREDICATES:
         raise ValueError(f"not an edge predicate: {predicate!r}")
-    return g.with_triples([Triple(node_id(from_id), predicate, node_id(to_id))])
+    return Triple(node_id(from_id), predicate, node_id(to_id))
 
 
-def add_sensor_bounds(g: ContextGraph, sensor_id: str, spec: SensorSpec) -> ContextGraph:
-    """Attach min/max capability metadata nodes to a sensor."""
+def sensor_bounds(sensor_id: str, spec: SensorSpec) -> list[Triple]:
+    """Min/max capability metadata nodes of a sensor."""
     sensor = node_id(sensor_id)
     triples: list[Triple] = []
     for suffix, meta_type, value in (
@@ -186,7 +188,7 @@ def add_sensor_bounds(g: ContextGraph, sensor_id: str, spec: SensorSpec) -> Cont
         ]
         if spec.unit:
             triples.append(Triple(meta, "llmc:unit", spec.unit, ObjKind.TEXT))
-    return g.with_triples(triples)
+    return triples
 
 
 def _escape(text: str) -> str:
@@ -275,7 +277,28 @@ def deserialize(text: str) -> ContextGraph:
     return ContextGraph(frozenset(triples))
 
 
-def _node_types(g: ContextGraph) -> dict[str, Concept]:
+def node_label(g: ContextGraph, node: str) -> str:
+    labels = [str(t.obj) for t in g.objects(node, LABEL) if t.obj_kind is ObjKind.TEXT]
+    return min(labels) if labels else node.split(":", 1)[-1]
+
+
+# The (source, target) concepts each edge predicate with a signature allows.
+_EDGE_ENDPOINTS: dict[str, frozenset[tuple[Concept, Concept]]] = {
+    ATTACHED_TO: frozenset({
+        (Concept.SENSOR, Concept.SENSING_DEVICE),
+        (Concept.SENSING_DEVICE, Concept.DEVICE),
+    }),
+    DEPLOYED_AT: frozenset({(Concept.SENSING_DEVICE, Concept.LOCATION)}),
+    FORWARDS_TO: frozenset({(Concept.DEVICE, Concept.DEVICE)}),
+    HAS_METADATA: frozenset({(Concept.SENSOR, Concept.METADATA)}),
+}
+
+
+def validate_graph(g: ContextGraph) -> dict[str, Concept]:
+    """Check the meta-model invariants; raises ModelError naming the triple.
+
+    Returns the concept of every typed node.
+    """
     types: dict[str, Concept] = {}
     for t in g.triples:
         if t.predicate == RDF_TYPE:
@@ -283,78 +306,35 @@ def _node_types(g: ContextGraph) -> dict[str, Concept]:
             if concept is None:
                 raise ModelError(f"unknown concept in triple: {t}")
             types[t.subject] = concept
-    return types
-
-
-def node_label(g: ContextGraph, node: str) -> str:
-    labels = [str(t.obj) for t in g.objects(node, LABEL) if t.obj_kind is ObjKind.TEXT]
-    return min(labels) if labels else node.split(":", 1)[-1]
-
-
-_EDGE_SIGNATURES: dict[str, tuple[frozenset[Concept], frozenset[Concept]]] = {
-    DEPLOYED_AT: (
-        frozenset({Concept.SENSING_DEVICE}),
-        frozenset({Concept.LOCATION}),
-    ),
-    FORWARDS_TO: (frozenset({Concept.DEVICE}), frozenset({Concept.DEVICE})),
-    HAS_METADATA: (frozenset({Concept.SENSOR}), frozenset({Concept.METADATA})),
-}
-
-
-def validate_graph(g: ContextGraph) -> None:
-    """Check the meta-model invariants; raises ModelError naming the triple."""
-    types = _node_types(g)
     for t in g.triples:
-        if t.predicate == RDF_TYPE:
-            continue
         if t.predicate in EDGE_PREDICATES:
             if t.obj_kind is not ObjKind.IRI:
                 raise ModelError(f"edge object must be a node: {t}")
             for node in (t.subject, str(t.obj)):
                 if node not in types:
                     raise ModelError(f"untyped entity {node!r} in triple: {t}")
-            if t.predicate == ATTACHED_TO:
-                src = types[t.subject]
-                dst = types[str(t.obj)]
-                ok = (src is Concept.SENSOR and dst is Concept.SENSING_DEVICE) or (
-                    src is Concept.SENSING_DEVICE and dst is Concept.DEVICE
-                )
-                if not ok:
-                    raise ModelError(f"attachedTo must go Sensor->SensingDevice->Device: {t}")
-            elif t.predicate in _EDGE_SIGNATURES:
-                src_ok, dst_ok = _EDGE_SIGNATURES[t.predicate]
-                if types[t.subject] not in src_ok or types[str(t.obj)] not in dst_ok:
-                    raise ModelError(f"edge endpoints have wrong concepts: {t}")
+            allowed = _EDGE_ENDPOINTS.get(t.predicate)
+            if allowed is not None and (types[t.subject], types[str(t.obj)]) not in allowed:
+                raise ModelError(f"edge endpoints have wrong concepts: {t}")
         elif t.predicate == MATCH_THRESHOLD:
             if t.obj_kind is not ObjKind.NUMBER or not 0.0 <= float(t.obj) <= 1.0:
                 raise ModelError(f"match threshold must be a ratio in [0,1]: {t}")
-        elif t.subject not in types:
+        elif t.predicate != RDF_TYPE and t.subject not in types:
             raise ModelError(f"attribute on untyped entity: {t}")
     _check_part_of_cycles(g)
+    return types
 
 
 def _check_part_of_cycles(g: ContextGraph) -> None:
-    edges: dict[str, list[str]] = {}
+    """Raise ModelError naming a cycle of partOf edges, in partOf order."""
+    sorter: TopologicalSorter[str] = TopologicalSorter()
     for t in g.by_predicate(PART_OF):
-        edges.setdefault(t.subject, []).append(str(t.obj))
-    visiting: set[str] = set()
-    done: set[str] = set()
-
-    def visit(node: str, path: list[str]):
-        if node in done:
-            return
-        if node in visiting:
-            cycle = path[path.index(node):] + [node]
-            names = " -> ".join(node_label(g, n) for n in cycle)
-            raise ModelError(f"cyclic partOf chain: {names}")
-        visiting.add(node)
-        for target in edges.get(node, []):
-            visit(target, path + [node])
-        visiting.discard(node)
-        done.add(node)
-
-    for start in sorted(edges):
-        visit(start, [])
+        sorter.add(str(t.obj), t.subject)  # the part precedes its whole
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        names = " -> ".join(node_label(g, n) for n in exc.args[1])
+        raise ModelError(f"cyclic partOf chain: {names}") from None
 
 
 def _fd_rule(
@@ -408,8 +388,7 @@ def extract_ofds(g: ContextGraph) -> list[OfdRule]:
     per forwarding edge. Monitoring edges are representable but yield no
     rule, since no check is defined for them.
     """
-    validate_graph(g)
-    types = _node_types(g)
+    types = validate_graph(g)
     rules: list[OfdRule] = []
 
     # Device-link chains: sensor -> sensing device -> device.

@@ -172,9 +172,15 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
     Counts are round-half-up of rate x eligible cells per corruption kind.
     Missing cells get a placeholder token (as a dirty export would); outliers
     are multiplied by the configured factor; FD swaps replace the dependent
-    value with a different group's mode. A target column named twice is an
-    error.
+    value with a different group's mode. Every target column the spec names
+    is resolved, whatever its rate: an unknown column, or one named twice, is
+    an error.
     """
+    fd_cols = _resolve_targets(
+        d, [c for c in (spec.fd_determinant, spec.fd_dependent) if c], "the fd pair"
+    )
+    missing_cols = _resolve_targets(d, spec.missing_columns or (), "missing_columns")
+    outlier_cols = _resolve_targets(d, spec.outlier_columns or (), "outlier_columns")
     rng = random.Random(spec.seed)
     changes: dict[tuple[int, int], Cell] = {}  # (row, column index) -> new cell
     entries: list[Corruption] = []
@@ -187,8 +193,7 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
 
     # FD swaps go first: they need intact groups to pick replacement modes.
     if spec.fd_swap_rate > 0:
-        pair = (spec.fd_determinant, spec.fd_dependent)
-        det_idx, dep_idx = _resolve_targets(d, pair, "the fd pair")
+        det_idx, dep_idx = fd_cols
         det, dep = d.columns[det_idx], d.columns[dep_idx]
         modes = group_modes(det, dep)
         groups: dict[int, list[int]] = defaultdict(list)  # rows with both cells present
@@ -218,7 +223,7 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
             )
 
     if spec.missing_rate > 0:
-        cols = _resolve_targets(d, spec.missing_columns or d.headers, "missing_columns")
+        cols = missing_cols or range(len(d.headers))
         eligible = [
             (i, c) for c in cols for i in range(d.n_rows) if (i, c) not in changes
         ]
@@ -230,10 +235,9 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
             take(i, c, Cell.text(token), "missing")
 
     if spec.outlier_rate > 0:
-        targets = spec.outlier_columns or _numeric_columns(d)
-        if not targets:
+        cols = outlier_cols or _resolve_targets(d, _numeric_columns(d), "outlier_columns")
+        if not cols:
             raise ValueError("no numeric columns available for outliers")
-        cols = _resolve_targets(d, targets, "outlier_columns")
         eligible = [
             (i, c)
             for c in cols

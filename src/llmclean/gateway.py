@@ -240,11 +240,17 @@ def _remote_call(backend: RemoteBackend, prompt: str) -> str:
             last_error = exc
             continue
         try:
-            return json.loads(raw)["choices"][0]["message"]["content"]
+            content = json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise FormatError(
                 f"malformed completion payload: {exc}", raw.decode("utf-8", "replace")
             )
+        if not isinstance(content, str):
+            raise FormatError(
+                f"completion content is not a string: {content!r}",
+                raw.decode("utf-8", "replace"),
+            )
+        return content
     raise TransportError(f"request failed after {backend.max_attempts} attempts: {last_error}")
 
 

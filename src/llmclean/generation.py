@@ -28,9 +28,10 @@ from .context_model import (
     DEPLOYED_AT,
     PART_OF,
     RELATED_TO,
-    add_edge,
-    add_entity,
-    add_sensor_bounds,
+    Triple,
+    edge,
+    entity,
+    sensor_bounds,
     validate_graph,
 )
 from .dataset import Cell, CellKind, Column, Dataset, group_modes
@@ -486,7 +487,7 @@ def build_iot_graph(
     """
     specs = specs or {}
     warnings: list[str] = []
-    graph = ContextGraph()
+    triples: set[Triple] = set()
 
     col = {
         name: (d.columns[d.column_index(name)] if d.has_column(name) else None)
@@ -496,7 +497,7 @@ def build_iot_graph(
     for role, concept in _ROLE_CONCEPTS.items():
         column = col[role.lower()]
         for v in _distinct_non_missing(column) if column is not None else ():
-            graph = add_entity(graph, concept, v, {"label": v})
+            triples.update(entity(concept, v, {"label": v}))
 
     for src_name, dst_name, predicate in (
         ("sensor", "sensingdevice", ATTACHED_TO),
@@ -521,14 +522,14 @@ def build_iot_graph(
                     f"{predicate}: {source!r} co-occurs with {sorted(targets[a])}; "
                     f"kept modal pairing {winner!r}"
                 )
-            graph = add_edge(graph, predicate, source, winner)
+            triples.add(edge(predicate, source, winner))
 
     if col["sensor"] is not None:
         for sensor in _distinct_non_missing(col["sensor"]):
             spec = lookup_spec(specs, sensor)
             if spec is not None:
-                graph = add_sensor_bounds(graph, sensor, spec)
-    return graph, warnings
+                triples.update(sensor_bounds(sensor, spec))
+    return ContextGraph(frozenset(triples)), warnings
 
 
 def pair_relationships(
@@ -601,21 +602,22 @@ def build_relational_graph(relations: Sequence[ColumnPairRelation]) -> ContextGr
     part-of edges (finer concept -> coarser concept) and independent related
     pairs a generic related-to edge. Cyclic hierarchies are a model error.
     """
-    graph = ContextGraph()
+    triples: set[Triple] = set()
     for rel in relations:
         for column, concept in ((rel.column_a, rel.concept_a), (rel.column_b, rel.concept_b)):
             attrs: dict[str, str | float] = {"label": column}
             if rel.related and concept:
                 attrs["concept"] = concept
-            graph = add_entity(graph, Concept.ATTRIBUTE, column, attrs)
+            triples.update(entity(Concept.ATTRIBUTE, column, attrs))
         if not rel.related:
             continue
         if rel.hierarchy is Hierarchy.ATTRIBUTE_OF_A:
-            graph = add_edge(graph, PART_OF, rel.column_a, rel.column_b)
+            triples.add(edge(PART_OF, rel.column_a, rel.column_b))
         elif rel.hierarchy is Hierarchy.ATTRIBUTE_OF_B:
-            graph = add_edge(graph, PART_OF, rel.column_b, rel.column_a)
+            triples.add(edge(PART_OF, rel.column_b, rel.column_a))
         else:
             a, b = sorted((rel.column_a, rel.column_b))
-            graph = add_edge(graph, RELATED_TO, a, b)
+            triples.add(edge(RELATED_TO, a, b))
+    graph = ContextGraph(frozenset(triples))
     validate_graph(graph)
     return graph

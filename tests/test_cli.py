@@ -13,7 +13,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from llmclean.cli import EXIT_EXTERNAL, EXIT_INPUT, EXIT_OK, main
-from llmclean.context_model import deserialize, extract_ofds
+from llmclean.context_model import (
+    PART_OF,
+    Concept,
+    ContextGraph,
+    deserialize,
+    edge,
+    entity,
+    extract_ofds,
+    serialize,
+)
 from llmclean.dataset import dataset_to_csv, load_csv, normalize_missing
 from llmclean.detection import run_all
 from llmclean.ensemble import EvalRecord, write_records_jsonl
@@ -115,12 +124,14 @@ class TestEnsembleConfigFile:
     ):
         path = tmp_path / "ensemble.json"
         path.write_text(json.dumps(config))
-        code = main(
-            [
-                command, iot_csv, "--backend", "replay", "--cassette", cassette,
-                "--ensemble-config", str(path), "--out-dir", str(tmp_path / "out"),
-            ]
-        )
+        argv = [
+            command, iot_csv, "--backend", "replay", "--cassette", cassette,
+            "--ensemble-config", str(path),
+        ]
+        # build-context creates its out-dir before it fails; classify takes none.
+        if command == "build-context":
+            argv += ["--out-dir", str(tmp_path / "out")]
+        code = main(argv)
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert str(path) in err and key in err
@@ -136,12 +147,10 @@ class TestMalformedCassette:
     def test_exit_one_naming_the_file(self, iot_csv, tmp_path, capsys, command, body):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(body))
-        code = main(
-            [
-                command, iot_csv, "--backend", "replay", "--cassette", str(path),
-                "--out-dir", str(tmp_path / "out"),
-            ]
-        )
+        argv = [command, iot_csv, "--backend", "replay", "--cassette", str(path)]
+        if command == "build-context":
+            argv += ["--out-dir", str(tmp_path / "out")]
+        code = main(argv)
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert str(path) in err and "internal error" not in err
@@ -394,6 +403,21 @@ class TestDetect:
         got_cells = {(f["row"], f["column"]) for f in payload["findings"]}
         assert got_cells == expected.flagged_cells
 
+    def test_long_part_of_chain(self, tmp_path, capsys):
+        # 1,200 attributes in one acyclic partOf chain, deeper than the recursion limit.
+        names = [f"level_{i}" for i in range(1200)]
+        graph = ContextGraph(frozenset(
+            [t for n in names for t in entity(Concept.ATTRIBUTE, n, {"label": n})]
+            + [edge(PART_OF, a, b) for a, b in zip(names, names[1:])]
+        ))
+        graph_path = tmp_path / "chain.nt"
+        graph_path.write_text(serialize(graph))
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("level_0,level_1\nx,y\nx,y\n")
+        code = main(["detect", str(csv_path), "--graph", str(graph_path)])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["findings"] == []
+
     def test_needs_rules_or_graph(self, built, capsys):
         code = main(["detect", str(built / "transformed.csv")])
         assert code == EXIT_INPUT
@@ -448,6 +472,24 @@ class TestEvaluate:
         code = main(["evaluate", csv_path, "--rules", rules_path, *flags])
         assert code == EXIT_INPUT
         assert f"{column!r} twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--fd-pair", "ghost:b"], "unknown column 'ghost'"),
+            (["--missing-columns", "ghost"], "unknown column 'ghost'"),
+            (["--outlier-columns", "a,a"], "'a' twice"),
+        ],
+    )
+    def test_bad_target_refused_at_zero_rate(self, tmp_path, capsys, flags, message):
+        # No rate is given, so no error of that kind is injected; a bad name still fails.
+        csv_path = tmp_path / "three.csv"
+        csv_path.write_text("a,b\n1,x\n2,y\n3,z\n")
+        rules_path = tmp_path / "rules.ofd"
+        rules_path.write_text('denial: t1&EQ(t1.b,"")\n')
+        code = main(["evaluate", str(csv_path), "--rules", str(rules_path), *flags])
+        assert code == EXIT_INPUT
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "entry",
@@ -555,11 +597,15 @@ class TestUnreadFlagsRefused:
         "argv",
         [
             ["classify", "x.csv", "--backend", "replay", "--seed", "1"],
+            ["classify", "x.csv", "--backend", "replay", "--out-dir", "out"],
             ["detect", "x.csv", "--rules", "r.ofd", "--seed", "1"],
             ["ensemble", "r.jsonl", "--parallel", "2"],
             ["ensemble", "r.jsonl", "--out-dir", "out"],
         ],
-        ids=["classify-seed", "detect-seed", "ensemble-parallel", "ensemble-out-dir"],
+        ids=[
+            "classify-seed", "classify-out-dir", "detect-seed",
+            "ensemble-parallel", "ensemble-out-dir",
+        ],
     )
     def test_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from llmclean.context_model import (
@@ -8,13 +10,14 @@ from llmclean.context_model import (
     ContextGraph,
     DEPLOYED_AT,
     FORWARDS_TO,
+    HAS_METADATA,
     MONITORED_BY,
     PART_OF,
-    add_edge,
-    add_entity,
-    add_sensor_bounds,
     deserialize,
+    edge,
+    entity,
     extract_ofds,
+    sensor_bounds,
     serialize,
     validate_graph,
 )
@@ -23,40 +26,63 @@ from llmclean.errors import GraphParseError, ModelError
 from llmclean.rules import DependencyKind, SensorSpec
 
 
+def graph(*parts) -> ContextGraph:
+    """A graph of the given triples and triple lists."""
+    triples = set()
+    for part in parts:
+        triples.update(part if isinstance(part, list) else [part])
+    return ContextGraph(frozenset(triples))
+
+
 def iot_graph() -> ContextGraph:
-    g = ContextGraph()
-    g = add_entity(g, Concept.SYSTEM, "home_system", {"label": "home_system"})
-    g = add_entity(g, Concept.DEVICE, "device_in_1", {"label": "device_in_1"})
-    g = add_entity(g, Concept.DEVICE, "device_main", {"label": "device_main"})
-    g = add_entity(g, Concept.SENSING_DEVICE, "sensing_in_1", {"label": "sensing_in_1"})
-    g = add_entity(g, Concept.SENSOR, "ds18b20_1", {"label": "ds18b20_1"})
-    g = add_entity(g, Concept.LOCATION, "Room1", {"label": "Room1"})
-    g = add_edge(g, ATTACHED_TO, "ds18b20_1", "sensing_in_1")
-    g = add_edge(g, ATTACHED_TO, "sensing_in_1", "device_in_1")
-    g = add_edge(g, DEPLOYED_AT, "sensing_in_1", "Room1")
-    g = add_edge(g, PART_OF, "device_in_1", "home_system")
-    g = add_edge(g, PART_OF, "sensing_in_1", "device_in_1")
-    g = add_edge(g, FORWARDS_TO, "device_in_1", "device_main")
-    g = add_sensor_bounds(g, "ds18b20_1", SensorSpec("ds18b20_1", -55.0, 125.0, "C"))
-    return g
+    return graph(
+        entity(Concept.SYSTEM, "home_system", {"label": "home_system"}),
+        entity(Concept.DEVICE, "device_in_1", {"label": "device_in_1"}),
+        entity(Concept.DEVICE, "device_main", {"label": "device_main"}),
+        entity(Concept.SENSING_DEVICE, "sensing_in_1", {"label": "sensing_in_1"}),
+        entity(Concept.SENSOR, "ds18b20_1", {"label": "ds18b20_1"}),
+        entity(Concept.LOCATION, "Room1", {"label": "Room1"}),
+        edge(ATTACHED_TO, "ds18b20_1", "sensing_in_1"),
+        edge(ATTACHED_TO, "sensing_in_1", "device_in_1"),
+        edge(DEPLOYED_AT, "sensing_in_1", "Room1"),
+        edge(PART_OF, "device_in_1", "home_system"),
+        edge(PART_OF, "sensing_in_1", "device_in_1"),
+        edge(FORWARDS_TO, "device_in_1", "device_main"),
+        sensor_bounds("ds18b20_1", SensorSpec("ds18b20_1", -55.0, 125.0, "C")),
+    )
+
+
+def attribute_chain(names: list[str]) -> ContextGraph:
+    """Attribute nodes with a partOf edge from each name to the next."""
+    return graph(
+        *(entity(Concept.ATTRIBUTE, n, {"label": n}) for n in names),
+        *(edge(PART_OF, a, b) for a, b in zip(names, names[1:])),
+    )
 
 
 class TestGraphBuilding:
     def test_add_entity_emits_type_triple(self):
-        g = add_entity(ContextGraph(), Concept.SENSOR, "ds18b20_1")
+        g = graph(entity(Concept.SENSOR, "ds18b20_1"))
         assert any(
             t.predicate == "rdf:type" and t.subject == "llmc:ds18b20_1"
             for t in g.triples
         )
 
     def test_add_entity_idempotent(self):
-        g1 = add_entity(ContextGraph(), Concept.SENSOR, "ds18b20_1", {"label": "ds18b20_1"})
-        g2 = add_entity(g1, Concept.SENSOR, "ds18b20_1", {"label": "ds18b20_1"})
-        assert g1 == g2
+        once = graph(entity(Concept.SENSOR, "ds18b20_1", {"label": "ds18b20_1"}))
+        twice = graph(
+            entity(Concept.SENSOR, "ds18b20_1", {"label": "ds18b20_1"}),
+            entity(Concept.SENSOR, "ds18b20_1", {"label": "ds18b20_1"}),
+        )
+        assert once == twice
 
     def test_entity_with_attribute_has_two_triples(self):
-        g = add_entity(ContextGraph(), Concept.LOCATION, "Room1", {"label": "Room1"})
+        g = graph(entity(Concept.LOCATION, "Room1", {"label": "Room1"}))
         assert len(g.triples) == 2
+
+    def test_edge_refuses_a_non_edge_predicate(self):
+        with pytest.raises(ValueError):
+            edge("llmc:label", "a", "b")
 
 
 class TestSerialization:
@@ -65,8 +91,9 @@ class TestSerialization:
         assert deserialize("") == ContextGraph()
 
     def test_three_triples_sorted(self):
-        g = add_entity(ContextGraph(), Concept.SENSOR, "b", {"label": "b"})
-        g = add_entity(g, Concept.SENSOR, "a")
+        g = graph(
+            entity(Concept.SENSOR, "b", {"label": "b"}), entity(Concept.SENSOR, "a")
+        )
         lines = serialize(g).splitlines()
         assert len(lines) == 3
         assert lines == sorted(lines)
@@ -85,15 +112,13 @@ class TestSerialization:
         assert exc.value.line == 2
 
     def test_number_literals_round_trip(self):
-        g = add_sensor_bounds(
-            add_entity(ContextGraph(), Concept.SENSOR, "s"),
-            "s",
-            SensorSpec("s", -0.125, 1e9),
+        g = graph(
+            entity(Concept.SENSOR, "s"), sensor_bounds("s", SensorSpec("s", -0.125, 1e9))
         )
         assert deserialize(serialize(g)) == g
 
     def test_newline_in_label_round_trips(self):
-        g = add_entity(ContextGraph(), Concept.LOCATION, "x", {"label": "a\nb"})
+        g = graph(entity(Concept.LOCATION, "x", {"label": "a\nb"}))
         assert deserialize(serialize(g)) == g
 
 
@@ -102,26 +127,58 @@ class TestValidation:
         validate_graph(iot_graph())
 
     def test_untyped_entity(self):
-        g = add_entity(ContextGraph(), Concept.SENSOR, "s")
-        g = add_edge(g, ATTACHED_TO, "s", "ghost")  # ghost has no rdf:type
+        g = graph(entity(Concept.SENSOR, "s"), edge(ATTACHED_TO, "s", "ghost"))  # ghost is untyped
         with pytest.raises(ModelError):
             validate_graph(g)
 
     def test_wrong_attachment_direction(self):
-        g = add_entity(ContextGraph(), Concept.DEVICE, "d")
-        g = add_entity(g, Concept.SENSOR, "s")
-        g = add_edge(g, ATTACHED_TO, "d", "s")  # device -> sensor is backwards
+        g = graph(
+            entity(Concept.DEVICE, "d"),
+            entity(Concept.SENSOR, "s"),
+            edge(ATTACHED_TO, "d", "s"),  # device -> sensor is backwards
+        )
         with pytest.raises(ModelError):
             validate_graph(g)
 
     def test_cycle_detection_names_nodes(self):
-        g = add_entity(ContextGraph(), Concept.ATTRIBUTE, "A", {"label": "A"})
-        g = add_entity(g, Concept.ATTRIBUTE, "B", {"label": "B"})
-        g = add_edge(g, PART_OF, "A", "B")
-        g = add_edge(g, PART_OF, "B", "A")
+        g = attribute_chain(["A", "B", "A"])
         with pytest.raises(ModelError) as exc:
             validate_graph(g)
         assert "A" in str(exc.value) and "B" in str(exc.value)
+
+    def test_three_node_cycle_named_in_part_of_order(self):
+        g = attribute_chain(["A", "B", "C", "A"])
+        with pytest.raises(ModelError) as exc:
+            validate_graph(g)
+        rotations = {"A -> B -> C -> A", "B -> C -> A -> B", "C -> A -> B -> C"}
+        assert str(exc.value).removeprefix("cyclic partOf chain: ") in rotations
+
+    def test_long_acyclic_chain_is_valid(self):
+        # Deeper than the interpreter's recursion limit.
+        names = [f"level_{i}" for i in range(1200)]
+        rules = extract_ofds(attribute_chain(names))
+        assert len(rules) == 1199
+        assert all(r.kind is DependencyKind.DENIAL for r in rules)
+
+    @pytest.mark.parametrize("predicate, allowed", [
+        (ATTACHED_TO, {
+            (Concept.SENSOR, Concept.SENSING_DEVICE),
+            (Concept.SENSING_DEVICE, Concept.DEVICE),
+        }),
+        (DEPLOYED_AT, {(Concept.SENSING_DEVICE, Concept.LOCATION)}),
+        (FORWARDS_TO, {(Concept.DEVICE, Concept.DEVICE)}),
+        (HAS_METADATA, {(Concept.SENSOR, Concept.METADATA)}),
+    ])
+    def test_edge_endpoint_concepts(self, predicate, allowed):
+        # Every concept pair: the allowed ones pass, every other one (such as
+        # Sensor attachedTo Device or Device attachedTo Sensor) is refused.
+        for src, dst in product(Concept, Concept):
+            g = graph(entity(src, "src"), entity(dst, "dst"), edge(predicate, "src", "dst"))
+            if (src, dst) in allowed:
+                validate_graph(g)
+            else:
+                with pytest.raises(ModelError, match="wrong concepts"):
+                    validate_graph(g)
 
 
 class TestExtractOfds:
@@ -166,9 +223,11 @@ class TestExtractOfds:
         ]
 
     def test_monitoring_edges_yield_no_rule(self):
-        g = add_entity(ContextGraph(), Concept.DEVICE, "d", {"label": "d"})
-        g = add_entity(g, Concept.DEVICE, "watcher", {"label": "watcher"})
-        g = add_edge(g, MONITORED_BY, "d", "watcher")
+        g = graph(
+            entity(Concept.DEVICE, "d", {"label": "d"}),
+            entity(Concept.DEVICE, "watcher", {"label": "watcher"}),
+            edge(MONITORED_BY, "d", "watcher"),
+        )
         assert extract_ofds(g) == []
 
     def test_rule_count_arithmetic(self):
@@ -183,7 +242,6 @@ class TestExtractOfds:
         assert first == second
 
     def test_invalid_graph_raises_model_error(self):
-        g = add_entity(ContextGraph(), Concept.SENSOR, "s")
-        g = add_edge(g, ATTACHED_TO, "s", "nowhere")
+        g = graph(entity(Concept.SENSOR, "s"), edge(ATTACHED_TO, "s", "nowhere"))
         with pytest.raises(ModelError):
             extract_ofds(g)

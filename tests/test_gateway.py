@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from llmclean.cli import EXIT_EXTERNAL, main
 from llmclean.errors import (
     FormatError,
     ReplayMissError,
@@ -144,6 +145,9 @@ class TestReplayBackend:
         assert all(c.parsed is True for c in results[:8] + results[9:])
 
 
+_NON_STRING_CONTENT = {"null-content": None, "number-content": 5}
+
+
 class _Handler(BaseHTTPRequestHandler):
     behavior = "ok"
     seen_bodies: list[dict] = []
@@ -169,8 +173,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
+        content = _NON_STRING_CONTENT.get(_Handler.behavior, "yes")
         payload = b"<html>busy</html>" if _Handler.behavior == "garbage" else json.dumps(
-            {"choices": [{"message": {"role": "assistant", "content": "yes"}}]}
+            {"choices": [{"message": {"role": "assistant", "content": content}}]}
         ).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -314,6 +319,25 @@ class TestRemoteTransport:
         with pytest.raises(FormatError) as info:
             complete(backend, "p", ResponseFormat.YES_NO)
         assert info.value.raw_text == "<html>busy</html>"
+
+    @pytest.mark.parametrize("behavior", ["null-content", "number-content"])
+    def test_non_string_content_is_format_error(self, http_server, monkeypatch, behavior):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        _Handler.behavior = behavior
+        backend = RemoteBackend(http_server, "m", timeout=5.0)
+        with pytest.raises(FormatError, match="not a string"):
+            complete(backend, "p", ResponseFormat.YES_NO)
+        assert len(_Handler.seen_bodies) == 1
+
+    def test_null_content_cli_exit_two(self, http_server, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        monkeypatch.setenv("LLMCLEAN_ENDPOINT", http_server)
+        _Handler.behavior = "null-content"
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("a,b\n1,2\n")
+        assert main(["classify", str(csv_path), "--backend", "remote"]) == EXIT_EXTERNAL
+        err = capsys.readouterr().err
+        assert "not a string" in err and "internal error" not in err
 
     @pytest.mark.parametrize("behavior", ["flaky", "reject", "redirect"])
     def test_token_not_in_error(self, http_server, redirect_target, monkeypatch, behavior):

@@ -13,8 +13,8 @@ from llmclean.context_model import (
     ContextGraph,
     ObjKind,
     Triple,
-    add_edge,
-    add_entity,
+    edge,
+    entity,
     extract_ofds,
     node_id,
     serialize,
@@ -617,13 +617,12 @@ class TestBuildRelationalGraph:
 
     def test_matching_annotation_yields_sim_rule(self):
         # No stage emits matchesWith; user-supplied graphs may carry it.
-        graph = ContextGraph()
-        for column in ("ProviderNumber", "PhoneNumber"):
-            graph = add_entity(graph, Concept.ATTRIBUTE, column, {"label": column})
-        graph = add_edge(graph, MATCHES_WITH, "ProviderNumber", "PhoneNumber")
-        graph = graph.with_triples(
-            [Triple(node_id("ProviderNumber"), MATCH_THRESHOLD, 0.75, ObjKind.NUMBER)]
-        )
+        graph = ContextGraph(frozenset([
+            *entity(Concept.ATTRIBUTE, "ProviderNumber", {"label": "ProviderNumber"}),
+            *entity(Concept.ATTRIBUTE, "PhoneNumber", {"label": "PhoneNumber"}),
+            edge(MATCHES_WITH, "ProviderNumber", "PhoneNumber"),
+            Triple(node_id("ProviderNumber"), MATCH_THRESHOLD, 0.75, ObjKind.NUMBER),
+        ]))
         rules = extract_ofds(graph)
         matching = [r for r in rules if r.kind is DependencyKind.MATCHING]
         assert len(matching) == 1
