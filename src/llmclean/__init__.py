@@ -15,7 +15,6 @@ from .dataset import (
     PlaceholderSet,
     load_csv,
     normalize_missing,
-    split_train_validation,
 )
 from .detection import DetectionReport, run_all
 from .ensemble import (
@@ -58,6 +57,5 @@ __all__ = [
     "score_detection",
     "score_micro_f1",
     "score_repair",
-    "split_train_validation",
     "__version__",
 ]

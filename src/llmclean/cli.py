@@ -3,12 +3,15 @@
 Commands: classify, build-context, detect, evaluate, ensemble. Every
 LLM-dependent command requires an explicit --backend {remote,replay}; there
 is no silent network access. Exit codes: 0 success, 1 input error,
-2 external-service error, 3 internal invariant violation.
+2 external-service error, 3 internal invariant violation. The LLM-facing
+modules (generation, gateway) are imported by the commands that use them, so
+detect, evaluate and ensemble start without them.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
 import json
 import logging
@@ -17,11 +20,11 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Collection
 
-from . import context_model, detection, ensemble, evaluation, generation
+from . import context_model, detection, ensemble, evaluation
 from .dataset import Dataset, dataset_to_csv, load_csv, normalize_missing
 from .errors import GatewayError, LLMCleanError
-from .gateway import API_KEY_ENV, ENDPOINT_ENV, RemoteBackend, ReplayBackend
 from .rules import SensorSpec, parse_rule_file, parse_sensor_spec, render_rule_file
 
 logger = logging.getLogger(__name__)
@@ -67,18 +70,20 @@ class RunManifest:
         os.replace(tmp, path)
 
 
-def _load_dataset(path: str) -> Dataset:
+def _load_dataset(path: str, columns: Collection[str] | None = None) -> Dataset:
     """Load a CSV with the cyclic collector paused, then freeze the table.
 
-    The loader leaves no cyclic garbage, so a collection during the load
-    would free nothing and only walk the table being built. Freezing keeps
-    later collections off the loaded table; :func:`main` unfreezes.
+    ``columns`` are the case-folded names to keep (see :func:`load_csv`);
+    None keeps every column. The loader leaves no cyclic garbage, so a
+    collection during the load would free nothing and only walk the table
+    being built. Freezing keeps later collections off the loaded table;
+    :func:`main` unfreezes.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path, "rb") as fh:
-            d = load_csv(fh)
+            d = load_csv(fh, columns=columns)
     finally:
         if enabled:
             gc.enable()
@@ -87,6 +92,8 @@ def _load_dataset(path: str) -> Dataset:
 
 
 def _make_backend(args: argparse.Namespace):
+    from .gateway import API_KEY_ENV, ENDPOINT_ENV, RemoteBackend, ReplayBackend
+
     if args.backend == "replay":
         if not args.cassette:
             raise LLMCleanError("--backend replay requires --cassette")
@@ -129,6 +136,8 @@ def _parse_value_columns(text: str) -> list[tuple[str, str]]:
 
 def _load_ensemble_config(path: str):
     """The classify ensemble and its prompt templates from an --ensemble-config file."""
+    from . import generation
+
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise LLMCleanError(f"{path}: ensemble config must be a JSON object")
@@ -155,7 +164,10 @@ def _load_ensemble_config(path: str):
     return config, templates
 
 
-def _classify(args, headers) -> generation.DatasetClass:
+def _classify(args, headers):
+    """The ``generation.DatasetClass`` of a table with these headers."""
+    from . import generation
+
     backend = _make_backend(args)
     config, templates = ensemble.EnsembleConfig(threshold=1, prompts=("classify",)), None
     if args.ensemble_config:
@@ -164,13 +176,17 @@ def _classify(args, headers) -> generation.DatasetClass:
 
 
 def cmd_classify(args) -> int:
-    d = _load_dataset(args.csv)
-    result = _classify(args, d.headers)
+    _load_dataset(args.csv, columns=())  # checks every record, keeps no column
+    with open(args.csv, encoding="utf-8", newline="") as fh:
+        headers = next(csv.reader(fh))
+    result = _classify(args, headers)
     print(result.value)
     return EXIT_OK
 
 
 def cmd_build_context(args) -> int:
+    from . import generation
+
     d = _load_dataset(args.csv)
     d = normalize_missing(d)
     out_dir = Path(args.out_dir)
@@ -234,8 +250,8 @@ def _rules_for_detection(args):
 
 
 def cmd_detect(args) -> int:
-    d = normalize_missing(_load_dataset(args.csv))
     rules = _rules_for_detection(args)
+    d = normalize_missing(_load_dataset(args.csv, detection.columns_read(rules)))
     specs = _load_specs(args.sensors)
     report = detection.run_all(d, rules, specs=specs, exact_matching=args.exact_matching)
     payload = report.to_json()

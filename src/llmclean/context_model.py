@@ -297,7 +297,8 @@ _EDGE_ENDPOINTS: dict[str, frozenset[tuple[Concept, Concept]]] = {
 def validate_graph(g: ContextGraph) -> dict[str, Concept]:
     """Check the meta-model invariants; raises ModelError naming the triple.
 
-    Returns the concept of every typed node.
+    Returns the concept of every typed node; a node typed with two concepts
+    is refused.
     """
     types: dict[str, Concept] = {}
     for t in g.triples:
@@ -305,7 +306,10 @@ def validate_graph(g: ContextGraph) -> dict[str, Concept]:
             concept = _IRI_CONCEPTS.get(str(t.obj))
             if concept is None:
                 raise ModelError(f"unknown concept in triple: {t}")
-            types[t.subject] = concept
+            known = types.setdefault(t.subject, concept)
+            if known is not concept:
+                both = " and ".join(sorted((known.value, concept.value)))
+                raise ModelError(f"entity {t.subject!r} is typed twice: {both}")
     for t in g.triples:
         if t.predicate in EDGE_PREDICATES:
             if t.obj_kind is not ObjKind.IRI:

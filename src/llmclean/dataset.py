@@ -1,4 +1,4 @@
-"""Typed in-memory tables: CSV ingestion, missing-value normalization, splitting.
+"""Typed in-memory tables: CSV ingestion and missing-value normalization.
 
 A table is an immutable grid of variant-typed cells, typed per column at
 load time (number / timestamp / text). Each column is stored dictionary-
@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import random
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -24,8 +23,8 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
-from operator import attrgetter, is_, itemgetter
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from operator import attrgetter, is_, itemgetter, methodcaller, or_
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import SchemaError, StructuralError
 
@@ -402,11 +401,38 @@ def _numbers_all(values: list[str]) -> list[float] | None:
     return floats if all(map(math.isfinite, floats)) else None
 
 
-# Per kind, in vote order: the batch parse of the common case (every value
-# parses), the per-value parse, and the cell constructor.
+_HEAD1 = itemgetter(slice(1))
+_HEAD4 = itemgetter(slice(4))
+_PLUS_SIGN = methodcaller("startswith", "+")
+_NUMBER_LEADS = frozenset("+-.iInN")
+
+
+def _may_be_timestamp(stripped: list[str]) -> Iterator[bool]:
+    """Whether each stripped value passes a test every timestamp passes.
+
+    An epoch-ms integer at or above ``EPOCH_MS_MIN`` has 12 or more digits
+    or a leading ``+``; an ISO-8601 text starts with a 4-digit year.
+    """
+    return map(or_, map(str.isdigit, map(_HEAD4, stripped)), map(_PLUS_SIGN, stripped))
+
+
+def _may_be_number(stripped: list[str]) -> Iterator[bool]:
+    """Whether each stripped value passes a test every float passes.
+
+    ``float`` strips less whitespace than ``str.strip``, then needs a digit,
+    a sign, a point or the first letter of ``inf``/``infinity``/``nan``.
+    """
+    heads = list(map(_HEAD1, stripped))
+    return map(or_, map(str.isdigit, heads), map(_NUMBER_LEADS.__contains__, heads))
+
+
+# Per kind, in vote order: a test every value of the kind passes, the batch
+# parse of the common case (every value parses), the per-value parse, and
+# the cell constructor.
 _KINDS = (
-    (CellKind.TIMESTAMP, _timestamps_all, _parse_timestamp_text, Cell.timestamp),
-    (CellKind.NUMBER, _numbers_all, _parse_number_text, Cell.number),
+    (CellKind.TIMESTAMP, _may_be_timestamp, _timestamps_all, _parse_timestamp_text,
+     Cell.timestamp),
+    (CellKind.NUMBER, _may_be_number, _numbers_all, _parse_number_text, Cell.number),
 )
 
 
@@ -420,15 +446,24 @@ def _type_column(raws: list[str], raw_codes: list[int]) -> Column:
     stays text (NaN/inf collapse to Missing). Each distinct raw value is
     parsed once, and raw values that type to equal cells share one code.
 
-    Each kind is first tried in batch: when every non-empty value parses, it
-    wins the vote outright and its cells are built in C-level passes. Only
-    otherwise is the vote counted value by value.
+    A kind is skipped unparsed when the values passing its necessary test
+    (leading characters, checked in C-level passes) carry at most half the
+    weight: its parses could not win the vote. Otherwise it is first tried
+    in batch: when every non-empty value parses, it wins the vote outright
+    and its cells are built in C-level passes. Only otherwise is the vote
+    counted value by value.
     """
     counts = Counter(raw_codes)
+    stripped = list(map(str.strip, raws))
     # Each non-blank raw value with its row count, the weight of its vote.
-    filled = dict(compress(zip(raws, map(counts.__getitem__, count())), map(str.strip, raws)))
-    for kind, parse_all, parse, make in _KINDS:
-        xs = parse_all(list(filled)) if filled else None
+    filled = dict(compress(zip(raws, map(counts.__getitem__, count())), stripped))
+    stripped = list(filter(None, stripped))  # aligned with ``filled``
+    weights = list(filled.values())
+    total = sum(weights)
+    for kind, may_be, parse_all, parse, make in _KINDS:
+        if 2 * sum(compress(weights, may_be(stripped))) <= total:
+            continue  # its hits could not outweigh the rest (no values: total 0)
+        xs = parse_all(list(filled))
         if xs is not None:
             typed = dict(zip(filled, map(Cell, repeat(kind), xs)))
             if len(typed) == len(raws) and len(set(xs)) == len(xs):
@@ -447,7 +482,9 @@ def _type_column(raws: list[str], raw_codes: list[int]) -> Column:
 _CHUNK_ROWS = 4096
 
 
-def load_csv(source: BinaryIO | bytes, has_header: bool = True) -> Dataset:
+def load_csv(
+    source: BinaryIO | bytes, has_header: bool = True, columns: Collection[str] | None = None
+) -> Dataset:
     """Read an RFC-4180-style UTF-8 CSV into a typed dataset.
 
     Cell types are inferred per column: mostly-numeric columns become
@@ -455,6 +492,11 @@ def load_csv(source: BinaryIO | bytes, has_header: bool = True) -> Dataset:
     timestamps, everything else stays text. Raw empty fields stay as empty
     text until :func:`normalize_missing` runs. Records are streamed into
     per-column raw-value codes, so only distinct raw strings are kept.
+
+    ``columns``, when given, holds case-folded names: the dataset keeps only
+    the headers whose ``lower()`` is among them, in file order, and the other
+    fields are neither encoded nor typed. Every header, record and field is
+    still checked (duplicate or empty headers, record width, UTF-8).
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
@@ -474,8 +516,9 @@ def load_csv(source: BinaryIO | bytes, has_header: bool = True) -> Dataset:
         raise SchemaError(f"duplicate header {dupes[0]!r}")
 
     width = len(headers)
-    encoders = [_encoder() for _ in headers]
-    raw_codes: list[list[int]] = [[] for _ in headers]
+    kept = [j for j, h in enumerate(headers) if columns is None or h.lower() in columns]
+    encoders = [_encoder() for _ in kept]
+    raw_codes: list[list[int]] = [[] for _ in kept]
     n_rows = 0
     for chunk in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
         for i, rec in enumerate(chunk, start=n_rows):
@@ -483,11 +526,12 @@ def load_csv(source: BinaryIO | bytes, has_header: bool = True) -> Dataset:
                 raise StructuralError(
                     f"row {i + 1} has {len(rec)} fields, expected {width}", row=i + 1
                 )
-        for encoder, codes, raw in zip(encoders, raw_codes, zip(*chunk)):
-            codes.extend(map(encoder.__getitem__, raw))
+        for encoder, codes, j in zip(encoders, raw_codes, kept):
+            codes.extend(map(encoder.__getitem__, map(itemgetter(j), chunk)))
         n_rows += len(chunk)
-    columns = [_type_column(list(e), codes) for e, codes in zip(encoders, raw_codes)]
-    return Dataset.from_columns(headers, columns, n_rows)
+    _check_headers(tuple(headers))
+    typed = [_type_column(list(e), codes) for e, codes in zip(encoders, raw_codes)]
+    return Dataset.from_columns([headers[j] for j in kept], typed, n_rows)
 
 
 def dataset_to_csv(d: Dataset) -> str:
@@ -520,25 +564,3 @@ def normalize_missing(d: Dataset, placeholders: PlaceholderSet | None = None) ->
             column = Column.merged(folded, column.codes)
         columns.append(column)
     return Dataset.from_columns(d.headers, columns, d.n_rows)
-
-
-def split_train_validation(
-    d: Dataset, fraction: float, seed: int
-) -> tuple[Dataset, Dataset]:
-    """Deterministically partition rows into (train, validation).
-
-    The first output gets round(fraction * n_rows) rows (half-up); together
-    the outputs are an exact partition of the input rows.
-    """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    if d.n_rows < 2:
-        raise ValueError("need at least 2 rows to split")
-    k = math.floor(fraction * d.n_rows + 0.5)
-    indices = list(range(d.n_rows))
-    random.Random(seed).shuffle(indices)
-    train_idx = sorted(indices[:k])
-    val_idx = sorted(indices[k:])
-    train = Dataset(d.headers, tuple(d.rows[i] for i in train_idx))
-    val = Dataset(d.headers, tuple(d.rows[i] for i in val_idx))
-    return train, val

@@ -23,7 +23,7 @@ import json
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .dataset import (
     Cell,
@@ -38,6 +38,12 @@ from .rules import ColumnRef, DependencyKind, Literal, OfdRule, SensorSpec
 
 BLOCK_KEY_LEN = 4
 
+# Columns the kernels resolve by name rather than through a rule's predicates:
+# capability rules read a sensor's readings, temporal rules its timestamps,
+# paired by the first correlation column the table has.
+SENSOR_COLUMN = "sensor"
+VALUE_COLUMN = "value"
+TIMESTAMP_COLUMN = "timestamp"
 _CORRELATION_COLUMNS = ("message", "message_id", "correlation", "correlation_id")
 
 
@@ -295,8 +301,8 @@ def detect_capability_violations(
     table without ``sensor`` or ``value`` columns raises RuleError.
     """
     sensor_id = _capability_sensor(rule)
-    sensors = d.columns[_resolve(d, rule.id, "sensor")]
-    value_idx = _resolve(d, rule.id, "value")
+    sensors = d.columns[_resolve(d, rule.id, SENSOR_COLUMN)]
+    value_idx = _resolve(d, rule.id, VALUE_COLUMN)
     values = d.columns[value_idx]
     value_name = d.headers[value_idx]
     findings: list[Finding] = []
@@ -344,7 +350,7 @@ def detect_temporal_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
     device_col, from_device, to_device = temporal_link(rule)
     devices = d.columns[_resolve(d, rule.id, device_col)]
     try:
-        ts_idx = d.column_index("timestamp")
+        ts_idx = d.column_index(TIMESTAMP_COLUMN)
     except SchemaError:
         raise RuleError(f"rule {rule.id!r}: dataset has no timestamp column") from None
     ts_name = d.headers[ts_idx]
@@ -395,6 +401,26 @@ def detect_temporal_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
 
     findings.sort(key=lambda f: f.cell.row)
     return findings
+
+
+def columns_read(rules: Iterable[OfdRule]) -> frozenset[str]:
+    """Case-folded names of the columns that :func:`run_all` may read for ``rules``.
+
+    These are the columns the rules' predicates name, plus the ones kernels
+    resolve by name: sensor and value for capability rules (the uncovered-
+    sensor count reads sensor too), timestamp and the correlation columns for
+    temporal rules. A table loaded with only the headers that fold onto these
+    names gives the same report as the whole table.
+    """
+    names: set[str] = set()
+    for rule in rules:
+        for pred in rule.predicates:
+            names.update(o.column for o in (pred.left, pred.right) if isinstance(o, ColumnRef))
+        if rule.kind is DependencyKind.CAPABILITY:
+            names.update((SENSOR_COLUMN, VALUE_COLUMN))
+        elif rule.kind is DependencyKind.TEMPORAL:
+            names.update((TIMESTAMP_COLUMN, *_CORRELATION_COLUMNS))
+    return frozenset(map(str.lower, names))
 
 
 def _dispatch(
@@ -475,7 +501,7 @@ def run_all(
                 seen.add(key)
                 report.findings.append(Finding(f.cell, rule.id, f.reason))
 
-    if any(r.kind is DependencyKind.CAPABILITY for r in rules) and d.has_column("sensor"):
+    if any(r.kind is DependencyKind.CAPABILITY for r in rules) and d.has_column(SENSOR_COLUMN):
         covered = {
             _capability_sensor(rule)
             for rule in rules
@@ -483,7 +509,7 @@ def run_all(
             and (rule, rule.spec) in checked
             and _capability_spec(rule, merged_specs) is not None
         }
-        sensors = d.columns[d.column_index("sensor")]
+        sensors = d.columns[d.column_index(SENSOR_COLUMN)]
         present = {t for cell, t in zip(sensors.values, sensors.texts) if not cell.is_missing}
         report.uncovered_sensors = len(present - covered)
 

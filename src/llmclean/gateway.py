@@ -14,7 +14,6 @@ import hashlib
 import json
 import logging
 import os
-import random
 import re
 import threading
 import time
@@ -22,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     FormatError,
@@ -284,75 +283,3 @@ def complete_many(
         return [attempt(p) for p in prompts]
     with ThreadPoolExecutor(max_workers=backend.max_parallel) as pool:
         return list(pool.map(attempt, prompts))
-
-
-def select_few_shot(
-    train: Sequence[tuple[str, frozenset[str] | set[str]]], k: int, seed: int = 0
-) -> list[tuple[str, frozenset[str]]]:
-    """Pick k few-shot examples spanning the answer-set size range.
-
-    Always includes the example with the largest answer set, then the
-    smallest (empty sets included where present); remaining slots are filled
-    by a seeded random draw.
-    """
-    if k > len(train):
-        raise ValueError(f"k={k} exceeds {len(train)} training examples")
-    items = [(text, frozenset(answers)) for text, answers in train]
-    picked: list[tuple[str, frozenset[str]]] = []
-    remaining = list(items)
-    for key in (
-        lambda item: (-len(item[1]), item[0]),  # largest answer set first
-        lambda item: (len(item[1]), item[0]),   # then smallest
-    ):
-        if len(picked) >= k or not remaining:
-            break
-        choice = sorted(remaining, key=key)[0]
-        picked.append(choice)
-        remaining.remove(choice)
-    rng = random.Random(seed)
-    while len(picked) < k:
-        choice = rng.choice(sorted(remaining, key=lambda item: item[0]))
-        picked.append(choice)
-        remaining.remove(choice)
-    return picked
-
-
-def format_answer_set(answers: Iterable[str]) -> str:
-    labels = sorted(answers)
-    return ", ".join(labels) if labels else "NONE"
-
-
-_VARIANT_PREFIX_RE = re.compile(r"^\s*(?:\d+[.)]\s*|[-*]\s*)")
-
-
-def generate_prompt_variants(
-    backend: Backend, base: PromptTemplate, n: int
-) -> list[PromptTemplate]:
-    """Ask the backend for task-text paraphrases; duplicates are dropped.
-
-    Each variant inherits the base template's few-shot examples and response
-    format.
-    """
-    if n < 1:
-        raise ValueError("need at least one variant")
-    meta_prompt = (
-        f"Rewrite the following task description in {n} different ways, "
-        "one per line. Keep every {placeholder} token exactly as written.\n\n"
-        + base.task_text
-    )
-    completion = complete(backend, meta_prompt, ResponseFormat.SINGLE_LABEL)
-    variants: list[str] = []
-    for line in completion.raw_text.splitlines():
-        text = _VARIANT_PREFIX_RE.sub("", line).strip()
-        if text and text not in variants:
-            variants.append(text)
-    templates = [
-        PromptTemplate(
-            id=f"{base.id}_v{i + 1}",
-            task_text=text,
-            response_format=base.response_format,
-            few_shot=base.few_shot,
-        )
-        for i, text in enumerate(variants[:n])
-    ]
-    return templates

@@ -341,6 +341,13 @@ def _oracle_type_cell(raw: str, kind: CellKind) -> Cell:
     return Cell.text(raw)
 
 
+def oracle_type_values(values: list[str]) -> list[Cell]:
+    """One column's cells from its raw values (one per row): every row votes
+    and every cell is parsed on its own."""
+    kind = _oracle_column_kind(values)
+    return [_oracle_type_cell(v, kind) for v in values]
+
+
 def oracle_load_csv(data: bytes, has_header: bool = True) -> Dataset:
     """Typed dataset of a well-formed CSV, typing each cell separately."""
     records = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))

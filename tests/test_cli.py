@@ -4,6 +4,7 @@ import ast
 import csv
 import gc
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -26,7 +27,7 @@ from llmclean.context_model import (
 from llmclean.dataset import dataset_to_csv, load_csv, normalize_missing
 from llmclean.detection import run_all
 from llmclean.ensemble import EvalRecord, write_records_jsonl
-from llmclean.rules import parse_rule_file
+from llmclean.rules import parse_rule_file, parse_sensor_spec
 
 from conftest import (
     IOT_TOPOLOGY,
@@ -51,11 +52,11 @@ def cassette(tmp_path, iot_csv) -> str:
 
 
 def test_importing_cli_does_not_load_requests():
-    # Only the remote backend speaks HTTP; detect and replay runs skip those imports.
-    code = (
-        "import sys, llmclean.cli; "
-        "print([m for m in ('requests', 'urllib.request', 'http.client', 'ssl') if m in sys.modules])"
-    )
+    # Only the remote backend speaks HTTP; detect and replay runs skip those
+    # imports, and only the commands that ask a backend load generation/gateway.
+    modules = ("requests", "urllib.request", "http.client", "ssl",
+               "llmclean.generation", "llmclean.gateway")
+    code = f"import sys, llmclean.cli; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
@@ -96,12 +97,12 @@ class TestClassify:
         assert "LLMCLEAN_API_KEY" in capsys.readouterr().err
 
     def test_unexpected_failure_exit_three(self, iot_csv, cassette, monkeypatch, capsys):
-        import llmclean.cli as cli_mod
+        import llmclean.generation
 
         def boom(*args, **kwargs):
             raise RuntimeError("wires crossed")
 
-        monkeypatch.setattr(cli_mod.generation, "classify_dataset", boom)
+        monkeypatch.setattr(llmclean.generation, "classify_dataset", boom)
         code = main(["classify", iot_csv, "--backend", "replay", "--cassette", cassette])
         assert code == 3
         assert "internal error" in capsys.readouterr().err
@@ -403,6 +404,30 @@ class TestDetect:
         got_cells = {(f["row"], f["column"]) for f in payload["findings"]}
         assert got_cells == expected.flagged_cells
 
+    @pytest.mark.parametrize("source", ["--rules", "--graph"])
+    def test_report_equals_a_full_load(self, built, tmp_path, source, capsys):
+        # detect loads only the columns its rules read; the report must not show it.
+        text = (built / "transformed.csv").read_text()
+        csv_path = tmp_path / "dirty.csv"  # one reading out of range, one device swapped
+        text = text.replace(",24.59,", ",999,", 1)
+        csv_path.write_text(text.replace("device_in_2,sensing_in_3", "device_in_1,sensing_in_3", 1))
+        sensors = write_sensor_specs(tmp_path)
+        rules_path = built / ("rules.ofd" if source == "--rules" else "context.nt")
+        code = main(["detect", str(csv_path), source, str(rules_path), "--sensors", sensors])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+
+        if source == "--rules":
+            rules = parse_rule_file(rules_path.read_text())
+        else:
+            rules = extract_ofds(deserialize(rules_path.read_text()))
+        specs = {m: parse_sensor_spec(m, e) for m, e in json.loads(Path(sensors).read_text()).items()}
+        full = run_all(normalize_missing(load_csv(csv_path.read_bytes())), rules, specs=specs)
+        expected = json.loads(full.to_json())
+        for key in ("findings", "skipped_rules", "uncovered_sensors", "per_rule_counts"):
+            assert payload[key] == expected[key]
+        assert payload["findings"]
+
     def test_long_part_of_chain(self, tmp_path, capsys):
         # 1,200 attributes in one acyclic partOf chain, deeper than the recursion limit.
         names = [f"level_{i}" for i in range(1200)]
@@ -417,6 +442,27 @@ class TestDetect:
         code = main(["detect", str(csv_path), "--graph", str(graph_path)])
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["findings"] == []
+
+    def test_node_typed_twice_exits_one_on_every_hash_seed(self, tmp_path):
+        # Keeping one of two types would depend on set order, hence on the hash seed.
+        graph_path = tmp_path / "twice.nt"
+        graph_path.write_text(
+            "llmc:x rdf:type ssn:Sensor .\n"
+            "llmc:x rdf:type ssn:SensingDevice .\n"
+            "llmc:dev rdf:type ssn:Device .\n"
+            "llmc:x llmc:attachedTo llmc:dev .\n"
+        )
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("sensor,value\nx,1\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "llmclean.cli", "detect", str(csv_path),
+                "--graph", str(graph_path)]
+        for seed in range(16):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": pythonpath}
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            assert proc.returncode == EXIT_INPUT, (seed, proc.stderr)
+            assert "'llmc:x' is typed twice" in proc.stderr
 
     def test_needs_rules_or_graph(self, built, capsys):
         code = main(["detect", str(built / "transformed.csv")])

@@ -131,6 +131,11 @@ class TestValidation:
         with pytest.raises(ModelError):
             validate_graph(g)
 
+    def test_node_typed_twice(self):
+        g = graph(entity(Concept.SENSOR, "x"), entity(Concept.SENSING_DEVICE, "x"))
+        with pytest.raises(ModelError, match="'llmc:x' is typed twice: SensingDevice and Sensor"):
+            validate_graph(g)
+
     def test_wrong_attachment_direction(self):
         g = graph(
             entity(Concept.DEVICE, "d"),

@@ -10,7 +10,10 @@ from hypothesis import given, strategies as st
 
 from llmclean.dataset import (
     EPOCH_MS_MIN,
+    _may_be_number,
+    _may_be_timestamp,
     _parse_timestamp_text,
+    _type_column,
     Cell,
     CellKind,
     Dataset,
@@ -20,16 +23,57 @@ from llmclean.dataset import (
     dataset_to_csv,
     load_csv,
     normalize_missing,
-    split_train_validation,
 )
-from llmclean.errors import SchemaError, StructuralError
+from llmclean.errors import LLMCleanError, SchemaError, StructuralError
 
 from conftest import IOT_HEADERS, make_iot_dataset
-from oracles import _oracle_timestamp, oracle_load_csv, oracle_normalize_missing
+from oracles import (
+    _oracle_number,
+    _oracle_timestamp,
+    oracle_load_csv,
+    oracle_normalize_missing,
+    oracle_type_values,
+)
 
 
 def _load(text: str, **kw) -> Dataset:
     return load_csv(io.BytesIO(text.encode("utf-8")), **kw)
+
+
+class TestLoadCsvProjection:
+    def test_keeps_folded_matches_in_file_order(self):
+        text = "B,a,x,A,c\n1,u,2,v,3\n4,w,5,z,6\n"
+        d = _load(text, columns={"a", "c"})
+        assert d.headers == ("a", "A", "c")
+        full = _load(text)
+        for name in d.headers:
+            assert d.columns[d.column_index(name)].codes == full.columns[full.column_index(name)].codes
+            assert d.column(name) == full.column(name)
+        assert d.n_rows == 2
+
+    def test_no_columns_keeps_the_row_count(self):
+        d = _load("a,b\n1,2\n3,4\n", columns=())
+        assert (d.headers, d.columns, d.n_rows) == ((), (), 2)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"a,b\n1,2\n3\n",  # short row
+            b"a,b\n1,2\n3,4,5\n",  # long row
+            b"a,b\n1,\xff\n",  # bad UTF-8 in b
+            b"a,b,b\n1,2,3\n",  # duplicate header
+            b"a,\n1,2\n",  # empty header
+            b"",  # no header at all
+        ],
+        ids=["short-row", "long-row", "bad-utf8", "duplicate-header", "empty-header", "empty"],
+    )
+    def test_unread_columns_still_checked(self, data):
+        with pytest.raises((LLMCleanError, ValueError)) as full:
+            load_csv(data)
+        for columns in ({"a"}, ()):
+            with pytest.raises(type(full.value)) as projected:
+                load_csv(data, columns=columns)
+            assert str(projected.value) == str(full.value)
 
 
 class TestLoadCsv:
@@ -192,6 +236,52 @@ class TestTimestampParse:
         assert _parse_timestamp_text(text) == _oracle_timestamp(text)
 
 
+# Spellings at the edges of the leading-character tests that let a kind's
+# vote be lost before any parse: Unicode and superscript digits, signs,
+# inf/nan spellings, padding (float strips less than str.strip), ISO dates
+# and signed epoch integers.
+_VOTE_SPELLINGS = [
+    "\u0661\u0662\u0663" + "4" * 9, "\uff11" * 12, "\u00b9\u00b2\u00b3\u2074", "\u00b2",
+    "+100000000000", "-100000000000", "+ 100000000000", "100000000000", "99999999999",
+    "+1.5", "-2", ".5", "-.5", "+.5e3", "+", "-", ".", "1_000", "1e5", "e5",
+    "inf", "-inf", "+Infinity", "INF", "iNfInItY", "nan", "NaN", "-nan", "+NAN", "nano", "i",
+    " 12 ", "\t3.5\n", "\u20071\u2007", "\u30001", "\x1c1", "1\x1f", "\x1c2024-01-01",
+    "2024-01-01", " 2024-01-01T00:00:05Z ", "\uff12\uff10\uff12\uff14-01-01", "2024",
+    "x1", "N/A", "", " ",
+]
+_VOTE_VALUES = st.one_of(st.sampled_from(_VOTE_SPELLINGS), st.text(max_size=6))
+
+
+class TestVoteBound:
+    @given(_VOTE_VALUES)
+    def test_every_parse_passes_its_kinds_test(self, text):
+        stripped = [text.strip()]
+        if _oracle_timestamp(text) is not None:
+            assert next(_may_be_timestamp(stripped))
+        if _oracle_number(text) is not None:
+            assert next(_may_be_number(stripped))
+
+    @given(st.lists(_VOTE_VALUES, max_size=12))
+    def test_matches_exhaustive_vote(self, values):
+        raws = list(dict.fromkeys(values))
+        column = _type_column(raws, [raws.index(v) for v in values])
+        assert list(column.cells()) == oracle_type_values(values)
+
+    @pytest.mark.parametrize("codes", [["abc1", "abc2", "5"], ["a1", "+x", "1", "b"]])
+    def test_lost_votes_are_not_parsed(self, codes, monkeypatch):
+        # Half the weight or less passes each kind's test: nothing is parsed.
+        from llmclean import dataset
+
+        def refuse(values):
+            raise AssertionError(f"parsed {values!r}")
+
+        monkeypatch.setattr(dataset, "_KINDS", tuple(
+            (kind, may_be, refuse, refuse, make) for kind, may_be, _, _, make in dataset._KINDS
+        ))
+        column = _type_column(codes, list(range(len(codes))))
+        assert [c.kind for c in column.values] == [CellKind.TEXT] * len(codes)
+
+
 class TestLoadCsvOracle:
     @given(_csv_bytes(), st.booleans())
     def test_matches_per_cell_typing(self, data, has_header):
@@ -307,37 +397,6 @@ class TestCellInvariants:
         assert cell_text(Cell.number(2.5)) == "2.5"
         assert cell_text(Cell.timestamp(1700000000000)) == "1700000000000"
         assert cell_text(MISSING) == ""
-
-
-class TestSplit:
-    def test_sizes_and_partition(self):
-        d = make_iot_dataset(n_rows=10)
-        train, val = split_train_validation(d, 0.8, seed=7)
-        assert (train.n_rows, val.n_rows) == (8, 2)
-        combined = sorted(train.rows + val.rows, key=lambda r: cell_text(r[6]))
-        assert combined == sorted(d.rows, key=lambda r: cell_text(r[6]))
-
-    def test_deterministic(self):
-        d = make_iot_dataset(n_rows=10)
-        assert split_train_validation(d, 0.8, 7) == split_train_validation(d, 0.8, 7)
-
-    def test_two_rows(self):
-        d = make_iot_dataset(n_rows=2)
-        train, val = split_train_validation(d, 0.5, 0)
-        assert (train.n_rows, val.n_rows) == (1, 1)
-
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.7])
-    def test_bad_fraction(self, fraction):
-        d = make_iot_dataset(n_rows=4)
-        with pytest.raises(ValueError):
-            split_train_validation(d, fraction, 0)
-
-    @given(st.integers(min_value=2, max_value=40), st.integers(), st.floats(min_value=0.05, max_value=0.95))
-    def test_partition_property(self, n, seed, fraction):
-        d = make_iot_dataset(n_rows=n)
-        train, val = split_train_validation(d, fraction, seed)
-        assert train.n_rows + val.n_rows == n
-        assert sorted(map(id, train.rows + val.rows)) == sorted(map(id, d.rows))
 
 
 class TestDatasetStructure:

@@ -14,10 +14,12 @@ from llmclean.dataset import (
     Dataset,
     MISSING,
     cell_text,
+    dataset_to_csv,
     load_csv,
     normalize_missing,
 )
 from llmclean.detection import (
+    columns_read,
     detect_capability_violations,
     detect_fd_violations,
     detect_matching_violations,
@@ -31,6 +33,7 @@ from llmclean.detection import (
 from llmclean.errors import RuleError
 from llmclean.rules import DependencyKind, OfdRule, SensorSpec, parse_rule
 
+from conftest import make_iot_dataset, random_rule
 from oracles import (
     lev_recursive,
     oracle_findings,
@@ -490,6 +493,36 @@ _LOADED_RULES = [
 ]
 
 
+def _draw_loaded_table(data) -> bytes:
+    """CSV bytes of a random table drawn from ``_RAW_POOLS``, maybe with a message column."""
+    n_rows = data.draw(st.integers(1, 14))
+    columns = {
+        name: data.draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+        for name, pool in _RAW_POOLS.items()
+    }
+    if data.draw(st.booleans()):
+        columns["message"] = data.draw(
+            st.lists(st.sampled_from(["m1", "m2", "", " N/A"]), min_size=n_rows, max_size=n_rows)
+        )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*columns.values()))
+    return buf.getvalue().encode("utf-8")
+
+
+def _loaded_rules() -> tuple[list[OfdRule], dict[str, SensorSpec]]:
+    rules = [rule(text, kind, f"r{i}") for i, (text, kind) in enumerate(_LOADED_RULES)]
+    for literal in ("m_1", ""):  # a missing sensor never matches a literal
+        rules.append(
+            dataclasses.replace(
+                rule(f't1&EQ(t1.sensor,"{literal}")', DependencyKind.CAPABILITY, f"own{literal}"),
+                spec=SensorSpec("m", 0, 10),
+            )
+        )
+    return rules, {"ds18b20": SensorSpec("ds18b20", -55.0, 125.0)}
+
+
 def _rowwise_blocked_matching(d: Dataset, r: OfdRule) -> set[int]:
     """Rows the prefix-blocked matching check flags, comparing every row pair."""
     first, second = r.predicates
@@ -521,32 +554,10 @@ class TestOracleEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_loaded_tables_match_definition_oracle(self, data):
-        n_rows = data.draw(st.integers(1, 14))
-        columns = {
-            name: data.draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
-            for name, pool in _RAW_POOLS.items()
-        }
-        if data.draw(st.booleans()):
-            columns["message"] = data.draw(
-                st.lists(st.sampled_from(["m1", "m2", "", " N/A"]), min_size=n_rows, max_size=n_rows)
-            )
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*columns.values()))
-        raw = buf.getvalue().encode("utf-8")
-
+        raw = _draw_loaded_table(data)
         d = normalize_missing(load_csv(raw))
         reference = oracle_normalize_missing(oracle_load_csv(raw))
-        rules = [rule(text, kind, f"r{i}") for i, (text, kind) in enumerate(_LOADED_RULES)]
-        for literal in ("m_1", ""):  # a missing sensor never matches a literal
-            rules.append(
-                dataclasses.replace(
-                    rule(f't1&EQ(t1.sensor,"{literal}")', DependencyKind.CAPABILITY, f"own{literal}"),
-                    spec=SensorSpec("m", 0, 10),
-                )
-            )
-        specs = {"ds18b20": SensorSpec("ds18b20", -55.0, 125.0)}
+        rules, specs = _loaded_rules()
         report = run_all(d, rules, specs=specs, exact_matching=True)
         got = {(f.cell.row, f.cell.column, f.rule_id) for f in report.findings}
         assert got == oracle_findings(reference, rules, specs)
@@ -587,3 +598,76 @@ class TestOracleEquivalence:
         # base row i sits at shuffled position perm.index(i)
         got = {(f.cell.row, f.cell.column, f.rule_id) for f in moved.findings}
         assert got == remapped
+
+
+def _report(raw: bytes, rules, specs=None, columns=None):
+    report = run_all(normalize_missing(load_csv(raw, columns=columns)), rules, specs=specs)
+    return report.findings, report.skipped_rules, report.uncovered_sensors
+
+
+def assert_projection_keeps_report(raw: bytes, rules, specs=None):
+    """A table loaded with only the columns the rules read gives the same report."""
+    assert _report(raw, rules, specs, columns_read(rules)) == _report(raw, rules, specs)
+
+
+class TestColumnProjection:
+    def test_columns_read(self):
+        rules = [
+            rule("t1&t2&EQ(t1.SensingDevice,t2.SensingDevice)&IQ(t1.Device,t2.Device)"),
+            rule('t1&EQ(t1.Sensor,"s1")', DependencyKind.CAPABILITY),
+            rule(TEMPORAL_RULE_TEXT, DependencyKind.TEMPORAL),
+        ]
+        assert columns_read(rules) == {
+            "sensingdevice", "device", "sensor", "value", "timestamp",
+            "message", "message_id", "correlation", "correlation_id",
+        }
+        assert columns_read([]) == frozenset()
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_rule_sets(self, seed):
+        d, rules, specs = _random_dataset_and_rules(seed)
+        assert_projection_keeps_report(dataset_to_csv(d).encode("utf-8"), rules, specs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_loaded_tables(self, data):
+        assert_projection_keeps_report(_draw_loaded_table(data), *_loaded_rules())
+
+    def test_iot_fixture(self):
+        raw = dataset_to_csv(make_iot_dataset()).encode("utf-8")
+        rules = [rule(text, kind, f"r{i}") for i, (text, kind) in enumerate(_LOADED_RULES)]
+        assert_projection_keeps_report(raw, rules, {"ds18b20": SensorSpec("ds18b20", -55.0, 125.0)})
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_rules_skip_alike(self, seed):
+        # Random column names and shapes: most rules are skipped, some on an
+        # ambiguous fold (a/A), and the messages must not change.
+        rng = random.Random(seed)
+        rules = [dataclasses.replace(random_rule(rng), id=f"r{i}") for i in range(6)]
+        raw = b"a,A,b,X,c_1,sensor,value,timestamp,message\n" + b"x,y,1,2,3,s,4,100000000000,m\n" * 3
+        assert_projection_keeps_report(raw, rules)
+
+    @pytest.mark.parametrize(
+        "raw, text, kind",
+        [
+            # a rule column resolved through the case-insensitive fallback
+            (b"sensor,Device,x\ns1,d1,1\ns1,d2,2\ns1,d1,3\n",
+             "t1&t2&EQ(t1.Sensor,t2.Sensor)&IQ(t1.Device,t2.Device)", DependencyKind.DEVICE_LINK),
+            # two headers folding onto the rule's column: skipped as ambiguous
+            (b"Sensor,sensor,Device\na,a,d1\na,a,d2\n",
+             "t1&t2&EQ(t1.SENSOR,t2.SENSOR)&IQ(t1.Device,t2.Device)", DependencyKind.DEVICE_LINK),
+            # a temporal rule pairs rows by the message column it never names
+            (b"Device,timestamp,message,x\nup,100000000005,m1,a\ndown,100000000001,m1,b\n"
+             b"up,100000000001,m2,c\ndown,100000000009,m2,d\n",
+             't1&t2&EQ(t1.Device,"up")&EQ(t2.Device,"down")', DependencyKind.TEMPORAL),
+            # a capability rule on a table without value: skipped
+            (b"sensor,x\nds18b20_1,1\n", 't1&EQ(t1.sensor,"ds18b20_1")', DependencyKind.CAPABILITY),
+        ],
+        ids=["fold", "ambiguous-fold", "temporal-message", "capability-no-value"],
+    )
+    def test_named_cases(self, raw, text, kind):
+        rules = [rule(text, kind)]
+        specs = {"ds18b20": SensorSpec("ds18b20", -55.0, 125.0)}
+        projected = _report(raw, rules, specs, columns_read(rules))
+        assert projected == _report(raw, rules, specs)
+        assert projected[0] or projected[1]  # each case finds or skips something
