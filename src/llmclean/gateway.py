@@ -283,3 +283,39 @@ def complete_many(
         return [attempt(p) for p in prompts]
     with ThreadPoolExecutor(max_workers=backend.max_parallel) as pool:
         return list(pool.map(attempt, prompts))
+
+
+_VARIANT_PREFIX_RE = re.compile(r"^\s*(?:\d+[.)]\s*|[-*]\s*)")
+
+
+def generate_prompt_variants(
+    backend: Backend, base: PromptTemplate, n: int
+) -> list[PromptTemplate]:
+    """Ask the backend for task-text paraphrases; duplicates are dropped.
+
+    Each variant inherits the base template's few-shot examples and response
+    format.
+    """
+    if n < 1:
+        raise ValueError("need at least one variant")
+    meta_prompt = (
+        f"Rewrite the following task description in {n} different ways, "
+        "one per line. Keep every {placeholder} token exactly as written.\n\n"
+        + base.task_text
+    )
+    completion = complete(backend, meta_prompt, ResponseFormat.SINGLE_LABEL)
+    variants: list[str] = []
+    for line in completion.raw_text.splitlines():
+        text = _VARIANT_PREFIX_RE.sub("", line).strip()
+        if text and text not in variants:
+            variants.append(text)
+    templates = [
+        PromptTemplate(
+            id=f"{base.id}_v{i + 1}",
+            task_text=text,
+            response_format=base.response_format,
+            few_shot=base.few_shot,
+        )
+        for i, text in enumerate(variants[:n])
+    ]
+    return templates
