@@ -177,7 +177,7 @@ def _classify(args, headers):
 
 def cmd_classify(args) -> int:
     _load_dataset(args.csv, columns=())  # checks every record, keeps no column
-    with open(args.csv, encoding="utf-8", newline="") as fh:
+    with open(args.csv, encoding="utf-8-sig", newline="") as fh:
         headers = next(csv.reader(fh))
     result = _classify(args, headers)
     print(result.value)

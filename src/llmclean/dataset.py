@@ -23,7 +23,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
-from operator import attrgetter, is_, itemgetter, methodcaller, or_
+from operator import add, attrgetter, is_, itemgetter, methodcaller, or_
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import SchemaError, StructuralError
@@ -79,6 +79,19 @@ class Cell:
 
 
 MISSING = Cell(CellKind.MISSING, None)
+
+
+def _cells(kind: CellKind, values: Sequence[str | float | int]) -> list[Cell]:
+    """``Cell(kind, v)`` for each value, built in C-level passes.
+
+    The frozen dataclass's ``__init__`` runs Python code per cell; the slot
+    descriptors set the same two fields without it. (``any`` drains each
+    pass: a descriptor's ``__set__`` returns None.)
+    """
+    cells = list(map(object.__new__, repeat(Cell, len(values))))
+    any(map(Cell.kind.__set__, cells, repeat(kind)))
+    any(map(Cell.value.__set__, cells, values))
+    return cells
 
 
 def cell_text(cell: Cell) -> str:
@@ -403,7 +416,6 @@ def _numbers_all(values: list[str]) -> list[float] | None:
 
 _HEAD1 = itemgetter(slice(1))
 _HEAD4 = itemgetter(slice(4))
-_PLUS_SIGN = methodcaller("startswith", "+")
 _NUMBER_LEADS = frozenset("+-.iInN")
 
 
@@ -413,7 +425,8 @@ def _may_be_timestamp(stripped: list[str]) -> Iterator[bool]:
     An epoch-ms integer at or above ``EPOCH_MS_MIN`` has 12 or more digits
     or a leading ``+``; an ISO-8601 text starts with a 4-digit year.
     """
-    return map(or_, map(str.isdigit, map(_HEAD4, stripped)), map(_PLUS_SIGN, stripped))
+    signed = map(str.startswith, stripped, repeat("+"))
+    return map(or_, map(str.isdigit, map(_HEAD4, stripped)), signed)
 
 
 def _may_be_number(stripped: list[str]) -> Iterator[bool]:
@@ -465,70 +478,121 @@ def _type_column(raws: list[str], raw_codes: list[int]) -> Column:
             continue  # its hits could not outweigh the rest (no values: total 0)
         xs = parse_all(list(filled))
         if xs is not None:
-            typed = dict(zip(filled, map(Cell, repeat(kind), xs)))
-            if len(typed) == len(raws) and len(set(xs)) == len(xs):
-                return Column(tuple(typed.values()), tuple(raw_codes))
+            cells = _cells(kind, xs)
+            if len(filled) == len(raws) and len(set(xs)) == len(xs):
+                return Column(tuple(cells), tuple(raw_codes))
+            typed = dict(zip(filled, cells))
             break
         parsed = _majority_parse(filled, parse)
         if parsed is not None:
             typed = {v: make(x) for v, x in parsed.items()}
             break
     else:  # distinct raw strings are distinct text cells
-        return Column(tuple(map(Cell, repeat(CellKind.TEXT), raws)), tuple(raw_codes))
+        return Column(tuple(_cells(CellKind.TEXT, raws)), tuple(raw_codes))
     cells = [typed.get(v) or Cell(CellKind.TEXT, v) for v in raws]
     return Column.merged(cells, raw_codes)
 
 
+_BLOCK_CHARS = 1 << 18
 _CHUNK_ROWS = 4096
 
 
-def load_csv(
-    source: BinaryIO | bytes, has_header: bool = True, columns: Collection[str] | None = None
-) -> Dataset:
-    """Read an RFC-4180-style UTF-8 CSV into a typed dataset.
+def _check_widths(counts: list[int], width: int, first_row: int) -> None:
+    """Raise at the first record whose field count is not ``width``.
+
+    ``counts`` are the field counts of consecutive records, the first of
+    which is data row ``first_row`` (1-based).
+    """
+    if counts.count(width) != len(counts):
+        i = next(i for i, n in enumerate(counts) if n != width)
+        row = first_row + i
+        raise StructuralError(
+            f"row {row} has {counts[i]} fields, expected {width}", row=row
+        )
+
+
+def _records(
+    text: io.TextIOWrapper, width: int, maxsplit: int
+) -> Iterator[list[list[str]]]:
+    """The data records after the header, in chunks, each checked to hold ``width`` fields.
+
+    The text is read in blocks of ``_BLOCK_CHARS`` characters, each carried
+    on to the end of its last line. A block holding no quote, no CR and no
+    line longer than the field size limit is split with ``str`` methods in
+    C-level passes: each line is one record, cut at its first ``maxsplit``
+    commas (enough to reach every kept field), and a blank line has 0
+    fields, as in ``csv.reader``. The first block that fails this test goes
+    to ``csv.reader`` with the rest of the stream, and its records hold
+    every field. Every earlier record ended at a line end, so both paths
+    see the same records.
+    """
+    limit = csv.field_size_limit()
+    row = 1
+    rest: Iterable[str] = text
+    for block in iter(lambda: text.read(_BLOCK_CHARS), ""):
+        block += text.readline()
+        lines = block.split("\n")
+        if not lines[-1]:
+            lines.pop()  # the text after the block's last newline
+        if '"' in block or "\r" in block or max(map(len, lines)) > limit:
+            rest = chain(io.StringIO(block, newline=""), text)
+            break
+        commas = map(methodcaller("count", ","), lines)
+        _check_widths(list(map(add, commas, map(bool, lines))), width, row)
+        yield list(map(methodcaller("split", ",", maxsplit), lines))
+        row += len(lines)
+    reader = csv.reader(rest)
+    while True:
+        records: list[list[str]] = []
+        try:
+            records.extend(islice(reader, _CHUNK_ROWS))  # keeps the records read before an error
+        except csv.Error as exc:
+            bad = row + len(records)
+            raise StructuralError(f"row {bad}: {exc}", row=bad) from None
+        if not records:
+            return
+        _check_widths(list(map(len, records)), width, row)
+        yield records
+        row += len(records)
+
+
+def load_csv(source: BinaryIO | bytes, columns: Collection[str] | None = None) -> Dataset:
+    """Read an RFC-4180-style UTF-8 CSV with a header row into a typed dataset.
 
     Cell types are inferred per column: mostly-numeric columns become
     numbers, columns of ISO-8601 dates or epoch-millisecond integers become
     timestamps, everything else stays text. Raw empty fields stay as empty
     text until :func:`normalize_missing` runs. Records are streamed into
-    per-column raw-value codes, so only distinct raw strings are kept.
+    per-column raw-value codes, so only distinct raw strings are kept. A
+    leading UTF-8 byte order mark is dropped.
 
     ``columns``, when given, holds case-folded names: the dataset keeps only
     the headers whose ``lower()`` is among them, in file order, and the other
     fields are neither encoded nor typed. Every header, record and field is
-    still checked (duplicate or empty headers, record width, UTF-8).
+    still checked (duplicate or empty headers, record width, field size,
+    UTF-8).
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
-    text_stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    reader: Iterator[list[str]] = csv.reader(text_stream)
-    first = next(reader, None)
-    if first is None:
+    text_stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+    try:
+        headers = next(csv.reader(text_stream), None)
+    except csv.Error as exc:
+        raise StructuralError(f"header: {exc}", row=0) from None
+    if headers is None:
         raise StructuralError("empty CSV input")
-
-    if has_header:
-        headers = first
-    else:
-        headers = [f"col_{i + 1}" for i in range(len(first))]
-        reader = chain([first], reader)
     if len(set(headers)) != len(headers):
         dupes = sorted({h for h in headers if headers.count(h) > 1})
         raise SchemaError(f"duplicate header {dupes[0]!r}")
 
-    width = len(headers)
     kept = [j for j, h in enumerate(headers) if columns is None or h.lower() in columns]
     encoders = [_encoder() for _ in kept]
     raw_codes: list[list[int]] = [[] for _ in kept]
     n_rows = 0
-    for chunk in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
-        for i, rec in enumerate(chunk, start=n_rows):
-            if len(rec) != width:
-                raise StructuralError(
-                    f"row {i + 1} has {len(rec)} fields, expected {width}", row=i + 1
-                )
+    for records in _records(text_stream, len(headers), kept[-1] + 1 if kept else 0):
         for encoder, codes, j in zip(encoders, raw_codes, kept):
-            codes.extend(map(encoder.__getitem__, map(itemgetter(j), chunk)))
-        n_rows += len(chunk)
+            codes.extend(map(encoder.__getitem__, map(itemgetter(j), records)))
+        n_rows += len(records)
     _check_headers(tuple(headers))
     typed = [_type_column(list(e), codes) for e, codes in zip(encoders, raw_codes)]
     return Dataset.from_columns([headers[j] for j in kept], typed, n_rows)

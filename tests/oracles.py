@@ -348,14 +348,10 @@ def oracle_type_values(values: list[str]) -> list[Cell]:
     return [_oracle_type_cell(v, kind) for v in values]
 
 
-def oracle_load_csv(data: bytes, has_header: bool = True) -> Dataset:
+def oracle_load_csv(data: bytes) -> Dataset:
     """Typed dataset of a well-formed CSV, typing each cell separately."""
-    records = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
-    if has_header:
-        headers, body = records[0], records[1:]
-    else:
-        headers = [f"col_{i + 1}" for i in range(len(records[0]))]
-        body = records
+    records = list(csv.reader(io.StringIO(data.decode("utf-8-sig"), newline="")))
+    headers, body = records[0], records[1:]
     kinds = [_oracle_column_kind([rec[c] for rec in body]) for c in range(len(headers))]
     rows = [[_oracle_type_cell(rec[c], kinds[c]) for c in range(len(headers))] for rec in body]
     return Dataset.from_lists(headers, rows)

@@ -169,6 +169,47 @@ class TestCollectorState:
         assert gc.get_freeze_count() == 0
 
 
+class TestCsvInput:
+    @pytest.mark.parametrize("command", ["classify", "build-context", "detect", "evaluate"])
+    def test_over_long_field_exit_one(self, tmp_path, capsys, command):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text(f"a,b\nx,y\nz,{'q' * (csv.field_size_limit() + 1)}\n")
+        rules_path = tmp_path / "rules.ofd"
+        rules_path.write_text('denial: t1&EQ(t1.a,"")\n')
+        argv = [command, str(csv_path)]
+        if command in ("classify", "build-context"):
+            argv += ["--backend", "replay", "--cassette", str(tmp_path / "unused.json")]
+        if command == "build-context":
+            argv += ["--out-dir", str(tmp_path / "out")]
+        if command in ("detect", "evaluate"):
+            argv += ["--rules", str(rules_path)]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "row 2: field larger than field limit" in err and "internal error" not in err
+
+    def test_byte_order_mark_changes_no_report(self, tmp_path, capsys):
+        rules_path = tmp_path / "rules.ofd"
+        rules_path.write_text('denial: t1&EQ(t1.sensor,"")\n')
+        reports = []
+        for name, bom in [("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")]:
+            csv_path = tmp_path / name
+            csv_path.write_bytes(bom + b"sensor,value\ns1,1\n,2\n")
+            assert main(["detect", str(csv_path), "--rules", str(rules_path)]) == EXIT_OK
+            report = json.loads(capsys.readouterr().out)
+            report.pop("duration_ms")
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert [(f["row"], f["column"]) for f in reports[0]["findings"]] == [(1, "sensor")]
+        assert reports[0]["skipped_rules"] == []
+
+    def test_classify_reads_headers_past_a_byte_order_mark(self, iot_csv, cassette, capsys):
+        # The replay key holds the prompt, which lists the headers.
+        Path(iot_csv).write_bytes(b"\xef\xbb\xbf" + Path(iot_csv).read_bytes())
+        code = main(["classify", iot_csv, "--backend", "replay", "--cassette", cassette])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.strip() == "IoT"
+
+
 def expected_triple_count() -> int:
     devices = {d for d, _, _ in IOT_TOPOLOGY.values()}
     sensing = {s for _, s, _ in IOT_TOPOLOGY.values()}

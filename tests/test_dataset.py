@@ -3,13 +3,16 @@ from __future__ import annotations
 import csv
 import gc
 import io
+from dataclasses import FrozenInstanceError
 from datetime import datetime
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from llmclean import dataset
 from llmclean.dataset import (
     EPOCH_MS_MIN,
+    _cells,
     _may_be_number,
     _may_be_timestamp,
     _parse_timestamp_text,
@@ -114,11 +117,6 @@ class TestLoadCsv:
     def test_nan_in_numeric_column_becomes_missing(self):
         d = _load("v\n1.0\n2.0\nnan\n")
         assert d.rows[2][0] is MISSING
-
-    def test_no_header_mode(self):
-        d = _load("1,2\n3,4\n", has_header=False)
-        assert d.headers == ("col_1", "col_2")
-        assert d.n_rows == 2
 
     def test_quoted_fields(self):
         d = _load('a,b\n"x,y",2\n')
@@ -270,8 +268,6 @@ class TestVoteBound:
     @pytest.mark.parametrize("codes", [["abc1", "abc2", "5"], ["a1", "+x", "1", "b"]])
     def test_lost_votes_are_not_parsed(self, codes, monkeypatch):
         # Half the weight or less passes each kind's test: nothing is parsed.
-        from llmclean import dataset
-
         def refuse(values):
             raise AssertionError(f"parsed {values!r}")
 
@@ -283,10 +279,10 @@ class TestVoteBound:
 
 
 class TestLoadCsvOracle:
-    @given(_csv_bytes(), st.booleans())
-    def test_matches_per_cell_typing(self, data, has_header):
-        d = load_csv(data, has_header=has_header)
-        expected = oracle_load_csv(data, has_header)
+    @given(_csv_bytes())
+    def test_matches_per_cell_typing(self, data):
+        d = load_csv(data)
+        expected = oracle_load_csv(data)
         assert d == expected
         assert Dataset(d.headers, d.rows) == d
         assert dataset_to_csv(d) == _rowwise_csv(expected)
@@ -323,6 +319,143 @@ class TestLoadCsvOracle:
         d = _load("a,b\nx,1.5\nx,1.5\ny,2\n")
         assert d.rows[0][0] is d.rows[1][0]
         assert d.rows[0][1] is d.rows[1][1]
+
+
+# Fields with no quote, comma or line break, which the str.split path reads,
+# and fields csv.writer must quote, which send their chunk to csv.reader.
+_PLAIN = st.one_of(_STAMPS, _NUMBERS, st.text(alphabet="bdxy ", max_size=5), _BLANKS)
+_QUOTED = st.sampled_from(["x,y", 'say "hi"', '"', "two\nlines", "cr\rlf\r\n", ",", ""])
+_SPLIT_HEADERS = ["a", "B", "c", "D"]
+
+
+@st.composite
+def _split_csv(draw) -> bytes:
+    """A CSV whose records mostly take the split path, with some of the shapes
+    only csv.reader reads: quoted fields, CR line ends, a blank line, and
+    maybe no final newline."""
+    width = draw(st.integers(1, len(_SPLIT_HEADERS)))
+    n_rows = draw(st.integers(0, 20))
+    rows = [draw(st.lists(_PLAIN, min_size=width, max_size=width)) for _ in range(n_rows)]
+    ends = ["\n"] * n_rows
+    if n_rows:
+        rows_at = st.integers(0, n_rows - 1)
+        quoted = st.tuples(rows_at, st.integers(0, width - 1), _QUOTED)
+        for i, j, value in draw(st.lists(quoted, max_size=2)):
+            rows[i][j] = value
+        cr_ends = st.tuples(rows_at, st.sampled_from(["\r\n", "\r"]))
+        for i, end in draw(st.lists(cr_ends, max_size=2)):
+            ends[i] = end
+        if draw(st.booleans()):
+            i = draw(rows_at)
+            ends[i] += draw(st.sampled_from(["\n", "\r\n"]))  # a blank line after row i
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")  # quotes every field holding \r or \n
+    for row, end in zip([_SPLIT_HEADERS[:width]] + rows, ["\n"] + ends):
+        writer.writerow(row)
+        buf.seek(buf.tell() - 2)
+        buf.truncate()
+        buf.write(end)
+    text = buf.getvalue()
+    if n_rows and draw(st.booleans()):
+        text = text.removesuffix(ends[-1])  # no final newline
+    return text.encode("utf-8")
+
+
+class TestRecordSplitting:
+    """Both record splitters, switching from str.split to csv.reader mid-file."""
+
+    @given(_split_csv(), st.none() | st.sets(st.sampled_from([h.lower() for h in _SPLIT_HEADERS])))
+    @example(b"a,B\n1,2\n3,4\n5,6\n7,8\r\n9,x\r", None)
+    @example(b'a,B\n1,2\n3,4\n5,6\n"7\n8",9\n"x,y",""""\n', {"a"})
+    def test_matches_csv_reader(self, data, columns):
+        with pytest.MonkeyPatch.context() as patch:
+            # Blocks of a line or two and chunks of 3 records, so the path can switch mid-file.
+            patch.setattr(dataset, "_BLOCK_CHARS", 8)
+            patch.setattr(dataset, "_CHUNK_ROWS", 3)
+            self._check(data, columns)
+
+    def _check(self, data, columns):
+        header, *records = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        bad = next(((i, len(r)) for i, r in enumerate(records, 1) if len(r) != len(header)), None)
+        if bad is not None:  # a blank line: 0 fields
+            with pytest.raises(StructuralError) as exc:
+                load_csv(data, columns=columns)
+            row, fields = bad
+            assert str(exc.value) == f"row {row} has {fields} fields, expected {len(header)}"
+            assert exc.value.row == row
+            return
+        full = oracle_load_csv(data)
+        kept = [j for j, h in enumerate(full.headers) if columns is None or h.lower() in columns]
+        expected = Dataset.from_lists(
+            [full.headers[j] for j in kept], [[row[j] for j in kept] for row in full.rows]
+        )
+        assert load_csv(data, columns=columns) == expected
+
+    @pytest.mark.parametrize(
+        "text,row,fields,width",
+        [
+            ("a,b\n1,2\n\n3,4\n", 2, 0, 2),  # blank line, split path
+            ("a,b\n1,2\n\"3\",4\n\n", 3, 0, 2),  # blank line, csv.reader path
+            ("a,b\n1,2\n3,4,5\n", 2, 3, 2),
+            ("a,b\n1,2\n3\n", 2, 1, 2),
+            ("a\n1\n\n", 2, 0, 1),
+        ],
+    )
+    def test_width_errors_name_the_row(self, text, row, fields, width):
+        with pytest.raises(StructuralError) as exc:
+            _load(text)
+        assert exc.value.row == row
+        assert str(exc.value) == f"row {row} has {fields} fields, expected {width}"
+
+    def test_blank_records_of_a_blank_header(self):
+        # A blank header line gives 0 columns; each blank line is then a record.
+        assert _load("\n\n\n").n_rows == _load("\n\r\n\n").n_rows == 2
+
+    def test_over_long_lines_and_fields(self):
+        old = csv.field_size_limit(10)
+        try:
+            # Lines longer than the limit go to csv.reader, which accepts fields within it.
+            data = b"a,b\n" + b"0123456789,x\n" * 3
+            assert load_csv(data) == oracle_load_csv(data)
+            for text, row in [("a,b\n1,2\n3,0123456789x\n", 2), ('a\n1\n2\n"0123456789x"\n', 3)]:
+                with pytest.raises(StructuralError) as exc:
+                    _load(text)
+                assert exc.value.row == row
+                assert str(exc.value) == f"row {row}: field larger than field limit (10)"
+            with pytest.raises(StructuralError, match=r"^header: field larger"):
+                _load("0123456789x\n1\n")
+        finally:
+            csv.field_size_limit(old)
+
+    def test_byte_order_mark_is_dropped(self):
+        text = "sensor,value\ns1,2\n,3\n"
+        data = b"\xef\xbb\xbf" + text.encode("utf-8")
+        d = load_csv(data)
+        assert d == _load(text)
+        assert dataset_to_csv(d) == text
+        assert load_csv(data, columns={"sensor"}).headers == ("sensor",)
+
+
+class TestBulkCells:
+    @pytest.mark.parametrize(
+        "kind,values",
+        [
+            (CellKind.TEXT, ["x", "", " 1 ", "N/A"]),
+            (CellKind.NUMBER, [0.0, -0.0, 2.5, 1e300]),
+            (CellKind.TIMESTAMP, [EPOCH_MS_MIN, 1_700_000_000_000]),
+        ],
+    )
+    def test_equal_to_cells_built_by_init(self, kind, values):
+        cells = _cells(kind, values)
+        expected = [Cell(kind, v) for v in values]
+        assert cells == expected
+        assert list(map(hash, cells)) == list(map(hash, expected))
+        assert list(map(repr, cells)) == list(map(repr, expected))
+        assert all(type(c) is Cell for c in cells)
+        with pytest.raises(FrozenInstanceError):
+            cells[0].value = "changed"
+        with pytest.raises(FrozenInstanceError):
+            cells[0].kind = CellKind.MISSING
 
 
 def test_load_and_normalize_leave_no_cyclic_garbage():
