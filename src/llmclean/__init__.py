@@ -6,56 +6,49 @@ cell-level error reports; includes a prompt-ensembling optimizer and an
 error-injection evaluation harness.
 """
 
-from .dataset import (
-    Cell,
-    CellKind,
-    CellRef,
-    Dataset,
-    MISSING,
-    PlaceholderSet,
-    load_csv,
-    normalize_missing,
-)
-from .detection import DetectionReport, run_all
-from .ensemble import (
-    EnsembleConfig,
-    EvalRecord,
-    SearchSpec,
-    find_best_ensemble,
-    find_consensus,
-    score_micro_f1,
-)
-from .evaluation import ErrorSpec, GroundTruth, inject_errors, score_detection, score_repair
-from .rules import DependencyKind, OfdRule, SensorSpec, parse_rule, render_rule
+import importlib
+
+# Each public name and the module that defines it. The modules are imported
+# on first use (PEP 562), so ``import llmclean.cli`` loads only what the
+# command it runs needs.
+_EXPORTS = {
+    "Cell": "dataset",
+    "CellKind": "dataset",
+    "CellRef": "dataset",
+    "Dataset": "dataset",
+    "MISSING": "dataset",
+    "PlaceholderSet": "dataset",
+    "load_csv": "dataset",
+    "normalize_missing": "dataset",
+    "DetectionReport": "detection",
+    "run_all": "detection",
+    "EnsembleConfig": "ensemble",
+    "EvalRecord": "ensemble",
+    "SearchSpec": "ensemble",
+    "find_best_ensemble": "ensemble",
+    "find_consensus": "ensemble",
+    "score_micro_f1": "ensemble",
+    "ErrorSpec": "evaluation",
+    "GroundTruth": "evaluation",
+    "inject_errors": "evaluation",
+    "score_detection": "evaluation",
+    "score_repair": "evaluation",
+    "DependencyKind": "rules",
+    "OfdRule": "rules",
+    "SensorSpec": "rules",
+    "parse_rule": "rules",
+    "render_rule": "rules",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Cell",
-    "CellKind",
-    "CellRef",
-    "Dataset",
-    "DependencyKind",
-    "DetectionReport",
-    "EnsembleConfig",
-    "ErrorSpec",
-    "EvalRecord",
-    "GroundTruth",
-    "MISSING",
-    "OfdRule",
-    "PlaceholderSet",
-    "SearchSpec",
-    "SensorSpec",
-    "find_best_ensemble",
-    "find_consensus",
-    "inject_errors",
-    "load_csv",
-    "normalize_missing",
-    "parse_rule",
-    "render_rule",
-    "run_all",
-    "score_detection",
-    "score_micro_f1",
-    "score_repair",
-    "__version__",
-]
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -3,18 +3,17 @@
 Commands: classify, build-context, detect, evaluate, ensemble. Every
 LLM-dependent command requires an explicit --backend {remote,replay}; there
 is no silent network access. Exit codes: 0 success, 1 input error,
-2 external-service error, 3 internal invariant violation. The LLM-facing
-modules (generation, gateway) are imported by the commands that use them, so
-detect, evaluate and ensemble start without them.
+2 external-service error, 3 internal invariant violation; a malformed
+command line exits 1 as well. Each command imports the package modules it
+runs when it runs, so detect, evaluate and ensemble start without the
+LLM-facing ones (generation, gateway) and without logging.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
-import logging
 import os
 import sys
 import time
@@ -22,12 +21,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection
 
-from . import context_model, detection, ensemble, evaluation
-from .dataset import Dataset, dataset_to_csv, load_csv, normalize_missing
+from .dataset import Dataset, dataset_to_csv, load_csv, normalize_missing, read_headers
 from .errors import GatewayError, LLMCleanError
 from .rules import SensorSpec, parse_rule_file, parse_sensor_spec, render_rule_file
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -92,7 +88,12 @@ def _load_dataset(path: str, columns: Collection[str] | None = None) -> Dataset:
 
 
 def _make_backend(args: argparse.Namespace):
+    """The backend the flags name; logging is set up here, for the modules that log."""
+    import logging
+
     from .gateway import API_KEY_ENV, ENDPOINT_ENV, RemoteBackend, ReplayBackend
+
+    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
 
     if args.backend == "replay":
         if not args.cassette:
@@ -136,7 +137,7 @@ def _parse_value_columns(text: str) -> list[tuple[str, str]]:
 
 def _load_ensemble_config(path: str):
     """The classify ensemble and its prompt templates from an --ensemble-config file."""
-    from . import generation
+    from . import ensemble, generation
 
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
@@ -166,7 +167,7 @@ def _load_ensemble_config(path: str):
 
 def _classify(args, headers):
     """The ``generation.DatasetClass`` of a table with these headers."""
-    from . import generation
+    from . import ensemble, generation
 
     backend = _make_backend(args)
     config, templates = ensemble.EnsembleConfig(threshold=1, prompts=("classify",)), None
@@ -176,16 +177,15 @@ def _classify(args, headers):
 
 
 def cmd_classify(args) -> int:
-    _load_dataset(args.csv, columns=())  # checks every record, keeps no column
-    with open(args.csv, encoding="utf-8-sig", newline="") as fh:
-        headers = next(csv.reader(fh))
+    with open(args.csv, "rb") as fh:
+        headers = read_headers(fh)  # checks every record, keeps no column
     result = _classify(args, headers)
     print(result.value)
     return EXIT_OK
 
 
 def cmd_build_context(args) -> int:
-    from . import generation
+    from . import context_model, generation
 
     d = _load_dataset(args.csv)
     d = normalize_missing(d)
@@ -244,12 +244,16 @@ def _rules_for_detection(args):
     if args.rules:
         return parse_rule_file(Path(args.rules).read_text(encoding="utf-8"))
     if args.graph:
+        from . import context_model
+
         graph = context_model.deserialize(Path(args.graph).read_text(encoding="utf-8"))
         return context_model.extract_ofds(graph)
     raise LLMCleanError("detect needs --rules or --graph")
 
 
 def cmd_detect(args) -> int:
+    from . import detection
+
     rules = _rules_for_detection(args)
     d = normalize_missing(_load_dataset(args.csv, detection.columns_read(rules)))
     specs = _load_specs(args.sensors)
@@ -270,6 +274,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import detection, evaluation
+
     fd_determinant, fd_dependent = _parse_fd_pair(args.fd_pair)
     clean = normalize_missing(_load_dataset(args.csv))
     spec = evaluation.ErrorSpec(
@@ -312,6 +318,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
+    from . import ensemble
+
     if not 0.0 < args.val_fraction < 1.0:
         raise LLMCleanError(f"--val-fraction must lie in (0, 1), got {args.val_fraction}")
     text = Path(args.records).read_text(encoding="utf-8")
@@ -341,8 +349,27 @@ def cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1 (argparse's 2 is this
+    program's external-service error)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _parallel(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expects an integer of at least 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="llmclean",
         description="Context-aware tabular data cleaning pipeline",
     )
@@ -355,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", help="remote model name")
         p.add_argument("--ensemble-config", dest="ensemble_config",
                        help="JSON file with classify ensemble + templates")
-        p.add_argument("--parallel", type=int, default=4,
+        p.add_argument("--parallel", type=_parallel, default=4,
                        help="bound on concurrent backend calls")
 
     p = sub.add_parser("classify", help="print IoT or NonIoT for a CSV")
@@ -381,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensors", help="sensor spec JSON file")
     p.add_argument("--exact-matching", dest="exact_matching", action="store_true",
                    help="disable blocking for matching rules")
-    p.add_argument("--parallel", type=int, default=4)
+    p.add_argument("--parallel", type=_parallel, default=4)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_detect)
 
@@ -398,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outlier-columns", dest="outlier_columns")
     p.add_argument("--fd-pair", dest="fd_pair", help="determinant:dependent")
     p.add_argument("--exact-matching", dest="exact_matching", action="store_true")
-    p.add_argument("--parallel", type=int, default=4)
+    p.add_argument("--parallel", type=_parallel, default=4)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_evaluate)
@@ -417,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except GatewayError as exc:
@@ -427,7 +453,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - last resort: invariant violation
-        logger.exception("internal error")
+        import traceback
+
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:

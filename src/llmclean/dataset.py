@@ -19,11 +19,10 @@ import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
-from operator import add, attrgetter, is_, itemgetter, methodcaller, or_
+from operator import add, attrgetter, ge, is_, itemgetter, methodcaller, or_
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import SchemaError, StructuralError
@@ -36,7 +35,13 @@ DEFAULT_PLACEHOLDER_TOKENS = ("N/A", "nan", "none", "null", "")
 #: (100_000_000_000 ms is early 1973; plain measurements rarely get there.)
 EPOCH_MS_MIN = 100_000_000_000
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+#: The smallest float a timestamp's text can read as. A text that parses both
+#: as a float and as ISO 8601 holds no ``-`` or ``:``, so its date is the
+#: basic ``YYYYMMDD`` form, read as that number or more (a ``.``, ``_`` or
+#: exponent follows it), and dates before 1970 are refused. An epoch-ms
+#: integer reads as at least ``EPOCH_MS_MIN``.
+_TIMESTAMP_FLOAT_MIN = 19_700_101
+
 _INT_RE = re.compile(r"[+-]?\d+")
 
 T = TypeVar("T")
@@ -362,6 +367,8 @@ def _parse_timestamp_text(text: str) -> int | None:
         return v if v >= EPOCH_MS_MIN else None
     if not (s[:4].isascii() and s[:4].isdigit()):  # fromisoformat needs a 4-digit year
         return None
+    from datetime import datetime, timedelta, timezone  # only ISO texts need it
+
     iso = s[:-1] + "+00:00" if s.endswith(("Z", "z")) else s
     try:
         dt = datetime.fromisoformat(iso)
@@ -369,7 +376,7 @@ def _parse_timestamp_text(text: str) -> int | None:
         return None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    ms = (dt - _EPOCH) // timedelta(milliseconds=1)
+    ms = (dt - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(milliseconds=1)
     return ms if ms >= 0 else None
 
 
@@ -396,9 +403,9 @@ def _majority_parse(
     return parsed if hits > half else None
 
 
-def _timestamps_all(values: list[str]) -> list[int] | None:
-    """Every value as epoch ms, or None unless each is an unsigned epoch-ms integer."""
-    stripped = list(map(str.strip, values))
+def _timestamps_all(stripped: list[str]) -> list[int] | None:
+    """Every stripped value as epoch ms, or None unless each is an unsigned
+    epoch-ms integer."""
     if not all(map(str.isdecimal, stripped)):  # isdecimal is _INT_RE's \d+ without a sign
         return None
     ints = list(map(int, stripped))
@@ -441,12 +448,28 @@ def _may_be_number(stripped: list[str]) -> Iterator[bool]:
 
 # Per kind, in vote order: a test every value of the kind passes, the batch
 # parse of the common case (every value parses), the per-value parse, and
-# the cell constructor.
+# the cell constructor. Every value that passes the timestamp test passes the
+# number test too: a 4-digit head starts with a digit, and ``+`` leads both.
 _KINDS = (
     (CellKind.TIMESTAMP, _may_be_timestamp, _timestamps_all, _parse_timestamp_text,
      Cell.timestamp),
     (CellKind.NUMBER, _may_be_number, _numbers_all, _parse_number_text, Cell.number),
 )
+
+
+def _typed_column(typed: Mapping[str, Cell], raws: list[str], raw_codes: list[int]) -> Column:
+    """The column where each raw value in ``typed`` holds its cell, any other as text."""
+    return Column.merged([typed.get(v) or Cell(CellKind.TEXT, v) for v in raws], raw_codes)
+
+
+def _batch_column(
+    kind: CellKind, xs: list, values: list[str], raws: list[str], raw_codes: list[int]
+) -> Column:
+    """The column where each non-blank raw value in ``values`` is ``Cell(kind, x)``."""
+    cells = _cells(kind, xs)
+    if len(values) == len(raws) and len(set(xs)) == len(xs):
+        return Column(tuple(cells), tuple(raw_codes))
+    return _typed_column(dict(zip(values, cells)), raws, raw_codes)
 
 
 def _type_column(raws: list[str], raw_codes: list[int]) -> Column:
@@ -459,38 +482,54 @@ def _type_column(raws: list[str], raw_codes: list[int]) -> Column:
     stays text (NaN/inf collapse to Missing). Each distinct raw value is
     parsed once, and raw values that type to equal cells share one code.
 
-    A kind is skipped unparsed when the values passing its necessary test
-    (leading characters, checked in C-level passes) carry at most half the
-    weight: its parses could not win the vote. Otherwise it is first tried
-    in batch: when every non-empty value parses, it wins the vote outright
-    and its cells are built in C-level passes. Only otherwise is the vote
-    counted value by value.
+    Passes that cannot change the result are skipped. When each raw value is
+    held by one row, every weight is 1 and no count is taken. A kind's parses
+    are skipped when the values that pass its necessary test (leading
+    characters, checked in C-level passes) carry at most half the weight;
+    the number test runs first, since every timestamp passes it. A kind that
+    parses every non-empty value wins outright and its cells are built in
+    C-level passes; only otherwise is the vote counted value by value. When
+    every value is a finite float, only those reading at least
+    ``_TIMESTAMP_FLOAT_MIN`` can be timestamps, which bounds that vote
+    without the timestamp test.
     """
-    counts = Counter(raw_codes)
+    _, may_be_timestamp, timestamps_all, parse_timestamp, make_timestamp = _KINDS[0]
+    _, may_be_number, numbers_all, parse_number, make_number = _KINDS[1]
     stripped = list(map(str.strip, raws))
-    # Each non-blank raw value with its row count, the weight of its vote.
-    filled = dict(compress(zip(raws, map(counts.__getitem__, count())), stripped))
-    stripped = list(filter(None, stripped))  # aligned with ``filled``
-    weights = list(filled.values())
-    total = sum(weights)
-    for kind, may_be, parse_all, parse, make in _KINDS:
-        if 2 * sum(compress(weights, may_be(stripped))) <= total:
-            continue  # its hits could not outweigh the rest (no values: total 0)
-        xs = parse_all(list(filled))
+    values = list(compress(raws, stripped))  # the non-blank raw values
+    if len(raws) == len(raw_codes):  # each raw value is held by one row
+        weights = None
+        total = len(values)
+    else:
+        counts = Counter(raw_codes)
+        weights = list(compress(map(counts.__getitem__, range(len(raws))), stripped))
+        total = sum(weights)
+    stripped = list(filter(None, stripped))  # aligned with ``values``
+
+    def can_win(passes: Iterable[bool]) -> bool:
+        hits = sum(passes) if weights is None else sum(compress(weights, passes))
+        return 2 * hits > total
+
+    def vote(parse: Callable[[str], object | None]) -> dict[str, object] | None:
+        return _majority_parse(dict(zip(values, weights or repeat(1))), parse)
+
+    if can_win(may_be_number(stripped)):  # else neither kind can (no values: total 0)
+        xs = timestamps_all(stripped)
         if xs is not None:
-            cells = _cells(kind, xs)
-            if len(filled) == len(raws) and len(set(xs)) == len(xs):
-                return Column(tuple(cells), tuple(raw_codes))
-            typed = dict(zip(filled, cells))
-            break
-        parsed = _majority_parse(filled, parse)
-        if parsed is not None:
-            typed = {v: make(x) for v, x in parsed.items()}
-            break
-    else:  # distinct raw strings are distinct text cells
-        return Column(tuple(_cells(CellKind.TEXT, raws)), tuple(raw_codes))
-    cells = [typed.get(v) or Cell(CellKind.TEXT, v) for v in raws]
-    return Column.merged(cells, raw_codes)
+            return _batch_column(CellKind.TIMESTAMP, xs, values, raws, raw_codes)
+        floats = numbers_all(values)
+        if floats is None:
+            may_be = may_be_timestamp(stripped)
+        else:
+            may_be = map(ge, floats, repeat(_TIMESTAMP_FLOAT_MIN))
+        if can_win(may_be) and (parsed := vote(parse_timestamp)) is not None:
+            return _typed_column({v: make_timestamp(x) for v, x in parsed.items()}, raws, raw_codes)
+        if floats is not None:
+            return _batch_column(CellKind.NUMBER, floats, values, raws, raw_codes)
+        if (parsed := vote(parse_number)) is not None:
+            return _typed_column({v: make_number(x) for v, x in parsed.items()}, raws, raw_codes)
+    # Distinct raw strings are distinct text cells.
+    return Column(tuple(_cells(CellKind.TEXT, raws)), tuple(raw_codes))
 
 
 _BLOCK_CHARS = 1 << 18
@@ -556,6 +595,38 @@ def _records(
         row += len(records)
 
 
+def _open_csv(
+    source: BinaryIO | bytes, columns: Collection[str] | None
+) -> tuple[list[str], list[int], Iterator[list[list[str]]]]:
+    """The header row, the indices of the kept columns and the record chunks."""
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    text_stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+    try:
+        headers = next(csv.reader(text_stream), None)
+    except csv.Error as exc:
+        raise StructuralError(f"header: {exc}", row=0) from None
+    if headers is None:
+        raise StructuralError("empty CSV input")
+    if len(set(headers)) != len(headers):
+        dupes = sorted({h for h in headers if headers.count(h) > 1})
+        raise SchemaError(f"duplicate header {dupes[0]!r}")
+    kept = [j for j, h in enumerate(headers) if columns is None or h.lower() in columns]
+    return headers, kept, _records(text_stream, len(headers), kept[-1] + 1 if kept else 0)
+
+
+def read_headers(source: BinaryIO | bytes) -> tuple[str, ...]:
+    """The header row of a CSV whose every record :func:`load_csv` would accept.
+
+    Checks what ``load_csv`` checks and keeps no column.
+    """
+    headers, _, chunks = _open_csv(source, ())
+    for _ in chunks:
+        pass
+    _check_headers(tuple(headers))
+    return tuple(headers)
+
+
 def load_csv(source: BinaryIO | bytes, columns: Collection[str] | None = None) -> Dataset:
     """Read an RFC-4180-style UTF-8 CSV with a header row into a typed dataset.
 
@@ -572,24 +643,11 @@ def load_csv(source: BinaryIO | bytes, columns: Collection[str] | None = None) -
     still checked (duplicate or empty headers, record width, field size,
     UTF-8).
     """
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
-    text_stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-    try:
-        headers = next(csv.reader(text_stream), None)
-    except csv.Error as exc:
-        raise StructuralError(f"header: {exc}", row=0) from None
-    if headers is None:
-        raise StructuralError("empty CSV input")
-    if len(set(headers)) != len(headers):
-        dupes = sorted({h for h in headers if headers.count(h) > 1})
-        raise SchemaError(f"duplicate header {dupes[0]!r}")
-
-    kept = [j for j, h in enumerate(headers) if columns is None or h.lower() in columns]
+    headers, kept, chunks = _open_csv(source, columns)
     encoders = [_encoder() for _ in kept]
     raw_codes: list[list[int]] = [[] for _ in kept]
     n_rows = 0
-    for records in _records(text_stream, len(headers), kept[-1] + 1 if kept else 0):
+    for records in chunks:
         for encoder, codes, j in zip(encoders, raw_codes, kept):
             codes.extend(map(encoder.__getitem__, map(itemgetter(j), records)))
         n_rows += len(records)

@@ -23,12 +23,15 @@ import json
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .dataset import (
     Cell,
     CellKind,
     CellRef,
+    Column,
     Dataset,
     PlaceholderSet,
     group_modes,
@@ -202,9 +205,15 @@ def detect_fd_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
     deviating = {(a, b) for a, b in pairs if a in modes and b != modes[a]}
     return [
         Finding(CellRef(i, dep_name), rule.id, "fd_violation")
-        for i, pair in enumerate(zip(det_col.codes, dep_col.codes))
-        if pair in deviating
+        for i in _rows_holding(deviating, det_col, dep_col)
     ]
+
+
+def _rows_holding(pairs: set[tuple[int, int]], a: Column, b: Column) -> Iterable[int]:
+    """Ascending indices of the rows whose ``(a, b)`` codes are in ``pairs``."""
+    if not pairs:
+        return ()
+    return compress(count(), map(pairs.__contains__, zip(a.codes, b.codes)))
 
 
 def _sim_predicates(rule: OfdRule) -> tuple[str, float, str, float]:
@@ -243,17 +252,20 @@ def detect_matching_violations(
     # distinct pair is compared once.
     a_missing, b_missing = a_col.missing_code, b_col.missing_code
     a_texts, b_texts = a_col.texts, b_col.texts
-    distinct = [
-        (a, b) for a, b in dict.fromkeys(zip(a_col.codes, b_col.codes))
-        if a != a_missing and b != b_missing
-    ]
+    distinct = list(dict.fromkeys(zip(a_col.codes, b_col.codes)))
+    if a_missing is not None or b_missing is not None:
+        distinct = [(a, b) for a, b in distinct if a != a_missing and b != b_missing]
     if exact:
         blocks = [distinct]
     else:
+        # Only keys that two or more pairs share make a block.
+        a_keys = list(map(itemgetter(slice(BLOCK_KEY_LEN)), a_texts))
+        keys = list(map(a_keys.__getitem__, map(itemgetter(0), distinct)))
+        shared = {key for key, n in Counter(keys).items() if n > 1}
         keyed: dict[str, list[tuple[int, int]]] = defaultdict(list)
-        for pair in distinct:
-            keyed[a_texts[pair[0]][:BLOCK_KEY_LEN]].append(pair)
-        blocks = [block for block in keyed.values() if len(block) > 1]
+        for key, pair in compress(zip(keys, distinct), map(shared.__contains__, keys)):
+            keyed[key].append(pair)
+        blocks = list(keyed.values())
 
     flagged: set[tuple[int, int]] = set()
     for block in blocks:
@@ -272,8 +284,7 @@ def detect_matching_violations(
                     flagged.add(block[y])
     return [
         Finding(CellRef(i, b_name), rule.id, "matching_violation")
-        for i, pair in enumerate(zip(a_col.codes, b_col.codes))
-        if pair in flagged
+        for i in _rows_holding(flagged, a_col, b_col)
     ]
 
 

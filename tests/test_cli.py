@@ -4,6 +4,7 @@ import ast
 import csv
 import gc
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import llmclean
 from llmclean.cli import EXIT_EXTERNAL, EXIT_INPUT, EXIT_OK, main
 from llmclean.context_model import (
     PART_OF,
@@ -63,6 +65,75 @@ def test_importing_cli_does_not_load_requests():
     assert out.strip() == "[]"
 
 
+def _python(code: str, *args: str) -> str:
+    """Stdout of ``python -c code args`` in a fresh interpreter on the sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    ).stdout
+
+
+# Runs the CLI as the console script does and prints the modules it imported
+# beyond what the bare interpreter had loaded.
+_FOOTPRINT = """\
+import json, sys
+bare = set(sys.modules)
+from llmclean.cli import entrypoint
+sys.argv = ["llmclean", *sys.argv[1:]]
+try:
+    entrypoint()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(json.dumps(sorted(set(sys.modules) - bare)))
+"""
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("sensor,value\ns1,1\n,2\ns2,3\n")
+    rules_path = tmp_path / "rules.ofd"
+    rules_path.write_text('denial: t1&EQ(t1.sensor,"")\n')
+    llm = {"llmclean.generation", "llmclean.gateway"}
+    for argv, absent in [
+        (["detect", str(csv_path), "--rules", str(rules_path), "--out-dir", str(tmp_path / "d")],
+         llm | {"llmclean.ensemble", "llmclean.evaluation", "llmclean.context_model"}),
+        (["evaluate", str(csv_path), "--rules", str(rules_path), "--missing-rate", "0.3",
+          "--seed", "1", "--out-dir", str(tmp_path / "e")], llm),
+    ]:
+        loaded = set(json.loads(_python(_FOOTPRINT, *argv).splitlines()[-1]))
+        assert "llmclean.dataset" in loaded
+        assert not loaded & absent, (argv[0], loaded & absent)
+        if argv[0] == "detect":
+            assert not {m for m in loaded if m.split(".")[0] == "logging"}
+
+
+def test_package_exports_load_on_first_use():
+    code = """\
+import sys, llmclean
+assert "llmclean.dataset" not in sys.modules
+values = [getattr(llmclean, name) for name in llmclean.__all__]
+from llmclean import dataset, evaluation
+assert llmclean.load_csv is dataset.load_csv and llmclean.ErrorSpec is evaluation.ErrorSpec
+try:
+    llmclean.no_such_name
+except AttributeError:
+    print("ok", len(values))
+"""
+    assert _python(code).split() == ["ok", str(len(llmclean.__all__))]
+
+
+def test_verbose_raises_the_level_of_commands_that_log(iot_csv, cassette):
+    code = (
+        "import logging, sys; from llmclean.cli import main; code = main(sys.argv[1:]); "
+        "print(code, logging.getLogger().getEffectiveLevel())"
+    )
+    argv = ["classify", iot_csv, "--backend", "replay", "--cassette", cassette]
+    assert _python(code, "-v", *argv).split()[-2:] == ["0", str(logging.INFO)]
+    assert _python(code, *argv).split()[-2:] == ["0", str(logging.WARNING)]
+
+
 def test_package_needs_only_the_standard_library():
     tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parents[1]
@@ -105,7 +176,9 @@ class TestClassify:
         monkeypatch.setattr(llmclean.generation, "classify_dataset", boom)
         code = main(["classify", iot_csv, "--backend", "replay", "--cassette", cassette])
         assert code == 3
-        assert "internal error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error: wires crossed" in err
+        assert "Traceback (most recent call last)" in err
 
 
 class TestEnsembleConfigFile:
@@ -208,6 +281,14 @@ class TestCsvInput:
         code = main(["classify", iot_csv, "--backend", "replay", "--cassette", cassette])
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip() == "IoT"
+
+    def test_classify_checks_records_past_a_byte_order_mark(self, iot_csv, cassette, capsys):
+        lines = Path(iot_csv).read_bytes().splitlines(keepends=True)
+        Path(iot_csv).write_bytes(b"\xef\xbb\xbf" + b"".join(lines[:3]) + b"x\n")
+        code = main(["classify", iot_csv, "--backend", "replay", "--cassette", cassette])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "row 3 has 1 fields" in err and "internal error" not in err
 
 
 def expected_triple_count() -> int:
@@ -678,7 +759,7 @@ class TestEvaluate:
 
 
 class TestUnreadFlagsRefused:
-    """Flags a command never read are gone; argparse refuses them (exit 2)."""
+    """Flags a command never read are gone; the parser refuses them (exit 1)."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -697,8 +778,58 @@ class TestUnreadFlagsRefused:
     def test_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
+        assert exc.value.code == EXIT_INPUT
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """A malformed command line exits 1, like any input error (2 means an
+    external service failed)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--backend", "replay"],
+            ["classify", "x.csv", "--backend", "replay", "--parallel", "1.5"],
+            ["classify", "x.csv", "--backend", "replay", "--parallel", "0"],
+            ["build-context", "--backend", "replay"],
+            ["build-context", "x.csv", "--backend", "replay", "--seed", "1.5"],
+            ["build-context", "x.csv", "--backend", "replay", "--parallel", "0"],
+            ["detect", "--rules", "r.ofd"],
+            ["detect", "x.csv", "--rules", "r.ofd", "--parallel", "abc"],
+            ["detect", "x.csv", "--rules", "r.ofd", "--parallel", "0"],
+            ["evaluate", "--rules", "r.ofd"],
+            ["evaluate", "x.csv", "--rules", "r.ofd", "--missing-rate", "abc"],
+            ["evaluate", "x.csv", "--rules", "r.ofd", "--parallel", "0"],
+            ["evaluate", "x.csv", "--rules", "r.ofd", "--parallel", "-3"],
+            ["detect", "x.csv", "--no-such-flag"],
+            [],
+        ],
+        ids=[
+            "classify-no-csv", "classify-bad-number", "classify-parallel-0",
+            "build-context-no-csv", "build-context-bad-number", "build-context-parallel-0",
+            "detect-no-csv", "detect-bad-number", "detect-parallel-0",
+            "evaluate-no-csv", "evaluate-bad-float", "evaluate-parallel-0",
+            "evaluate-parallel-negative", "unknown-flag", "no-command",
+        ],
+    )
+    def test_exit_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    def test_parallel_below_one_named(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["detect", "x.csv", "--rules", "r.ofd", "--parallel", "0"])
+        assert "--parallel: expects an integer of at least 1, got '0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["detect", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestEnsembleCommand:

@@ -277,6 +277,40 @@ class TestVoteBound:
         column = _type_column(codes, list(range(len(codes))))
         assert [c.kind for c in column.values] == [CellKind.TEXT] * len(codes)
 
+    @pytest.mark.parametrize(
+        "values,kind",
+        [
+            (["1.5", "-2", "3e2", " 4.25 "], CellKind.NUMBER),
+            (["abc1", "x", "2024-01-01T00:00:05Z", "7"], CellKind.TEXT),
+        ],
+    )
+    def test_unneeded_timestamp_tests_are_skipped(self, values, kind, monkeypatch):
+        # All finite floats bound the timestamp vote; lost number leads settle text.
+        def refuse(stripped):
+            raise AssertionError(f"timestamp test ran on {stripped!r}")
+
+        stamp, number = dataset._KINDS
+        monkeypatch.setattr(dataset, "_KINDS", (stamp[:1] + (refuse,) + stamp[2:], number))
+        for repeat in (1, 2):
+            column = _type_column(values, list(range(len(values))) * repeat)
+            assert {c.kind for c in column.values} == {kind}
+
+    @given(
+        st.one_of(
+            st.sampled_from(["19700101.00", "19700101_00", "19700101e00", "20240101.12",
+                             " 20240101_12 ", "20240101.123456", "19691231.23"]),
+            st.from_regex(r"\s?[0-9]{4,12}[._eE]?[0-9]{0,8}(\.[0-9]{1,6})?\s?", fullmatch=True),
+        )
+    )
+    def test_timestamps_read_as_floats_are_bounded(self, text):
+        # What lets an all-float column bound its timestamp vote from the floats.
+        try:
+            x = float(text)
+        except ValueError:
+            return
+        if _parse_timestamp_text(text) is not None:
+            assert x >= dataset._TIMESTAMP_FLOAT_MIN
+
 
 class TestLoadCsvOracle:
     @given(_csv_bytes())
@@ -307,13 +341,25 @@ class TestLoadCsvOracle:
             ["100000000000", "100000000001", "5"],
             ["1.5", "inf", "nan", "2.5"],
             ["0.0", "-0.0", " "],
+            ["1.5", "2.25", "3.125", "100000000000"],
+            ["100000000000", "100000000001", "100000000002", "1.5"],
+            ["+100000000000", " 100000000001 ", "100000000002\t", "+100000000003"],
+            ["nan", "inf", "1.5", "-inf", "nan"],
+            ["nan", "100000000000", "100000000001", "inf"],
+            ["\u0661\u0662", "3", "4.5"],
+            ["\u0661" + "\u0660" * 11, "\u0662" + "\u0660" * 11, "1.5"],
+            ["20240101.12", "20240102_13", "1.5"],
+            ["19700101.00", "2.5", "3.5", "19700101e00"],
+            ["a1", "2.5", "3.5", "4.5"],
         ],
     )
     def test_batch_edge_columns_match_per_cell_typing(self, values):
-        data = ("c\n" + "".join(f"{v}\n" for v in values)).encode("utf-8")
-        d = load_csv(data)
-        assert d == oracle_load_csv(data)
-        assert len(set(d.columns[0].values)) == len(d.columns[0].values)
+        # Once per row every weight is 1; twice per row the vote counts weights.
+        for repeat in (1, 2):
+            data = ("c\n" + "".join(f"{v}\n" for v in values * repeat)).encode("utf-8")
+            d = load_csv(data)
+            assert d == oracle_load_csv(data)
+            assert len(set(d.columns[0].values)) == len(d.columns[0].values)
 
     def test_equal_raw_values_share_one_cell(self):
         d = _load("a,b\nx,1.5\nx,1.5\ny,2\n")

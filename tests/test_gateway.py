@@ -25,7 +25,6 @@ from llmclean.gateway import (
     cassette_key,
     complete,
     complete_many,
-    generate_prompt_variants,
     parse_completion,
     render_prompt,
     save_cassette,
@@ -383,39 +382,3 @@ class TestRemoteTransport:
     def test_non_http_endpoint_rejected(self, endpoint):
         with pytest.raises(ValueError):
             RemoteBackend(endpoint, "m")
-
-
-class TestPromptVariants:
-    def _base(self):
-        return PromptTemplate("base", "Classify {col_names} please.", ResponseFormat.YES_NO)
-
-    def _cassette_for(self, tmp_path, base, n, response):
-        meta_prompt = (
-            f"Rewrite the following task description in {n} different ways, "
-            "one per line. Keep every {placeholder} token exactly as written.\n\n"
-            + base.task_text
-        )
-        return make_cassette(tmp_path, {meta_prompt: response})
-
-    def test_three_paraphrases(self, tmp_path):
-        base = self._base()
-        path = self._cassette_for(
-            tmp_path, base, 3,
-            "1. Check {col_names} now.\n2. Look at {col_names}.\n3. Assess {col_names}.",
-        )
-        variants = generate_prompt_variants(ReplayBackend(path), base, 3)
-        assert len(variants) == 3
-        assert all(v.response_format is ResponseFormat.YES_NO for v in variants)
-        assert variants[0].task_text == "Check {col_names} now."
-
-    def test_duplicates_deduplicated(self, tmp_path):
-        base = self._base()
-        path = self._cassette_for(tmp_path, base, 3, "Same.\nSame.\nSame.")
-        variants = generate_prompt_variants(ReplayBackend(path), base, 3)
-        assert len(variants) == 1
-
-    def test_single_echo(self, tmp_path):
-        base = self._base()
-        path = self._cassette_for(tmp_path, base, 1, base.task_text)
-        variants = generate_prompt_variants(ReplayBackend(path), base, 1)
-        assert [v.task_text for v in variants] == [base.task_text]
