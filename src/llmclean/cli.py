@@ -23,7 +23,7 @@ from typing import Collection
 
 from .dataset import Dataset, dataset_to_csv, load_csv, normalize_missing, read_headers
 from .errors import GatewayError, LLMCleanError
-from .rules import SensorSpec, parse_rule_file, parse_sensor_spec, render_rule_file
+from .rules import SensorSpec, parse_rule_file, parse_sensor_specs, render_rule_file
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -110,10 +110,7 @@ def _make_backend(args: argparse.Namespace):
 def _load_specs(path: str | None) -> dict[str, SensorSpec]:
     if not path:
         return {}
-    table = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(table, dict):
-        raise LLMCleanError(f"{path}: sensor specs must be a JSON object keyed by model")
-    return {model: parse_sensor_spec(model, entry) for model, entry in table.items()}
+    return parse_sensor_specs(Path(path).read_text(encoding="utf-8"), path)
 
 
 def _parse_fd_pair(text: str | None) -> tuple[str | None, str | None]:
@@ -157,7 +154,7 @@ def _load_ensemble_config(path: str):
         )
     except KeyError as exc:
         raise LLMCleanError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise LLMCleanError(f"{path}: {exc}") from None
     for prompt_id in config.prompts:
         if prompt_id not in templates:

@@ -82,15 +82,6 @@ EDGE_PREDICATES = frozenset(
 )
 _ATTR_PRED_RE = re.compile(r"llmc:[A-Za-z_][A-Za-z0-9_]*$")
 
-PREFIXES: Mapping[str, str] = {
-    "rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
-    "ssn": "http://www.w3.org/ns/ssn/",
-    "iot-lite": "http://purl.oclc.org/NET/UNIS/fiware/iot-lite#",
-    "iot-context": "urn:llmclean:iot-context#",
-    "llmc": "urn:llmclean:ctx#",
-    "xsd": "http://www.w3.org/2001/XMLSchema#",
-}
-
 
 class ObjKind(Enum):
     IRI = "iri"

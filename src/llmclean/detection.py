@@ -37,7 +37,7 @@ from .dataset import (
     group_modes,
 )
 from .errors import RuleError, SchemaError
-from .rules import ColumnRef, DependencyKind, Literal, OfdRule, SensorSpec
+from .rules import ColumnRef, DependencyKind, Literal, OfdRule, SensorSpec, lookup_spec
 
 BLOCK_KEY_LEN = 4
 
@@ -286,20 +286,6 @@ def detect_matching_violations(
         Finding(CellRef(i, b_name), rule.id, "matching_violation")
         for i in _rows_holding(flagged, a_col, b_col)
     ]
-
-
-def strip_instance_suffix(sensor_id: str) -> str:
-    """Drop a trailing ``_<n>`` instance counter from a sensor id."""
-    head, sep, tail = sensor_id.rpartition("_")
-    if sep and tail.isdigit():
-        return head
-    return sensor_id
-
-
-def lookup_spec(specs: Mapping[str, SensorSpec], sensor_id: str) -> SensorSpec | None:
-    if sensor_id in specs:
-        return specs[sensor_id]
-    return specs.get(strip_instance_suffix(sensor_id))
 
 
 def detect_capability_violations(

@@ -37,6 +37,8 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV = "LLMCLEAN_API_KEY"
 ENDPOINT_ENV = "LLMCLEAN_ENDPOINT"
 DEFAULT_PARALLELISM = 4
+#: Tries per remote call: the first plus two retries of a transport failure.
+MAX_ATTEMPTS = 3
 
 
 class ResponseFormat(Enum):
@@ -169,10 +171,8 @@ class RemoteBackend:
 
     endpoint: str
     model: str
-    token_env: str = API_KEY_ENV
     timeout: float = 30.0
     max_parallel: int = DEFAULT_PARALLELISM
-    max_attempts: int = 3
     backoff_base: float = 0.5
 
     def __post_init__(self):
@@ -208,16 +208,16 @@ def _remote_call(backend: RemoteBackend, prompt: str) -> str:
     import urllib.error
     import urllib.request
 
-    token = os.environ.get(backend.token_env)
+    token = os.environ.get(API_KEY_ENV)
     if not token:
-        raise TransportError(f"auth token not set ({backend.token_env})")
+        raise TransportError(f"auth token not set ({API_KEY_ENV})")
     body = json.dumps({
         "model": backend.model,
         "messages": [{"role": "user", "content": prompt}],
     }).encode()
     headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
     last_error: Exception | None = None
-    for attempt in range(backend.max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         if attempt:
             time.sleep(backend.backoff_base * (2 ** (attempt - 1)))
         # A fresh request per attempt: opening one through a proxy rewrites its host.
@@ -250,7 +250,7 @@ def _remote_call(backend: RemoteBackend, prompt: str) -> str:
                 raw.decode("utf-8", "replace"),
             )
         return content
-    raise TransportError(f"request failed after {backend.max_attempts} attempts: {last_error}")
+    raise TransportError(f"request failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
 def complete(backend: Backend, prompt: str, fmt: ResponseFormat) -> Completion:

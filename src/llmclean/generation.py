@@ -10,16 +10,13 @@ and builds a concept hierarchy graph.
 
 from __future__ import annotations
 
-import json
 import logging
 import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate, chain, combinations
-from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 from .context_model import (
     ATTACHED_TO,
@@ -35,9 +32,8 @@ from .context_model import (
     validate_graph,
 )
 from .dataset import Cell, CellKind, Column, Dataset, group_modes
-from .detection import lookup_spec
 from .ensemble import EnsembleConfig, find_consensus
-from .errors import GatewayError, LLMCleanError, SchemaError
+from .errors import GatewayError, SchemaError
 from .gateway import (
     Backend,
     PromptTemplate,
@@ -46,7 +42,7 @@ from .gateway import (
     complete_many,
     render_prompt,
 )
-from .rules import SensorSpec, parse_sensor_spec
+from .rules import SensorSpec, lookup_spec
 
 logger = logging.getLogger(__name__)
 
@@ -88,7 +84,7 @@ _ROLE_CONCEPTS: dict[str, Concept] = {
 #: Concepts ``generate_columns`` can synthesize when no column maps to them.
 SYNTHESIZABLE = ("System", "Device", "SensingDevice", "Sensor")
 SYNTH_SYSTEM_ID = "system_1"
-_SYNTH_ID_PREFIXES = {"Device": "device", "SensingDevice": "sensing", "Sensor": "sensor"}
+_SYNTH_ID_STEMS = {"Device": "device", "SensingDevice": "sensing", "Sensor": "sensor"}
 
 #: Reference header list shown to the model as a known-IoT example.
 IOT_REFERENCE_HEADERS = (
@@ -156,7 +152,6 @@ class ConceptMapping:
     """Concept-role assignments plus everything that failed to map."""
 
     assignments: dict[str, str] = field(default_factory=dict)  # role -> column
-    unmapped_columns: list[str] = field(default_factory=list)
     missing: list[str] = field(default_factory=list)  # roles with no column
     warnings: list[str] = field(default_factory=list)
 
@@ -203,19 +198,14 @@ def classify_dataset(
     return DatasetClass.IOT if "yes" in consensus else DatasetClass.NON_IOT
 
 
-def map_columns(
-    headers: Sequence[str],
-    backend: Backend,
-    template: PromptTemplate | None = None,
-) -> ConceptMapping:
+def map_columns(headers: Sequence[str], backend: Backend) -> ConceptMapping:
     """One single-label query per concept role; hallucinated columns become
     warnings rather than errors."""
-    template = template or MAP_COLUMN_TEMPLATE
     mapping = ConceptMapping()
     claimed: set[str] = set()
     for role in MAPPING_ROLES:
         prompt = render_prompt(
-            template, {"col_names": ", ".join(headers), "concept": role}
+            MAP_COLUMN_TEMPLATE, {"col_names": ", ".join(headers), "concept": role}
         )
         try:
             completion = complete(backend, prompt, ResponseFormat.SINGLE_LABEL)
@@ -243,7 +233,6 @@ def map_columns(
         else:
             mapping.assignments[role] = matches[0]
             claimed.add(matches[0])
-    mapping.unmapped_columns = [h for h in headers if h not in claimed]
     return mapping
 
 
@@ -331,93 +320,10 @@ def generate_columns(
         if concept == "System":
             added.append(Column.merged([Cell.text(SYNTH_SYSTEM_ID)], [0] * d.n_rows))
         else:
-            prefix = _SYNTH_ID_PREFIXES[concept]
-            added.append(Column.merged([Cell.text(f"{prefix}_{k}") for k in slots], slot_codes))
+            stem = _SYNTH_ID_STEMS[concept]
+            added.append(Column.merged([Cell.text(f"{stem}_{k}") for k in slots], slot_codes))
     headers = d.headers + tuple(CANONICAL_NAMES[c] for c in to_add)
     return Dataset.from_columns(headers, d.columns + tuple(added), d.n_rows), excluded
-
-
-class KnowledgeSource(Protocol):
-    """Anything that can answer 'what is this sensor model's range?'."""
-
-    def lookup(self, sensor_model: str) -> SensorSpec | None: ...
-
-
-@dataclass
-class LocalFileKnowledge:
-    """Sensor specs from a JSON file: {"model": {"min":..,"max":..,"unit":..}}.
-
-    The file is read on the first lookup and kept; an entry that is not a
-    usable spec answers ``None``.
-    """
-
-    path: str
-
-    @cached_property
-    def _table(self) -> dict:
-        try:
-            table = json.loads(Path(self.path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise GatewayError(f"sensor knowledge file unreadable: {exc}") from None
-        if not isinstance(table, dict):
-            raise GatewayError(f"sensor knowledge file {self.path} is not a JSON object")
-        return table
-
-    def lookup(self, sensor_model: str) -> SensorSpec | None:
-        if sensor_model not in self._table:
-            return None
-        try:
-            return parse_sensor_spec(sensor_model, self._table[sensor_model])
-        except LLMCleanError:
-            return None
-
-
-@dataclass
-class LLMKnowledge:
-    """Asks the model backend for a model's range: two comma-separated numbers."""
-
-    backend: Backend
-    template: PromptTemplate = PromptTemplate(
-        id="sensor_range",
-        task_text=(
-            "What are the minimum and maximum values the sensor model "
-            "'{model}' can measure? Answer with two numbers: min, max."
-        ),
-        response_format=ResponseFormat.LABEL_LIST,
-    )
-
-    def lookup(self, sensor_model: str) -> SensorSpec | None:
-        prompt = render_prompt(self.template, {"model": sensor_model})
-        completion = complete(self.backend, prompt, ResponseFormat.LABEL_LIST)
-        labels = list(completion.parsed)
-        if len(labels) < 2:
-            return None
-        try:
-            return SensorSpec(sensor_model, float(labels[0]), float(labels[1]))
-        except ValueError:  # not numbers, NaN, or min above max
-            return None
-
-
-def extract_sensor_info(
-    sensor_model: str,
-    sources: Sequence[KnowledgeSource],
-    user_overrides: Mapping[str, SensorSpec] | None = None,
-) -> SensorSpec | None:
-    """User override wins; otherwise the first source with a usable answer.
-
-    Source failures are logged and skipped, never fatal.
-    """
-    if user_overrides and sensor_model in user_overrides:
-        return user_overrides[sensor_model]
-    for source in sources:
-        try:
-            spec = source.lookup(sensor_model)
-        except GatewayError as exc:
-            logger.warning("sensor source failed for %r: %s", sensor_model, exc)
-            continue
-        if spec is not None:
-            return spec
-    return None
 
 
 _STRUCTURAL_COLUMNS = ("system", "device", "sensingdevice", "sensor", "location")
@@ -532,11 +438,7 @@ def build_iot_graph(
     return ContextGraph(frozenset(triples)), warnings
 
 
-def pair_relationships(
-    headers: Sequence[str],
-    backend: Backend,
-    templates: Mapping[str, PromptTemplate] | None = None,
-) -> list[ColumnPairRelation]:
+def pair_relationships(headers: Sequence[str], backend: Backend) -> list[ColumnPairRelation]:
     """Query all unordered column pairs for relatedness, concepts, hierarchy.
 
     Two batches: every pair's relatedness, then one concept query per column
@@ -544,10 +446,9 @@ def pair_relationships(
     failure drops only the pairs whose answers it affects; the remaining
     pairs' results are kept.
     """
-    templates = templates or DEFAULT_TEMPLATES
     pairs = list(combinations(headers, 2))
     related_prompts = [
-        render_prompt(templates["pair_related"], {"col_a": a, "col_b": b})
+        render_prompt(RELATED_TEMPLATE, {"col_a": a, "col_b": b})
         for a, b in pairs
     ]
     answered: list[tuple[tuple[str, str], bool]] = []
@@ -563,9 +464,9 @@ def pair_relationships(
     columns = list(dict.fromkeys(column for pair in related for column in pair))
     answers = complete_many(
         backend,
-        [render_prompt(templates["pair_concept"], {"col": c}) for c in columns]
+        [render_prompt(CONCEPT_TEMPLATE, {"col": c}) for c in columns]
         + [
-            render_prompt(templates["pair_hierarchy"], {"col_a": a, "col_b": b})
+            render_prompt(HIERARCHY_TEMPLATE, {"col_a": a, "col_b": b})
             for a, b in related
         ],
         ResponseFormat.SINGLE_LABEL,

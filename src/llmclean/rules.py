@@ -15,10 +15,12 @@ Rule files hold one rule per line as ``kind: ruletext`` with ``#`` comments.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Mapping
 
 from .errors import LLMCleanError, RuleParseError
 
@@ -68,19 +70,48 @@ def parse_sensor_spec(model: str, entry: object) -> SensorSpec:
     """Build the spec of one sensor-spec JSON entry: ``{"min":..,"max":..,"unit":..}``.
 
     Raises LLMCleanError naming the model unless the entry is an object with
-    numeric ``min <= max``.
+    JSON numbers ``min <= max`` (a boolean or a numeric string is not a
+    number) and, if it has one, a string ``unit``.
     """
     if not isinstance(entry, dict):
         raise LLMCleanError(f"sensor spec {model!r} must be an object with min and max")
-    try:
-        return SensorSpec(
-            model, float(entry["min"]), float(entry["max"]), str(entry.get("unit", ""))
-        )
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise LLMCleanError(
-            f"sensor spec {model!r} needs numeric min <= max "
-            f"(got min={entry.get('min')!r}, max={entry.get('max')!r})"
-        ) from None
+    low, high, unit = entry.get("min"), entry.get("max"), entry.get("unit", "")
+    if type(low) in (int, float) and type(high) in (int, float) and isinstance(unit, str):
+        try:
+            return SensorSpec(model, float(low), float(high), unit)
+        except (ValueError, OverflowError):
+            pass
+    raise LLMCleanError(
+        f"sensor spec {model!r} needs numeric min <= max and a string unit "
+        f"(got min={low!r}, max={high!r}, unit={unit!r})"
+    )
+
+
+def parse_sensor_specs(text: str, source: str) -> dict[str, SensorSpec]:
+    """The spec map of a sensor-spec JSON file, keyed by sensor model.
+
+    ``source`` names the file in errors; every entry goes through
+    :func:`parse_sensor_spec`.
+    """
+    table = json.loads(text)
+    if not isinstance(table, dict):
+        raise LLMCleanError(f"{source}: sensor specs must be a JSON object keyed by model")
+    return {model: parse_sensor_spec(model, entry) for model, entry in table.items()}
+
+
+def strip_instance_suffix(sensor_id: str) -> str:
+    """Drop a trailing ``_<n>`` instance counter from a sensor id."""
+    head, sep, tail = sensor_id.rpartition("_")
+    if sep and tail.isdigit():
+        return head
+    return sensor_id
+
+
+def lookup_spec(specs: Mapping[str, SensorSpec], sensor_id: str) -> SensorSpec | None:
+    """The spec of a sensor id, falling back to its model without the ``_<n>`` suffix."""
+    if sensor_id in specs:
+        return specs[sensor_id]
+    return specs.get(strip_instance_suffix(sensor_id))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import csv
 import gc
+import io
+import itertools
 import json
 import logging
 import os
@@ -29,7 +32,7 @@ from llmclean.context_model import (
 from llmclean.dataset import dataset_to_csv, load_csv, normalize_missing
 from llmclean.detection import run_all
 from llmclean.ensemble import EvalRecord, write_records_jsonl
-from llmclean.rules import parse_rule_file, parse_sensor_spec
+from llmclean.rules import parse_rule_file, parse_sensor_specs
 
 from conftest import (
     IOT_TOPOLOGY,
@@ -95,12 +98,16 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     csv_path.write_text("sensor,value\ns1,1\n,2\ns2,3\n")
     rules_path = tmp_path / "rules.ofd"
     rules_path.write_text('denial: t1&EQ(t1.sensor,"")\n')
+    cassette = make_cassette(tmp_path, iot_pipeline_responses(["sensor", "value"]))
     llm = {"llmclean.generation", "llmclean.gateway"}
     for argv, absent in [
         (["detect", str(csv_path), "--rules", str(rules_path), "--out-dir", str(tmp_path / "d")],
          llm | {"llmclean.ensemble", "llmclean.evaluation", "llmclean.context_model"}),
         (["evaluate", str(csv_path), "--rules", str(rules_path), "--missing-rate", "0.3",
           "--seed", "1", "--out-dir", str(tmp_path / "e")], llm),
+        (["build-context", str(csv_path), "--backend", "replay", "--cassette", cassette,
+          "--assume-class", "IoT", "--out-dir", str(tmp_path / "b")],
+         {"llmclean.detection", "llmclean.evaluation"}),
     ]:
         loaded = set(json.loads(_python(_FOOTPRINT, *argv).splitlines()[-1]))
         assert "llmclean.dataset" in loaded
@@ -150,6 +157,60 @@ def test_package_needs_only_the_standard_library():
             assert not any(n.split(".")[0] == "requests" for n in names), path
 
 
+# Documented library helpers that no command calls, and why each stays.
+_UNREACHED_ALLOWED = {
+    "gateway.save_cassette": "writes the cassette format the replay backend reads",
+    "evaluation.repair_with_truth": "the perfect repair, the upper bound of score_repair",
+    "ensemble.write_records_jsonl": "writes the records the ensemble command reads",
+}
+
+
+def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names a module reads, as plain names, attributes or imported names,
+    leaving out the subtree ``skip`` (a name's own definition)."""
+    skipped = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    used = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_name_is_reached():
+    package = Path(llmclean.__file__).parent
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    unreached = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(_names_used(t) for m, t in trees.items() if m != module))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if (
+                    not name.startswith("_")
+                    and name not in elsewhere
+                    and name not in llmclean._EXPORTS
+                    and name not in _names_used(tree, skip=node)
+                ):
+                    unreached.append(f"{module}.{name}")
+    assert sorted(set(unreached) - set(_UNREACHED_ALLOWED)) == []
+    assert sorted(set(_UNREACHED_ALLOWED) - set(unreached)) == []
+
+
 class TestClassify:
     def test_prints_iot(self, iot_csv, cassette, capsys):
         code = main(["classify", iot_csv, "--backend", "replay", "--cassette", cassette])
@@ -190,6 +251,7 @@ class TestEnsembleConfigFile:
             ([1, 2], "JSON object"),
             ({"threshold": 1, "prompts": ["ghost"]}, "'ghost'"),
             ({"threshold": 1, "prompts": ["p"], "templates": [{"id": "p"}]}, "'task_text'"),
+            ({"threshold": 1e400, "prompts": ["classify"]}, "infinity"),
         ],
     )
     @pytest.mark.parametrize("command", ["classify", "build-context"])
@@ -543,7 +605,7 @@ class TestDetect:
             rules = parse_rule_file(rules_path.read_text())
         else:
             rules = extract_ofds(deserialize(rules_path.read_text()))
-        specs = {m: parse_sensor_spec(m, e) for m, e in json.loads(Path(sensors).read_text()).items()}
+        specs = parse_sensor_specs(Path(sensors).read_text(), sensors)
         full = run_all(normalize_missing(load_csv(csv_path.read_bytes())), rules, specs=specs)
         expected = json.loads(full.to_json())
         for key in ("findings", "skipped_rules", "uncovered_sensors", "per_rule_counts"):
@@ -662,7 +724,9 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "entry",
         [{"min": 1}, {"min": "low", "max": 2}, {"min": 0, "max": None},
-         {"min": float("nan"), "max": 125}, 5, [1, 2]],
+         {"min": float("nan"), "max": 125}, 5, [1, 2],
+         {"min": "5", "max": 10}, {"min": True, "max": 10}, {"min": 0, "max": False},
+         {"min": 0, "max": 1, "unit": None}, {"min": 0, "max": 1, "unit": ["C"]}],
     )
     def test_bad_sensor_spec_exit_one(self, tmp_path, capsys, entry):
         csv_path, rules_path = self._write_simple(tmp_path)
@@ -954,6 +1018,75 @@ RECORD_LINE = st.one_of(
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 EVAL_COLUMNS = st.sampled_from(["System", "Value", "Ghost"])
+ANSWERS = st.lists(
+    st.sampled_from(["yes", "no", "Yes, it does", "", "NONE", "A", "B", "sensor", "value",
+                     "Sensor", "a", "m", "Device", "timestamp", "ghost", "x, y"]),
+    min_size=1, max_size=6,
+)
+ENSEMBLE_CONFIG = st.fixed_dictionaries(
+    {
+        "threshold": st.integers(0, 2) | st.just(1e400) | st.just(-1e400) | JSON_VALUES,
+        "prompts": st.lists(st.sampled_from(["classify", "p", "ghost"]), min_size=1, max_size=2)
+        | JSON_VALUES,
+    },
+    optional={
+        "templates": st.lists(
+            st.fixed_dictionaries(
+                {"id": st.sampled_from(["p", "classify"]) | JSON_VALUES,
+                 "task_text": st.sampled_from(["{col_names}?", "{ghost}", "plain"])},
+                optional={"format": st.sampled_from(["yes_no", "single_label", "bogus"]),
+                          "few_shot": JSON_VALUES},
+            ) | JSON_VALUES,
+            max_size=2,
+        ),
+    },
+) | JSON_VALUES
+# Tables with unique headers, so most runs get past the loader to the pipeline.
+PIPELINE_CSV = st.tuples(
+    st.lists(st.sampled_from(["sensor", "value", "Sensor", "Device", "timestamp", "location",
+                              "System", "t", "a", "h"]), min_size=1, max_size=5, unique=True),
+    st.lists(st.lists(CSV_TOKENS, min_size=5, max_size=5), max_size=8),
+).map(lambda t: "\n".join(",".join(row[:len(t[0])]) for row in [t[0], *t[1]])
+      .encode("utf-8", "surrogateescape"))
+VALUE_COLUMNS = st.sampled_from(
+    ["value:t", "value:t,a:h", "a:t,value:h", "sensor:s", "ghost:x", "value", ":x", ","]
+) | st.text(alphabet="av:,-", max_size=8)
+
+
+def _pipeline_cassette(csv_bytes: bytes, value_columns: str | None, answers: list[str]) -> dict:
+    """A cassette answering every prompt the default templates ask of this
+    table, before and after its sensor split, from ``answers`` in turn."""
+    from llmclean.cli import _parse_value_columns
+    from llmclean.errors import LLMCleanError
+    from llmclean.gateway import cassette_key, render_prompt
+    from llmclean.generation import (
+        DEFAULT_TEMPLATES, IOT_REFERENCE_HEADERS, MAPPING_ROLES, split_sensors,
+    )
+
+    tables = []
+    try:
+        d = load_csv(csv_bytes)
+        tables.append(d.headers)
+        if value_columns:
+            tables.append(split_sensors(d, _parse_value_columns(value_columns)).headers)
+    except (LLMCleanError, ValueError):
+        pass
+    prompts = []
+    for headers in tables:
+        names = ", ".join(headers)
+        prompts.append(render_prompt(
+            DEFAULT_TEMPLATES["classify"], {"col_names": names, "iot_names": IOT_REFERENCE_HEADERS}
+        ))
+        prompts += [render_prompt(DEFAULT_TEMPLATES["map_column"],
+                                  {"col_names": names, "concept": role}) for role in MAPPING_ROLES]
+        prompts += [render_prompt(DEFAULT_TEMPLATES["pair_concept"], {"col": c}) for c in headers]
+        for a, b in itertools.combinations(headers, 2):
+            prompts += [render_prompt(DEFAULT_TEMPLATES[t], {"col_a": a, "col_b": b})
+                        for t in ("pair_related", "pair_hierarchy")]
+    return {
+        cassette_key(prompt): {"response": answers[i % len(answers)]}
+        for i, prompt in enumerate(prompts)
+    }
 
 
 class TestFuzzedInputsExitCleanly:
@@ -977,6 +1110,53 @@ class TestFuzzedInputsExitCleanly:
                 "--sensors", str(tmp / "sensors.json"), "--out-dir", str(tmp / "out"),
             ]
             assert main(argv + ["--exact-matching"] * exact) in (EXIT_OK, EXIT_INPUT)
+
+    @pytest.mark.parametrize("command", ["classify", "build-context"])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        csv_bytes=PIPELINE_CSV | CSV_BYTES,
+        cassette=st.none() | JSON_VALUES,
+        answers=ANSWERS,
+        config=st.none() | ENSEMBLE_CONFIG,
+        value_columns=st.none() | VALUE_COLUMNS,
+        sensors=st.none() | SENSOR_SPECS,
+        assume_class=st.sampled_from([None, "IoT", "NonIoT", "iot", ""]),
+    )
+    def test_classify_and_build_context(
+        self, command, csv_bytes, cassette, answers, config, value_columns, sensors, assume_class
+    ):
+        """Exit 2 only when the cassette lacks or garbles an answer."""
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "data.csv").write_bytes(csv_bytes)
+            if cassette is None:  # answers for the prompts this table asks
+                cassette = _pipeline_cassette(csv_bytes, value_columns, answers)
+            (tmp / "cassette.json").write_text(json.dumps(cassette), encoding="utf-8")
+            argv = [command, str(tmp / "data.csv"), "--backend", "replay",
+                    "--cassette", str(tmp / "cassette.json")]
+            if config is not None:
+                (tmp / "ensemble.json").write_text(json.dumps(config), encoding="utf-8")
+                argv.append(f"--ensemble-config={tmp / 'ensemble.json'}")
+            if command == "build-context":
+                argv.append(f"--out-dir={tmp / 'out'}")
+                if sensors is not None:
+                    (tmp / "sensors.json").write_text(json.dumps(sensors), encoding="utf-8")
+                    argv.append(f"--sensors={tmp / 'sensors.json'}")
+                for flag, value in (("value-columns", value_columns),
+                                    ("assume-class", assume_class)):
+                    if value is not None:
+                        argv.append(f"--{flag}={value}")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # a malformed command line
+                    code = exc.code
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_EXTERNAL), err.getvalue()
+            if code == EXIT_EXTERNAL:
+                assert err.getvalue().startswith(
+                    ("error: no recorded response", "error: expected yes/no")
+                ), err.getvalue()
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -28,10 +28,9 @@ from llmclean.detection import (
     levenshtein,
     run_all,
     similarity,
-    strip_instance_suffix,
 )
 from llmclean.errors import RuleError
-from llmclean.rules import DependencyKind, OfdRule, SensorSpec, parse_rule
+from llmclean.rules import DependencyKind, OfdRule, SensorSpec, parse_rule, strip_instance_suffix
 
 from conftest import make_iot_dataset, random_rule
 from oracles import (

@@ -38,14 +38,11 @@ from llmclean.generation import (
     HIERARCHY_TEMPLATE,
     Hierarchy,
     IOT_REFERENCE_HEADERS,
-    LLMKnowledge,
-    LocalFileKnowledge,
     MAP_COLUMN_TEMPLATE,
     RELATED_TEMPLATE,
     build_iot_graph,
     build_relational_graph,
     classify_dataset,
-    extract_sensor_info,
     generate_columns,
     map_columns,
     pair_relationships,
@@ -129,7 +126,6 @@ class TestMapColumns:
         assert set(mapping.missing) == {
             "System", "Device", "SensingDevice", "Sensor", "Location", "Value", "Timestamp"
         }
-        assert mapping.unmapped_columns == ["a"]
 
     def test_hallucinated_column_warns(self, tmp_path):
         headers = ["real"]
@@ -265,66 +261,6 @@ class TestGenerateColumns:
         mapping = ConceptMapping(missing=["System"])
         out, _ = generate_columns(self._base(), mapping)
         assert out.headers[:3] == self._base().headers
-
-
-class TestSensorInfo:
-    def test_override_wins(self, tmp_path):
-        override = {"ds18b20": SensorSpec("ds18b20", -55.0, 125.0)}
-        path = tmp_path / "k.json"
-        path.write_text(json.dumps({"ds18b20": {"min": 0, "max": 1}}))
-        spec = extract_sensor_info("ds18b20", [LocalFileKnowledge(str(path))], override)
-        assert spec == override["ds18b20"]
-
-    def test_unknown_model_empty_sources(self):
-        assert extract_sensor_info("mystery", []) is None
-
-    def test_first_source_precedence(self, tmp_path):
-        first = tmp_path / "a.json"
-        first.write_text(json.dumps({"m": {"min": 0, "max": 10}}))
-        second = tmp_path / "b.json"
-        second.write_text(json.dumps({"m": {"min": -99, "max": 99}}))
-        spec = extract_sensor_info(
-            "m", [LocalFileKnowledge(str(first)), LocalFileKnowledge(str(second))]
-        )
-        assert (spec.min_value, spec.max_value) == (0.0, 10.0)
-
-    def test_broken_source_skipped(self, tmp_path):
-        broken = LocalFileKnowledge(str(tmp_path / "nope.json"))
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps({"m": {"min": 1, "max": 2, "unit": "C"}}))
-        spec = extract_sensor_info("m", [broken, LocalFileKnowledge(str(good))])
-        assert spec == SensorSpec("m", 1.0, 2.0, "C")
-
-    def test_llm_source(self, tmp_path):
-        source = LLMKnowledge(ReplayBackend("unused"))
-        prompt = render_prompt(source.template, {"model": "ds18b20"})
-        path = make_cassette(tmp_path, {prompt: "-55, 125"})
-        source = LLMKnowledge(ReplayBackend(path))
-        assert source.lookup("ds18b20") == SensorSpec("ds18b20", -55.0, 125.0)
-
-    def test_llm_source_nan_bound_is_no_answer(self, tmp_path):
-        prompt = render_prompt(LLMKnowledge(ReplayBackend("unused")).template, {"model": "m"})
-        source = LLMKnowledge(ReplayBackend(make_cassette(tmp_path, {prompt: "nan, 125"})))
-        assert source.lookup("m") is None
-
-    def test_local_file_nan_bound_is_no_answer(self, tmp_path):
-        path = tmp_path / "k.json"
-        path.write_text('{"m": {"min": NaN, "max": 125}}')
-        assert LocalFileKnowledge(str(path)).lookup("m") is None
-
-    def test_local_file_read_once(self, tmp_path):
-        path = tmp_path / "k.json"
-        path.write_text(json.dumps({"m": {"min": 0, "max": 1}, "bad": {"min": 1}}))
-        source = LocalFileKnowledge(str(path))
-        assert source.lookup("m") == SensorSpec("m", 0.0, 1.0)
-        path.unlink()
-        assert source.lookup("bad") is None
-        assert source.lookup("m") == SensorSpec("m", 0.0, 1.0)
-
-    def test_local_file_not_an_object_skipped(self, tmp_path):
-        path = tmp_path / "k.json"
-        path.write_text("[1, 2]")
-        assert extract_sensor_info("m", [LocalFileKnowledge(str(path))]) is None
 
 
 class TestSanitize:
