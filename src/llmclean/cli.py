@@ -215,7 +215,7 @@ def cmd_build_context(args) -> int:
         graph, build_warnings = generation.build_iot_graph(sanitized, specs)
         manifest.warnings.extend(build_warnings)
     else:
-        relations = generation.pair_relationships(d.headers, backend)
+        relations = generation.pair_relationships(d, backend)
         graph = generation.build_relational_graph(relations)
 
     rules = context_model.extract_ofds(graph)

@@ -13,7 +13,8 @@ import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain, pairwise
+from typing import Collection, Mapping, Sequence
 
 from .dataset import (
     Cell,
@@ -166,6 +167,21 @@ def _with_cells(d: Dataset, changes: Mapping[tuple[int, int], Cell]) -> Dataset:
     return Dataset.from_columns(d.headers, columns, d.n_rows)
 
 
+def _free_positions(
+    n_rows: int, cols: Sequence[int], changed: Collection[tuple[int, int]]
+) -> list[int]:
+    """Positions ``j * n_rows + i`` of the cells (row ``i``, column ``cols[j]``)
+    not in ``changed``, ascending: the cells in column-major order.
+
+    ``random.sample`` reads only a population's length and items, so it draws
+    the same cells from these ints as from the ``(row, column)`` pairs.
+    """
+    slot = {c: j for j, c in enumerate(cols)}
+    skipped = sorted(slot[c] * n_rows + i for i, c in changed if c in slot)
+    edges = [-1, *skipped, n_rows * len(cols)]
+    return list(chain.from_iterable(range(lo + 1, hi) for lo, hi in pairwise(edges)))
+
+
 def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
     """Corrupt a clean dataset deterministically; return (dirty, truth).
 
@@ -224,15 +240,14 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
 
     if spec.missing_rate > 0:
         cols = missing_cols or range(len(d.headers))
-        eligible = [
-            (i, c) for c in cols for i in range(d.n_rows) if (i, c) not in changes
-        ]
+        eligible = _free_positions(d.n_rows, cols, changes)
         count = round_half_up(spec.missing_rate * d.n_rows * len(cols))
         if count > len(eligible):
             raise ValueError("missing_rate exceeds remaining capacity")
-        for i, c in rng.sample(eligible, count):
+        for position in rng.sample(eligible, count):
+            j, i = divmod(position, d.n_rows)
             token = rng.choice(_INJECTABLE_PLACEHOLDERS)
-            take(i, c, Cell.text(token), "missing")
+            take(i, cols[j], Cell.text(token), "missing")
 
     if spec.outlier_rate > 0:
         cols = outlier_cols or _resolve_targets(d, _numeric_columns(d), "outlier_columns")

@@ -11,11 +11,11 @@ and builds a concept hierarchy graph.
 from __future__ import annotations
 
 import logging
-import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, compress
+from operator import and_, itemgetter
 from typing import Mapping, Sequence
 
 from .context_model import (
@@ -337,6 +337,8 @@ def sanitize_for_graph(d: Dataset) -> Dataset:
     the copy (the caller's dataset is never modified, so detection still sees
     the original errors).
     """
+    import statistics  # imported here: the other stages do without its ~5 ms import
+
     sensor = d.columns[d.column_index("sensor")]
     columns = list(d.columns)
     for name in _STRUCTURAL_COLUMNS:
@@ -438,29 +440,98 @@ def build_iot_graph(
     return ContextGraph(frozenset(triples)), warnings
 
 
-def pair_relationships(headers: Sequence[str], backend: Backend) -> list[ColumnPairRelation]:
-    """Query all unordered column pairs for relatedness, concepts, hierarchy.
+#: A column pair is refuted, and the model is not asked about it, when the
+#: table's g3 error is above this in both directions: for X -> Y, g3 is the
+#: share of the rows with both cells present that would have to go for X to
+#: determine Y (Kivinen & Mannila 1995; the partition test of TANE).
+FD_ERROR = 0.05
 
-    Two batches: every pair's relatedness, then one concept query per column
-    of a related pair plus one hierarchy query per related pair. A backend
-    failure drops only the pairs whose answers it affects; the remaining
-    pairs' results are kept.
+
+def _present(column: Column) -> list[bool] | None:
+    """Whether each row's cell is present; None when every cell is."""
+    missing = column.missing_code
+    return None if missing is None else list(map(missing.__ne__, column.codes))
+
+
+def _g3(det: Column, dep: Column, pairs: Mapping[tuple[int, int], int], n: int) -> float:
+    """g3 error of ``det -> dep`` over ``n`` rows counted by (det, dep) codes."""
+    modes = group_modes(det, dep, pairs)
+    return (n - sum(pairs[a, b] for a, b in modes.items())) / n
+
+
+def _refuted(a: Column, b: Column, present_a: list[bool] | None, present_b: list[bool] | None) -> bool:
+    """Whether the g3 error of both ``a -> b`` and ``b -> a`` is above FD_ERROR.
+
+    A pair with no row where both cells are present is never refuted.
     """
-    pairs = list(combinations(headers, 2))
+    if present_a is None or present_b is None:
+        both = present_b if present_a is None else present_a
+    else:
+        both = map(and_, present_a, present_b)
+    rows = zip(a.codes, b.codes)
+    rows = list(rows if both is None else compress(rows, both))
+    n = len(rows)
+    if not n:
+        return False
+    # Each determinant value keeps one dependent, so every distinct pair
+    # beyond one per determinant value costs at least one removed row: a
+    # lower bound on the removed rows that needs no counting, and exact when
+    # it is 0.
+    distinct = set(rows)
+    if both is None:  # no missing cell: every value of a column is in some row
+        n_values = (len(a.values), len(b.values))
+    else:
+        n_values = tuple(len(set(map(itemgetter(k), distinct))) for k in (0, 1))
+    bounds = [len(distinct) - k for k in n_values]
+    if 0 in bounds:
+        return False
+    if min(bounds) / n > FD_ERROR:
+        return True
+    pairs = Counter(rows)
+    if bounds[0] / n <= FD_ERROR and _g3(a, b, pairs, n) <= FD_ERROR:
+        return False
+    swapped = {(y, x): k for (x, y), k in pairs.items()}
+    return bounds[1] / n > FD_ERROR or _g3(b, a, swapped, n) > FD_ERROR
+
+
+def candidate_pairs(d: Dataset) -> list[tuple[str, str]]:
+    """The column pairs the table does not refute, in ``combinations`` order."""
+    present = [_present(column) for column in d.columns]
+    return [
+        (d.headers[i], d.headers[j])
+        for i, j in combinations(range(d.n_cols), 2)
+        if not _refuted(d.columns[i], d.columns[j], present[i], present[j])
+    ]
+
+
+def pair_relationships(d: Dataset, backend: Backend) -> list[ColumnPairRelation]:
+    """Relatedness, concepts and hierarchy of every unordered column pair.
+
+    The data is profiled first: a pair the table refutes (see ``FD_ERROR``)
+    is returned unrelated without a prompt. Then two batches: relatedness of
+    each remaining pair, then one concept query per column of a related pair
+    plus one hierarchy query per related pair. A backend failure drops only
+    the pairs whose answers it affects; the remaining pairs' results are
+    kept. Relations come in ``combinations`` order of the headers.
+    """
+    pairs = list(combinations(d.headers, 2))
+    asked = candidate_pairs(d)
+    logger.info("asked %d of %d column pairs", len(asked), len(pairs))
+    verdicts = dict.fromkeys(pairs, False)  # a refuted pair is unrelated
     related_prompts = [
         render_prompt(RELATED_TEMPLATE, {"col_a": a, "col_b": b})
-        for a, b in pairs
+        for a, b in asked
     ]
-    answered: list[tuple[tuple[str, str], bool]] = []
     for (a, b), answer in zip(
-        pairs, complete_many(backend, related_prompts, ResponseFormat.YES_NO)
+        asked, complete_many(backend, related_prompts, ResponseFormat.YES_NO)
     ):
         if isinstance(answer, GatewayError):
             logger.warning("pair (%s, %s) failed: %s", a, b, answer)
+            del verdicts[a, b]
         else:
-            answered.append(((a, b), bool(answer.parsed)))
+            verdicts[a, b] = bool(answer.parsed)
 
-    related = [pair for pair, is_related in answered if is_related]
+    related = [pair for pair, is_related in verdicts.items() if is_related]
     columns = list(dict.fromkeys(column for pair in related for column in pair))
     answers = complete_many(
         backend,
@@ -475,7 +546,7 @@ def pair_relationships(headers: Sequence[str], backend: Backend) -> list[ColumnP
     hierarchies = dict(zip(related, answers[len(columns):]))
 
     relations: list[ColumnPairRelation] = []
-    for (a, b), is_related in answered:
+    for (a, b), is_related in verdicts.items():
         if not is_related:
             relations.append(ColumnPairRelation(a, b, related=False))
             continue

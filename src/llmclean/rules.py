@@ -70,19 +70,23 @@ def parse_sensor_spec(model: str, entry: object) -> SensorSpec:
     """Build the spec of one sensor-spec JSON entry: ``{"min":..,"max":..,"unit":..}``.
 
     Raises LLMCleanError naming the model unless the entry is an object with
-    JSON numbers ``min <= max`` (a boolean or a numeric string is not a
-    number) and, if it has one, a string ``unit``.
+    finite JSON numbers ``min <= max`` (a boolean, a numeric string or the
+    ``Infinity``/``NaN`` that Python's ``json`` reads is not one) and, if it
+    has one, a string ``unit``.
     """
     if not isinstance(entry, dict):
         raise LLMCleanError(f"sensor spec {model!r} must be an object with min and max")
     low, high, unit = entry.get("min"), entry.get("max"), entry.get("unit", "")
     if type(low) in (int, float) and type(high) in (int, float) and isinstance(unit, str):
         try:
-            return SensorSpec(model, float(low), float(high), unit)
+            spec = SensorSpec(model, float(low), float(high), unit)
         except (ValueError, OverflowError):
             pass
+        else:
+            if math.isfinite(spec.min_value) and math.isfinite(spec.max_value):
+                return spec
     raise LLMCleanError(
-        f"sensor spec {model!r} needs numeric min <= max and a string unit "
+        f"sensor spec {model!r} needs finite numeric min <= max and a string unit "
         f"(got min={low!r}, max={high!r}, unit={unit!r})"
     )
 

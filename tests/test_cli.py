@@ -32,6 +32,8 @@ from llmclean.context_model import (
 from llmclean.dataset import dataset_to_csv, load_csv, normalize_missing
 from llmclean.detection import run_all
 from llmclean.ensemble import EvalRecord, write_records_jsonl
+from llmclean.gateway import render_prompt
+from llmclean.generation import RELATED_TEMPLATE
 from llmclean.rules import parse_rule_file, parse_sensor_specs
 
 from conftest import (
@@ -99,6 +101,9 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     rules_path = tmp_path / "rules.ofd"
     rules_path.write_text('denial: t1&EQ(t1.sensor,"")\n')
     cassette = make_cassette(tmp_path, iot_pipeline_responses(["sensor", "value"]))
+    relational = make_cassette(tmp_path, {
+        render_prompt(RELATED_TEMPLATE, {"col_a": "sensor", "col_b": "value"}): "no",
+    }, name="relational.json")
     llm = {"llmclean.generation", "llmclean.gateway"}
     for argv, absent in [
         (["detect", str(csv_path), "--rules", str(rules_path), "--out-dir", str(tmp_path / "d")],
@@ -108,6 +113,10 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         (["build-context", str(csv_path), "--backend", "replay", "--cassette", cassette,
           "--assume-class", "IoT", "--out-dir", str(tmp_path / "b")],
          {"llmclean.detection", "llmclean.evaluation"}),
+        # The relational path runs no statistics (its import costs ~5 ms).
+        (["build-context", str(csv_path), "--backend", "replay", "--cassette", relational,
+          "--assume-class", "NonIoT", "--out-dir", str(tmp_path / "r")],
+         {"llmclean.detection", "llmclean.evaluation", "statistics"}),
     ]:
         loaded = set(json.loads(_python(_FOOTPRINT, *argv).splitlines()[-1]))
         assert "llmclean.dataset" in loaded
@@ -384,6 +393,31 @@ class TestBuildContext:
         )
         assert code == EXIT_OK
         return out_dir
+
+    @pytest.mark.parametrize(
+        "entry",
+        ['{"min": -Infinity, "max": 125}', '{"min": -55, "max": Infinity}',
+         '{"min": -Infinity, "max": Infinity}'],
+    )
+    @pytest.mark.parametrize("command", ["build-context", "detect"])
+    def test_non_finite_sensor_bound_exit_one(
+        self, iot_csv, cassette, tmp_path, capsys, command, entry
+    ):
+        # Python's json reads these spellings; N-Triples has no "inf" double.
+        specs_path = tmp_path / "sensors.json"
+        specs_path.write_text('{"ds18b20": %s}' % entry)
+        rules_path = tmp_path / "rules.ofd"
+        rules_path.write_text('denial: t1&EQ(t1.sensor,"")\n')
+        argv = {
+            "build-context": ["--backend", "replay", "--cassette", cassette,
+                              "--out-dir", str(tmp_path / "out")],
+            "detect": ["--rules", str(rules_path)],
+        }[command]
+        code = main([command, iot_csv, *argv, "--sensors", str(specs_path)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "'ds18b20'" in err and "finite" in err
+        assert not (tmp_path / "out" / "context.nt").exists()
 
     def test_graph_triple_arithmetic(self, iot_csv, cassette, tmp_path, capsys):
         out_dir = self.run_build(iot_csv, cassette, tmp_path)

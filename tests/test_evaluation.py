@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from llmclean.dataset import (
     Cell,
@@ -15,6 +18,7 @@ from llmclean.evaluation import (
     Corruption,
     ErrorSpec,
     GroundTruth,
+    _free_positions,
     inject_errors,
     repair_with_truth,
     round_half_up,
@@ -142,6 +146,29 @@ class TestInjectErrors:
             d, ErrorSpec(missing_rate=0.2, seed=6, missing_columns=("System",))
         )
         assert GroundTruth.from_jsonl(truth.to_jsonl()) == truth
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_rows=st.integers(0, 12),
+        width=st.integers(1, 5),
+        data=st.data(),
+        seed=st.integers(0, 2**32),
+    )
+    def test_missing_draws_match_the_cell_list(self, n_rows, width, data, seed):
+        # The missing-value draws sample flat ints; they must pick the cells
+        # that sampling the (row, column) list in column-major order picks.
+        cols = data.draw(st.permutations(range(width)).flatmap(
+            lambda p: st.integers(1, width).map(lambda k: p[:k])))
+        cells = [(i, c) for c in range(width) for i in range(n_rows)]
+        changed = set(data.draw(st.lists(st.sampled_from(cells), max_size=8))) if cells else set()
+        old = [(i, c) for c in cols for i in range(n_rows) if (i, c) not in changed]
+        positions = _free_positions(n_rows, cols, changed)
+        assert [(i, cols[j]) for j, i in (divmod(p, n_rows) for p in positions)] == old
+        count = data.draw(st.integers(0, len(old)))
+        old_rng, new_rng = random.Random(seed), random.Random(seed)
+        drawn = [divmod(p, n_rows) for p in new_rng.sample(positions, count)]
+        assert [(i, cols[j]) for j, i in drawn] == old_rng.sample(old, count)
+        assert new_rng.getstate() == old_rng.getstate()
 
     def test_round_half_up(self):
         assert round_half_up(0.5) == 1

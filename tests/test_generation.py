@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from llmclean.context_model import (
     ATTACHED_TO,
@@ -22,6 +25,7 @@ from llmclean.context_model import (
 from llmclean.dataset import Cell, Dataset, MISSING, cell_text, normalize_missing
 from llmclean.ensemble import EnsembleConfig
 from llmclean.errors import ModelError, SchemaError
+from llmclean.evaluation import ErrorSpec, inject_errors
 from llmclean.gateway import (
     PromptTemplate,
     ReplayBackend,
@@ -35,6 +39,7 @@ from llmclean.generation import (
     ConceptMapping,
     ColumnPairRelation,
     DatasetClass,
+    FD_ERROR,
     HIERARCHY_TEMPLATE,
     Hierarchy,
     IOT_REFERENCE_HEADERS,
@@ -42,6 +47,7 @@ from llmclean.generation import (
     RELATED_TEMPLATE,
     build_iot_graph,
     build_relational_graph,
+    candidate_pairs,
     classify_dataset,
     generate_columns,
     map_columns,
@@ -53,6 +59,7 @@ from llmclean.generation import (
 from llmclean.rules import DependencyKind, SensorSpec
 
 from conftest import make_cassette, make_iot_dataset
+from oracles import oracle_fd_candidates
 
 
 def classify_cassette(tmp_path, headers, votes: dict[str, str]):
@@ -423,10 +430,13 @@ class TestBuildIotGraph:
         assert clean_graph == dirty_graph
 
 
+def key_table(headers, n_rows: int = 3) -> Dataset:
+    """Every column holds a distinct value per row, so no pair is refuted."""
+    return Dataset(headers, [tuple(Cell.text(f"{h}{i}") for h in headers) for i in range(n_rows)])
+
+
 def pair_cassette(tmp_path, headers, related: dict[tuple[str, str], tuple[str, str, str]]):
     """related: (a, b) -> (concept_a, concept_b, hierarchy answer)."""
-    from itertools import combinations
-
     entries = {}
     for a, b in combinations(headers, 2):
         prompt = render_prompt(RELATED_TEMPLATE, {"col_a": a, "col_b": b})
@@ -445,7 +455,7 @@ class TestPairRelationships:
             tmp_path, headers,
             {("ZipCode", "City"): ("postal area", "municipality", "A")},
         )
-        relations = pair_relationships(headers, ReplayBackend(path))
+        relations = pair_relationships(key_table(headers), ReplayBackend(path))
         assert len(relations) == 3
         hit = next(r for r in relations if r.related)
         assert (hit.column_a, hit.column_b) == ("ZipCode", "City")
@@ -453,26 +463,24 @@ class TestPairRelationships:
 
     def test_single_header_no_pairs(self, tmp_path):
         path = make_cassette(tmp_path, {})
-        assert pair_relationships(["only"], ReplayBackend(path)) == []
+        assert pair_relationships(key_table(["only"]), ReplayBackend(path)) == []
 
     def test_pair_count_19_headers(self, tmp_path):
         headers = [f"c{i}" for i in range(19)]
         path = pair_cassette(tmp_path, headers, {})
-        relations = pair_relationships(headers, ReplayBackend(path))
+        relations = pair_relationships(key_table(headers), ReplayBackend(path))
         assert len(relations) == 171  # C(19, 2)
 
     def test_failed_pair_dropped_others_kept(self, tmp_path):
         headers = ["a", "b", "c"]
         # cassette only covers (a,b) and (b,c); (a,c) misses -> strict error
-        from itertools import combinations
-
         entries = {}
         for x, y in combinations(headers, 2):
             if (x, y) != ("a", "c"):
                 prompt = render_prompt(RELATED_TEMPLATE, {"col_a": x, "col_b": y})
                 entries[prompt] = "no"
         path = make_cassette(tmp_path, entries)
-        relations = pair_relationships(headers, ReplayBackend(path))
+        relations = pair_relationships(key_table(headers), ReplayBackend(path))
         assert len(relations) == 2
 
     def test_concept_asked_once_per_column(self, tmp_path):
@@ -494,7 +502,7 @@ class TestPairRelationships:
             return lookup(prompt)
 
         backend.lookup = counting_lookup
-        relations = pair_relationships(headers, backend)
+        relations = pair_relationships(key_table(headers), backend)
         assert sum(r.related for r in relations) == 3
         concept_prompts = [p for p in asked if p.startswith(CONCEPT_TEMPLATE.task_text[:20])]
         assert sorted(concept_prompts) == sorted(
@@ -515,7 +523,7 @@ class TestPairRelationships:
         del cassette[cassette_key(render_prompt(CONCEPT_TEMPLATE, {"col": "State"}))]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(cassette, fh)
-        relations = pair_relationships(headers, ReplayBackend(path))
+        relations = pair_relationships(key_table(headers), ReplayBackend(path))
         pairs = {(r.column_a, r.column_b): r.related for r in relations}
         assert pairs == {
             ("ZipCode", "City"): True,
@@ -524,6 +532,123 @@ class TestPairRelationships:
             ("City", "Score"): False,
             ("State", "Score"): False,
         }
+
+
+FD_LEVELS = ("site", "area", "district", "region")  # finest to coarsest
+
+
+def hierarchy_table(seed: int, groups: int = 5, n_rows: int = 2000) -> Dataset:
+    """Interleaved groups of 4 columns; each level determines the coarser ones."""
+    rng = random.Random(seed)
+    columns = [(g, level) for g in range(groups) for level in range(len(FD_LEVELS))]
+    rng.shuffle(columns)
+    rows = []
+    for _ in range(n_rows):
+        sites = [rng.randrange(500) for _ in range(groups)]
+        rows.append(tuple(
+            Cell.text(f"{FD_LEVELS[level][0]}{g}-{sites[g] // (1, 5, 50, 250)[level]}")
+            for g, level in columns
+        ))
+    return Dataset([f"{FD_LEVELS[level]}_{g}" for g, level in columns], rows)
+
+
+@st.composite
+def profiled_tables(draw) -> Dataset:
+    """A small table whose columns follow a base column with some noise, with
+    missing cells: near-FDs on both sides of FD_ERROR."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n_rows = draw(st.integers(0, 30))
+    base = [rng.randrange(6) for _ in range(n_rows)]
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(1, 6))
+        follow = [rng.randrange(width) for _ in range(6)]
+        noise = draw(st.sampled_from([0.0, 0.03, 0.1, 0.3, 1.0]))
+        missing = draw(st.sampled_from([0.0, 0.1, 0.4]))
+        columns.append([
+            MISSING if rng.random() < missing
+            else Cell.text(f"v{rng.randrange(width) if rng.random() < noise else follow[b]}")
+            for b in base
+        ])
+    return Dataset([f"c{k}" for k in range(len(columns))], list(zip(*columns)))
+
+
+class TestCandidatePairs:
+    @settings(max_examples=300, deadline=None)
+    @given(d=profiled_tables())
+    def test_matches_the_g3_oracle(self, d):
+        assert candidate_pairs(d) == oracle_fd_candidates(d, FD_ERROR)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32), n_rows=st.integers(1, 60), flip=st.booleans())
+    def test_an_exact_fd_is_never_refuted(self, seed, n_rows, flip):
+        rng = random.Random(seed)
+        f = [f"y{rng.randrange(3)}" for _ in range(8)]
+        rows = []
+        for _ in range(n_rows):
+            x = rng.randrange(8)
+            cells = (
+                MISSING if rng.random() < 0.2 else Cell.text(f"x{x}"),
+                MISSING if rng.random() < 0.2 else Cell.text(f[x]),
+                Cell.text(f"z{rng.randrange(5)}"),
+            )
+            rows.append(cells[1::-1] + cells[2:] if flip else cells)
+        headers = ["y", "x", "z"] if flip else ["x", "y", "z"]
+        assert tuple(headers[:2]) in candidate_pairs(Dataset(headers, rows))
+
+    @pytest.mark.parametrize("flipped, kept", [((0,), True), ((0, 2), False)])
+    def test_g3_at_the_limit_is_kept(self, flipped, kept):
+        # x -> y holds on 20 rows but for one row per flipped x value (g3 1/20
+        # or 2/20); y -> x is far off.
+        rows = [
+            (Cell.text(f"x{i // 2}"), Cell.text(f"y{i // 4 + 100 * (i in flipped)}"))
+            for i in range(20)
+        ]
+        assert (candidate_pairs(Dataset(["x", "y"], rows)) == [("x", "y")]) is kept
+
+    def test_refuted_pair_sends_no_prompt(self, tmp_path, caplog):
+        # b follows a; c is independent of both.
+        d = Dataset(["a", "b", "c"], [
+            (Cell.text(f"a{i % 10}"), Cell.text(f"b{i % 10 // 2}"), Cell.text(f"c{i // 10}"))
+            for i in range(40)
+        ])
+        assert candidate_pairs(d) == [("a", "b")]
+        # The cassette holds no prompt for the refuted pairs.
+        path = pair_cassette(tmp_path, ["a", "b"], {("a", "b"): ("zone", "region", "A")})
+        backend = ReplayBackend(path)
+        asked: list[str] = []
+        lookup = backend.lookup
+
+        def counting_lookup(prompt):
+            asked.append(prompt)
+            return lookup(prompt)
+
+        backend.lookup = counting_lookup
+        with caplog.at_level("INFO", logger="llmclean.generation"):
+            relations = pair_relationships(d, backend)
+        assert [(r.column_a, r.column_b, r.related) for r in relations] == [
+            ("a", "b", True), ("a", "c", False), ("b", "c", False),
+        ]
+        assert relations[0].hierarchy is Hierarchy.ATTRIBUTE_OF_A
+        assert len(asked) == 1 + 2 + 1
+        assert render_prompt(RELATED_TEMPLATE, {"col_a": "a", "col_b": "c"}) not in asked
+        assert [r.getMessage() for r in caplog.records] == ["asked 1 of 3 column pairs"]
+
+    @pytest.mark.parametrize("seed", [1, 9001])
+    def test_hierarchy_groups_survive_injected_errors(self, seed):
+        clean = hierarchy_table(seed)
+        same_group = [
+            (a, b) for a, b in combinations(clean.headers, 2)
+            if a.split("_")[1] == b.split("_")[1]
+        ]
+        assert len(same_group) == 30
+        spec = ErrorSpec(
+            fd_swap_rate=0.01, missing_rate=0.03,
+            fd_determinant="district_0", fd_dependent="region_0", seed=seed,
+        )
+        dirty = normalize_missing(inject_errors(clean, spec)[0])
+        assert candidate_pairs(clean) == same_group
+        assert candidate_pairs(dirty) == same_group
 
 
 class TestBuildRelationalGraph:
