@@ -460,7 +460,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    # Interpreter shutdown ends with a full collection of a heap the OS is
+    # about to free; a frozen heap is left out of it.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

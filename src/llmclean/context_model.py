@@ -289,7 +289,7 @@ def validate_graph(g: ContextGraph) -> dict[str, Concept]:
     """Check the meta-model invariants; raises ModelError naming the triple.
 
     Returns the concept of every typed node; a node typed with two concepts
-    is refused.
+    is refused, and so is a Metadata node with more than one type or value.
     """
     types: dict[str, Concept] = {}
     for t in g.triples:
@@ -316,6 +316,12 @@ def validate_graph(g: ContextGraph) -> dict[str, Concept]:
                 raise ModelError(f"match threshold must be a ratio in [0,1]: {t}")
         elif t.predicate != RDF_TYPE and t.subject not in types:
             raise ModelError(f"attribute on untyped entity: {t}")
+    for meta in sorted(node for node, concept in types.items() if concept is Concept.METADATA):
+        for predicate in (META_TYPE, META_VALUE):
+            found = g.objects(meta, predicate)
+            if len(found) > 1:
+                values = ", ".join(str(t.obj) for t in found)
+                raise ModelError(f"metadata node {meta!r} has {len(found)} {predicate} values: {values}")
     _check_part_of_cycles(g)
     return types
 

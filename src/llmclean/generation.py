@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain, combinations, compress
-from operator import and_, itemgetter
+from operator import add, and_
 from typing import Mapping, Sequence
 
 from .context_model import (
@@ -443,8 +443,18 @@ def build_iot_graph(
 #: A column pair is refuted, and the model is not asked about it, when the
 #: table's g3 error is above this in both directions: for X -> Y, g3 is the
 #: share of the rows with both cells present that would have to go for X to
-#: determine Y (Kivinen & Mannila 1995; the partition test of TANE).
+#: determine Y (Kivinen & Mannila 1995; the partition test of TANE). Where
+#: it is at most this in one direction only, that direction is the pair's
+#: hierarchy.
 FD_ERROR = 0.05
+
+#: The hierarchy of a pair from which of ``a -> b`` and ``b -> a`` hold;
+#: None where the data cannot order the pair and the model is asked.
+_DATA_HIERARCHY = {
+    (True, False): Hierarchy.ATTRIBUTE_OF_A,
+    (False, True): Hierarchy.ATTRIBUTE_OF_B,
+}
+_ANSWER_HIERARCHY = {"A": Hierarchy.ATTRIBUTE_OF_A, "B": Hierarchy.ATTRIBUTE_OF_B}
 
 
 def _present(column: Column) -> list[bool] | None:
@@ -453,55 +463,67 @@ def _present(column: Column) -> list[bool] | None:
     return None if missing is None else list(map(missing.__ne__, column.codes))
 
 
-def _g3(det: Column, dep: Column, pairs: Mapping[tuple[int, int], int], n: int) -> float:
-    """g3 error of ``det -> dep`` over ``n`` rows counted by (det, dep) codes."""
-    modes = group_modes(det, dep, pairs)
-    return (n - sum(pairs[a, b] for a, b in modes.items())) / n
+def _directions(keys: list[int], width: int, n_values: tuple[int, int] | None) -> tuple[bool, bool]:
+    """Whether ``a -> b`` and ``b -> a`` hold within FD_ERROR on the rows
+    keyed ``a_code * width + b_code``.
 
-
-def _refuted(a: Column, b: Column, present_a: list[bool] | None, present_b: list[bool] | None) -> bool:
-    """Whether the g3 error of both ``a -> b`` and ``b -> a`` is above FD_ERROR.
-
-    A pair with no row where both cells are present is never refuted.
+    ``n_values`` are the two columns' distinct counts when every row is
+    kept; None counts them from the keys. Both directions hold on no rows.
     """
-    if present_a is None or present_b is None:
-        both = present_b if present_a is None else present_a
-    else:
-        both = map(and_, present_a, present_b)
-    rows = zip(a.codes, b.codes)
-    rows = list(rows if both is None else compress(rows, both))
-    n = len(rows)
+    n = len(keys)
     if not n:
-        return False
-    # Each determinant value keeps one dependent, so every distinct pair
-    # beyond one per determinant value costs at least one removed row: a
-    # lower bound on the removed rows that needs no counting, and exact when
-    # it is 0.
-    distinct = set(rows)
-    if both is None:  # no missing cell: every value of a column is in some row
-        n_values = (len(a.values), len(b.values))
-    else:
-        n_values = tuple(len(set(map(itemgetter(k), distinct))) for k in (0, 1))
-    bounds = [len(distinct) - k for k in n_values]
-    if 0 in bounds:
-        return False
-    if min(bounds) / n > FD_ERROR:
-        return True
-    pairs = Counter(rows)
-    if bounds[0] / n <= FD_ERROR and _g3(a, b, pairs, n) <= FD_ERROR:
-        return False
-    swapped = {(y, x): k for (x, y), k in pairs.items()}
-    return bounds[1] / n > FD_ERROR or _g3(b, a, swapped, n) > FD_ERROR
+        return True, True
+    distinct = set(keys)
+    sides = (width.__rfloordiv__, width.__rmod__)  # key -> a code, key -> b code
+    if n_values is None:
+        n_values = tuple(len(set(map(side, distinct))) for side in sides)
+    counts: Counter[int] | None = None
+    holds = []
+    for n_det, det in zip(n_values, sides):
+        # Each determinant value keeps one dependent, so every distinct pair
+        # beyond one per determinant value costs at least one removed row: a
+        # lower bound on the removed rows that needs no counting, and exact
+        # when it is 0.
+        bound = len(distinct) - n_det
+        if bound == 0 or bound / n > FD_ERROR:
+            holds.append(bound == 0)
+            continue
+        counts = counts or Counter(keys)
+        modal: dict[int, int] = defaultdict(int)  # rows of each determinant value's mode
+        for key, k in counts.items():
+            value = det(key)
+            if k > modal[value]:
+                modal[value] = k
+        holds.append((n - sum(modal.values())) / n <= FD_ERROR)
+    return holds[0], holds[1]
 
 
-def candidate_pairs(d: Dataset) -> list[tuple[str, str]]:
-    """The column pairs the table does not refute, in ``combinations`` order."""
+def candidate_pairs(d: Dataset) -> dict[tuple[str, str], tuple[bool, bool]]:
+    """The column pairs ``(a, b)`` the table does not refute, in
+    ``combinations`` order, each with whether ``a -> b`` and ``b -> a`` hold.
+
+    A direction holds when its g3 error, over the rows where both cells are
+    present, is at most FD_ERROR; both hold on a pair with no such row.
+    """
+    width = max((len(c.values) for c in d.columns), default=0)
     present = [_present(column) for column in d.columns]
-    return [
-        (d.headers[i], d.headers[j])
-        for i, j in combinations(range(d.n_cols), 2)
-        if not _refuted(d.columns[i], d.columns[j], present[i], present[j])
-    ]
+    kept = {}
+    for i, a in enumerate(d.columns[:-1]):
+        # The keys of one determinant column at a time: every column's at
+        # once would hold n_cols lists of n_rows ints.
+        scaled = list(map(width.__mul__, a.codes))
+        for j in range(i + 1, d.n_cols):
+            b = d.columns[j]
+            keys = map(add, scaled, b.codes)
+            p, q = present[i], present[j]
+            if p is None and q is None:
+                holds = _directions(list(keys), width, (len(a.values), len(b.values)))
+            else:
+                both = q if p is None else p if q is None else map(and_, p, q)
+                holds = _directions(list(compress(keys, both)), width, None)
+            if any(holds):
+                kept[d.headers[i], d.headers[j]] = holds
+    return kept
 
 
 def pair_relationships(d: Dataset, backend: Backend) -> list[ColumnPairRelation]:
@@ -510,20 +532,21 @@ def pair_relationships(d: Dataset, backend: Backend) -> list[ColumnPairRelation]
     The data is profiled first: a pair the table refutes (see ``FD_ERROR``)
     is returned unrelated without a prompt. Then two batches: relatedness of
     each remaining pair, then one concept query per column of a related pair
-    plus one hierarchy query per related pair. A backend failure drops only
-    the pairs whose answers it affects; the remaining pairs' results are
-    kept. Relations come in ``combinations`` order of the headers.
+    plus one hierarchy query per related pair the data cannot order (where
+    only one direction holds, that is the hierarchy). A backend failure
+    drops only the pairs whose answers it affects; the remaining pairs'
+    results are kept. Relations come in ``combinations`` order of the
+    headers.
     """
     pairs = list(combinations(d.headers, 2))
-    asked = candidate_pairs(d)
-    logger.info("asked %d of %d column pairs", len(asked), len(pairs))
+    profile = candidate_pairs(d)
     verdicts = dict.fromkeys(pairs, False)  # a refuted pair is unrelated
     related_prompts = [
         render_prompt(RELATED_TEMPLATE, {"col_a": a, "col_b": b})
-        for a, b in asked
+        for a, b in profile
     ]
     for (a, b), answer in zip(
-        asked, complete_many(backend, related_prompts, ResponseFormat.YES_NO)
+        profile, complete_many(backend, related_prompts, ResponseFormat.YES_NO)
     ):
         if isinstance(answer, GatewayError):
             logger.warning("pair (%s, %s) failed: %s", a, b, answer)
@@ -532,33 +555,38 @@ def pair_relationships(d: Dataset, backend: Backend) -> list[ColumnPairRelation]
             verdicts[a, b] = bool(answer.parsed)
 
     related = [pair for pair, is_related in verdicts.items() if is_related]
+    hierarchies = {pair: _DATA_HIERARCHY.get(profile[pair]) for pair in related}
+    unordered = [pair for pair, hierarchy in hierarchies.items() if hierarchy is None]
+    logger.info(
+        "asked %d of %d column pairs; %d of %d hierarchies from the data",
+        len(profile), len(pairs), len(related) - len(unordered), len(related),
+    )
     columns = list(dict.fromkeys(column for pair in related for column in pair))
     answers = complete_many(
         backend,
         [render_prompt(CONCEPT_TEMPLATE, {"col": c}) for c in columns]
         + [
             render_prompt(HIERARCHY_TEMPLATE, {"col_a": a, "col_b": b})
-            for a, b in related
+            for a, b in unordered
         ],
         ResponseFormat.SINGLE_LABEL,
     )
     concepts = dict(zip(columns, answers))
-    hierarchies = dict(zip(related, answers[len(columns):]))
+    for pair, answer in zip(unordered, answers[len(columns):]):
+        if not isinstance(answer, GatewayError):
+            answer = _ANSWER_HIERARCHY.get(str(answer.parsed).strip().upper(), Hierarchy.INDEPENDENT)
+        hierarchies[pair] = answer
 
     relations: list[ColumnPairRelation] = []
     for (a, b), is_related in verdicts.items():
         if not is_related:
             relations.append(ColumnPairRelation(a, b, related=False))
             continue
-        concept_a, concept_b, answer = concepts[a], concepts[b], hierarchies[(a, b)]
-        failed = [x for x in (concept_a, concept_b, answer) if isinstance(x, GatewayError)]
+        concept_a, concept_b, hierarchy = concepts[a], concepts[b], hierarchies[a, b]
+        failed = [x for x in (concept_a, concept_b, hierarchy) if isinstance(x, GatewayError)]
         if failed:
             logger.warning("pair (%s, %s) failed: %s", a, b, failed[0])
             continue
-        hierarchy = {
-            "A": Hierarchy.ATTRIBUTE_OF_A,
-            "B": Hierarchy.ATTRIBUTE_OF_B,
-        }.get(str(answer.parsed).strip().upper(), Hierarchy.INDEPENDENT)
         relations.append(
             ColumnPairRelation(
                 a, b, related=True,

@@ -536,24 +536,44 @@ def oracle_sanitize_for_graph(d: Dataset) -> Dataset:
 # Column-pair profiling reference: g3 counted per pair from the rows.
 
 
+def _g3(pairs: list[tuple[Cell, Cell]]) -> float:
+    """Share of the ``(x, y)`` rows to remove so that x determines y."""
+    groups: dict[Cell, Counter] = defaultdict(Counter)
+    for x, y in pairs:
+        groups[x][y] += 1
+    kept = sum(max(counts.values()) for counts in groups.values())
+    return (len(pairs) - kept) / len(pairs)
+
+
+def _present_pairs(d: Dataset, i: int, j: int) -> list[tuple[Cell, Cell]]:
+    return [
+        (row[i], row[j]) for row in d.rows
+        if not row[i].is_missing and not row[j].is_missing
+    ]
+
+
 def oracle_fd_candidates(d: Dataset, max_error: float) -> list[tuple[str, str]]:
     """Column pairs, in ``combinations`` order, where ``X -> Y`` or ``Y -> X``
     has a g3 error of at most ``max_error`` over the rows with both cells
     present; a pair with no such row is kept."""
-
-    def g3(pairs: list[tuple[Cell, Cell]]) -> float:
-        groups: dict[Cell, Counter] = defaultdict(Counter)
-        for x, y in pairs:
-            groups[x][y] += 1
-        kept = sum(max(counts.values()) for counts in groups.values())
-        return (len(pairs) - kept) / len(pairs)
-
     candidates = []
     for i, j in combinations(range(d.n_cols), 2):
-        pairs = [
-            (row[i], row[j]) for row in d.rows
-            if not row[i].is_missing and not row[j].is_missing
-        ]
-        if not pairs or min(g3(pairs), g3([(y, x) for x, y in pairs])) <= max_error:
+        pairs = _present_pairs(d, i, j)
+        if not pairs or min(_g3(pairs), _g3([(y, x) for x, y in pairs])) <= max_error:
             candidates.append((d.headers[i], d.headers[j]))
     return candidates
+
+
+def oracle_fd_directions(d: Dataset, max_error: float) -> dict[tuple[str, str], tuple[bool, bool]]:
+    """Every column pair ``(X, Y)``, in ``combinations`` order, with whether
+    ``X -> Y`` and ``Y -> X`` each have a g3 error of at most ``max_error``
+    over the rows with both cells present; with no such row, nothing has to
+    be removed and both hold."""
+    directions = {}
+    for i, j in combinations(range(d.n_cols), 2):
+        pairs = _present_pairs(d, i, j)
+        directions[d.headers[i], d.headers[j]] = (
+            not pairs or _g3(pairs) <= max_error,
+            not pairs or _g3([(y, x) for x, y in pairs]) <= max_error,
+        )
+    return directions

@@ -20,13 +20,17 @@ from hypothesis import example, given, settings, strategies as st
 import llmclean
 from llmclean.cli import EXIT_EXTERNAL, EXIT_INPUT, EXIT_OK, main
 from llmclean.context_model import (
+    META_VALUE,
     PART_OF,
     Concept,
     ContextGraph,
+    ObjKind,
+    Triple,
     deserialize,
     edge,
     entity,
     extract_ofds,
+    sensor_bounds,
     serialize,
 )
 from llmclean.dataset import dataset_to_csv, load_csv, normalize_missing
@@ -34,7 +38,7 @@ from llmclean.detection import run_all
 from llmclean.ensemble import EvalRecord, write_records_jsonl
 from llmclean.gateway import render_prompt
 from llmclean.generation import RELATED_TEMPLATE
-from llmclean.rules import parse_rule_file, parse_sensor_specs
+from llmclean.rules import SensorSpec, parse_rule_file, parse_sensor_specs
 
 from conftest import (
     IOT_TOPOLOGY,
@@ -311,6 +315,56 @@ class TestCollectorState:
         assert main(["detect", str(csv_path), "--rules", str(rules_path)]) == exit_code
         assert gc.isenabled()
         assert gc.get_freeze_count() == 0
+
+
+# The console script as a benchmark runs it: an atexit handler registered
+# before entrypoint(), which freezes the heap before the interpreter exits.
+_ATEXIT_ENTRY = """\
+import atexit, sys
+from llmclean.cli import entrypoint
+marker = sys.argv.pop(1)
+def write_marker():
+    with open(marker, "w") as out:
+        out.write("ran")
+atexit.register(write_marker)
+sys.argv[0] = "llmclean"
+entrypoint()
+"""
+
+
+class TestExitPath:
+    def _run(self, tmp_path, argv, env=None):
+        marker = tmp_path / "atexit.txt"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _ATEXIT_ENTRY, str(marker), *argv],
+            capture_output=True, text=True,
+            env={**(os.environ if env is None else env), "PYTHONPATH": pythonpath},
+        )
+        assert marker.read_text() == "ran", proc.stderr
+        return proc
+
+    def test_success_writes_what_main_writes(self, tmp_path, iot_csv, cassette):
+        argv = ["build-context", iot_csv, "--backend", "replay", "--cassette", cassette]
+        proc = self._run(tmp_path, [*argv, "--out-dir", str(tmp_path / "sub")])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out-dir", str(tmp_path / "main")]) == EXIT_OK
+        for name in ("context.nt", "rules.ofd", "transformed.csv"):
+            assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+    def test_input_error_exits_one(self, tmp_path, cassette):
+        proc = self._run(tmp_path, ["classify", str(tmp_path / "missing.csv"),
+                                    "--backend", "replay", "--cassette", cassette])
+        assert proc.returncode == EXIT_INPUT
+        assert "error" in proc.stderr
+
+    def test_external_error_exits_two(self, tmp_path, iot_csv):
+        env = {k: v for k, v in os.environ.items() if k != "LLMCLEAN_API_KEY"}
+        proc = self._run(tmp_path, ["classify", iot_csv, "--backend", "remote"], env)
+        assert proc.returncode == EXIT_EXTERNAL
+        assert "LLMCLEAN_API_KEY" in proc.stderr
 
 
 class TestCsvInput:
@@ -681,6 +735,21 @@ class TestDetect:
             proc = subprocess.run(argv, capture_output=True, text=True, env=env)
             assert proc.returncode == EXIT_INPUT, (seed, proc.stderr)
             assert "'llmc:x' is typed twice" in proc.stderr
+
+    def test_metadata_node_with_two_values_exit_one(self, tmp_path, capsys):
+        graph_path = tmp_path / "meta.nt"
+        graph = ContextGraph(frozenset(
+            entity(Concept.SENSOR, "s1", {"label": "s1"})
+            + sensor_bounds("s1", SensorSpec("s1", 0.0, 10.0))
+            + [Triple("llmc:s1_max", META_VALUE, 100.0, ObjKind.NUMBER)]
+        ))
+        graph_path.write_text(serialize(graph))
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("sensor,value\ns1,50\n")
+        code = main(["detect", str(csv_path), "--graph", str(graph_path)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "metadata node 'llmc:s1_max' has 2 llmc:metaValue values: 10.0, 100.0" in err
 
     def test_needs_rules_or_graph(self, built, capsys):
         code = main(["detect", str(built / "transformed.csv")])

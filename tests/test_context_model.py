@@ -11,8 +11,12 @@ from llmclean.context_model import (
     DEPLOYED_AT,
     FORWARDS_TO,
     HAS_METADATA,
+    META_TYPE,
+    META_VALUE,
     MONITORED_BY,
     PART_OF,
+    ObjKind,
+    Triple,
     deserialize,
     edge,
     entity,
@@ -134,6 +138,20 @@ class TestValidation:
     def test_node_typed_twice(self):
         g = graph(entity(Concept.SENSOR, "x"), entity(Concept.SENSING_DEVICE, "x"))
         with pytest.raises(ModelError, match="'llmc:x' is typed twice: SensingDevice and Sensor"):
+            validate_graph(g)
+
+    @pytest.mark.parametrize("predicate, obj, kind", [
+        (META_VALUE, 100.0, ObjKind.NUMBER),
+        (META_TYPE, "MinValue", ObjKind.TEXT),
+    ])
+    def test_metadata_node_with_two_types_or_values(self, predicate, obj, kind):
+        # extract_ofds would read only the smallest of the two.
+        g = graph(
+            entity(Concept.SENSOR, "s1", {"label": "s1"}),
+            sensor_bounds("s1", SensorSpec("s1", 0.0, 10.0)),
+            Triple("llmc:s1_max", predicate, obj, kind),
+        )
+        with pytest.raises(ModelError, match=f"metadata node 'llmc:s1_max' has 2 {predicate} values"):
             validate_graph(g)
 
     def test_wrong_attachment_direction(self):

@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from llmclean.context_model import (
     ATTACHED_TO,
@@ -59,7 +59,7 @@ from llmclean.generation import (
 from llmclean.rules import DependencyKind, SensorSpec
 
 from conftest import make_cassette, make_iot_dataset
-from oracles import oracle_fd_candidates
+from oracles import oracle_fd_candidates, oracle_fd_directions
 
 
 def classify_cassette(tmp_path, headers, votes: dict[str, str]):
@@ -573,11 +573,73 @@ def profiled_tables(draw) -> Dataset:
     return Dataset([f"c{k}" for k in range(len(columns))], list(zip(*columns)))
 
 
+def limit_table(flipped) -> Dataset:
+    """x -> y holds on 20 rows but for one row per flipped x value (g3 1/20
+    or 2/20); y -> x is far off."""
+    return Dataset(["x", "y"], [
+        (Cell.text(f"x{i // 2}"), Cell.text(f"y{i // 4 + 100 * (i in flipped)}"))
+        for i in range(20)
+    ])
+
+
+@st.composite
+def directed_tables(draw) -> Dataset:
+    """Columns drawn from a base column, with missing cells: a relabelled
+    copy (a bijection with the base), a coarsening (one direction), a noisy
+    follower, or a copy present only on even or only on odd rows (an even
+    and an odd column share no row)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n_rows = draw(st.integers(0, 40))
+    base = [rng.randrange(8) for _ in range(n_rows)]
+    columns = []
+    for _ in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(["copy", "coarse", "noisy", "even", "odd"]))
+        missing = draw(st.sampled_from([0.0, 0.05, 0.3]))
+        labels = rng.sample(range(100), 8)
+        values = {
+            "copy": [labels[b] for b in base],
+            "coarse": [labels[b] % 3 for b in base],
+            "noisy": [rng.randrange(8) if rng.random() < 0.1 else b for b in base],
+            "even": [b if i % 2 == 0 else None for i, b in enumerate(base)],
+            "odd": [b if i % 2 == 1 else None for i, b in enumerate(base)],
+        }[kind]
+        columns.append([
+            MISSING if v is None or rng.random() < missing else Cell.text(f"v{v}")
+            for v in values
+        ])
+    return Dataset([f"c{k}" for k in range(len(columns))], list(zip(*columns)))
+
+
+def counting_backend(path):
+    """A replay backend over ``path`` and the list of prompts it looks up."""
+    backend = ReplayBackend(path)
+    asked: list[str] = []
+    lookup = backend.lookup
+
+    def counting_lookup(prompt):
+        asked.append(prompt)
+        return lookup(prompt)
+
+    backend.lookup = counting_lookup
+    return backend, asked
+
+
 class TestCandidatePairs:
     @settings(max_examples=300, deadline=None)
     @given(d=profiled_tables())
     def test_matches_the_g3_oracle(self, d):
-        assert candidate_pairs(d) == oracle_fd_candidates(d, FD_ERROR)
+        assert list(candidate_pairs(d)) == oracle_fd_candidates(d, FD_ERROR)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=directed_tables())
+    @example(d=limit_table((0,)))
+    @example(d=limit_table((0, 2)))
+    @example(d=Dataset(["x", "y"], [(Cell.text(f"x{i}"), Cell.text(f"y{i}")) for i in range(5)]))
+    @example(d=Dataset(["x", "y"], [(Cell.text("x"), MISSING), (MISSING, Cell.text("y"))]))
+    def test_directions_match_the_g3_oracle(self, d):
+        assert candidate_pairs(d) == {
+            pair: holds for pair, holds in oracle_fd_directions(d, FD_ERROR).items() if any(holds)
+        }
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32), n_rows=st.integers(1, 60), flip=st.booleans())
@@ -598,13 +660,11 @@ class TestCandidatePairs:
 
     @pytest.mark.parametrize("flipped, kept", [((0,), True), ((0, 2), False)])
     def test_g3_at_the_limit_is_kept(self, flipped, kept):
-        # x -> y holds on 20 rows but for one row per flipped x value (g3 1/20
-        # or 2/20); y -> x is far off.
-        rows = [
-            (Cell.text(f"x{i // 2}"), Cell.text(f"y{i // 4 + 100 * (i in flipped)}"))
-            for i in range(20)
-        ]
-        assert (candidate_pairs(Dataset(["x", "y"], rows)) == [("x", "y")]) is kept
+        d = limit_table(flipped)
+        assert (list(candidate_pairs(d)) == [("x", "y")]) is kept
+        # Kept, x -> y sits exactly at FD_ERROR and holds; y -> x does not.
+        assert candidate_pairs(d) == ({("x", "y"): (True, False)} if kept else {})
+        assert oracle_fd_directions(d, FD_ERROR * 0.99) == {("x", "y"): (False, False)}
 
     def test_refuted_pair_sends_no_prompt(self, tmp_path, caplog):
         # b follows a; c is independent of both.
@@ -612,27 +672,63 @@ class TestCandidatePairs:
             (Cell.text(f"a{i % 10}"), Cell.text(f"b{i % 10 // 2}"), Cell.text(f"c{i // 10}"))
             for i in range(40)
         ])
-        assert candidate_pairs(d) == [("a", "b")]
+        assert list(candidate_pairs(d)) == [("a", "b")]
         # The cassette holds no prompt for the refuted pairs.
         path = pair_cassette(tmp_path, ["a", "b"], {("a", "b"): ("zone", "region", "A")})
-        backend = ReplayBackend(path)
-        asked: list[str] = []
-        lookup = backend.lookup
-
-        def counting_lookup(prompt):
-            asked.append(prompt)
-            return lookup(prompt)
-
-        backend.lookup = counting_lookup
+        backend, asked = counting_backend(path)
         with caplog.at_level("INFO", logger="llmclean.generation"):
             relations = pair_relationships(d, backend)
         assert [(r.column_a, r.column_b, r.related) for r in relations] == [
             ("a", "b", True), ("a", "c", False), ("b", "c", False),
         ]
         assert relations[0].hierarchy is Hierarchy.ATTRIBUTE_OF_A
-        assert len(asked) == 1 + 2 + 1
+        assert len(asked) == 1 + 2  # a -> b alone holds, so the data orders the pair
         assert render_prompt(RELATED_TEMPLATE, {"col_a": "a", "col_b": "c"}) not in asked
-        assert [r.getMessage() for r in caplog.records] == ["asked 1 of 3 column pairs"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "asked 1 of 3 column pairs; 1 of 1 hierarchies from the data"
+        ]
+
+    @pytest.mark.parametrize("headers, hierarchy", [
+        (["zone", "region"], Hierarchy.ATTRIBUTE_OF_A),
+        (["region", "zone"], Hierarchy.ATTRIBUTE_OF_B),
+    ])
+    def test_one_direction_sends_no_hierarchy_prompt(self, tmp_path, headers, hierarchy):
+        # zone -> region holds, region -> zone does not; the cassette's
+        # hierarchy answer points the other way and must not be read.
+        cells = {"zone": [f"z{i % 10}" for i in range(40)],
+                 "region": [f"r{i % 10 // 5}" for i in range(40)]}
+        d = Dataset(headers, list(zip(*(map(Cell.text, cells[h]) for h in headers))))
+        wrong = "B" if hierarchy is Hierarchy.ATTRIBUTE_OF_A else "A"
+        path = pair_cassette(tmp_path, headers, {tuple(headers): ("x", "y", wrong)})
+        backend, asked = counting_backend(path)
+        [relation] = pair_relationships(d, backend)
+        assert relation.related and relation.hierarchy is hierarchy
+        assert not [p for p in asked if "is an attribute of" in p]
+        assert len(asked) == 1 + 2
+
+    @pytest.mark.parametrize("answer, hierarchy", [
+        ("A", Hierarchy.ATTRIBUTE_OF_A),
+        ("B", Hierarchy.ATTRIBUTE_OF_B),
+        ("NONE", Hierarchy.INDEPENDENT),
+    ])
+    def test_both_directions_still_ask(self, tmp_path, answer, hierarchy):
+        # A bijection: each column determines the other, so the model decides.
+        d = key_table(["code", "name"], n_rows=6)
+        path = pair_cassette(tmp_path, ["code", "name"], {("code", "name"): ("id", "label", answer)})
+        backend, asked = counting_backend(path)
+        [relation] = pair_relationships(d, backend)
+        assert relation.hierarchy is hierarchy
+        assert render_prompt(HIERARCHY_TEMPLATE, {"col_a": "code", "col_b": "name"}) in asked
+        assert len(asked) == 1 + 2 + 1
+
+    def test_pair_with_no_shared_row_still_asks(self, tmp_path):
+        d = Dataset(["a", "b"], [(Cell.text("a1"), MISSING), (MISSING, Cell.text("b1"))])
+        assert candidate_pairs(d) == {("a", "b"): (True, True)}
+        path = pair_cassette(tmp_path, ["a", "b"], {("a", "b"): ("x", "y", "B")})
+        backend, asked = counting_backend(path)
+        [relation] = pair_relationships(d, backend)
+        assert relation.hierarchy is Hierarchy.ATTRIBUTE_OF_B
+        assert len(asked) == 1 + 2 + 1
 
     @pytest.mark.parametrize("seed", [1, 9001])
     def test_hierarchy_groups_survive_injected_errors(self, seed):
@@ -647,8 +743,8 @@ class TestCandidatePairs:
             fd_determinant="district_0", fd_dependent="region_0", seed=seed,
         )
         dirty = normalize_missing(inject_errors(clean, spec)[0])
-        assert candidate_pairs(clean) == same_group
-        assert candidate_pairs(dirty) == same_group
+        assert list(candidate_pairs(clean)) == same_group
+        assert list(candidate_pairs(dirty)) == same_group
 
 
 class TestBuildRelationalGraph:
