@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection
@@ -46,6 +47,7 @@ class RunManifest:
     warnings: list[str] = field(default_factory=list)
     excluded_concepts: list[str] = field(default_factory=list)
     mapping: dict[str, str] = field(default_factory=dict)
+    rule_counts: dict[str, int] = field(default_factory=dict)
     timings_ms: dict[str, float] = field(default_factory=dict)
 
     def write(self, path: Path) -> None:
@@ -59,6 +61,7 @@ class RunManifest:
             "warnings": self.warnings,
             "excluded_concepts": self.excluded_concepts,
             "mapping": self.mapping,
+            "rule_counts": self.rule_counts,
             "timings_ms": self.timings_ms,
         }
         tmp = path.with_suffix(path.suffix + ".tmp")
@@ -220,6 +223,7 @@ def cmd_build_context(args) -> int:
 
     rules = context_model.extract_ofds(graph)
     manifest.timings_ms["build"] = (time.perf_counter() - t0) * 1000.0
+    manifest.rule_counts = dict(Counter(r.kind.value for r in rules))
 
     graph_path = out_dir / "context.nt"
     graph_path.write_text(context_model.serialize(graph), encoding="utf-8")

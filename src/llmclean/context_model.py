@@ -338,15 +338,12 @@ def _check_part_of_cycles(g: ContextGraph) -> None:
         raise ModelError(f"cyclic partOf chain: {names}") from None
 
 
-def _fd_rule(
-    kind: DependencyKind, det_col: str, dep_col: str, rule_id: str,
-    mapping: dict[str, str] | None = None,
-) -> OfdRule:
+def _fd_rule(kind: DependencyKind, det_col: str, dep_col: str, rule_id: str) -> OfdRule:
     preds = (
         Predicate("EQ", ColumnRef("t1", det_col), ColumnRef("t2", det_col)),
         Predicate("IQ", ColumnRef("t1", dep_col), ColumnRef("t2", dep_col)),
     )
-    return OfdRule(kind, ("t1", "t2"), preds, id=rule_id, mapping=mapping)
+    return OfdRule(kind, ("t1", "t2"), preds, id=rule_id)
 
 
 def _capability_rule(sensor_label: str, spec: SensorSpec) -> OfdRule:
@@ -381,48 +378,37 @@ def _temporal_rule(from_label: str, to_label: str) -> OfdRule:
 def extract_ofds(g: ContextGraph) -> list[OfdRule]:
     """Derive enforceable rules from every modeled edge class.
 
-    Emits, in order: one device-link rule per sensor->sensing-device->device
-    chain, one locality rule per deployment edge, one capability rule per
-    sensor carrying min/max metadata, one denial FD per hierarchy pair
-    (concept pair for typed entities, column pair for attribute nodes), one
-    matching rule per annotated similarity relation, and one temporal rule
-    per forwarding edge. Monitoring edges are representable but yield no
-    rule, since no check is defined for them.
+    Emits, in order: one device-link FD (Sensor -> Device) if the graph holds
+    a sensor->sensing-device->device chain, one locality FD (SensingDevice ->
+    Location) if it holds a deployment edge, one capability rule per sensor
+    carrying min/max metadata (its literal scopes it to that sensor's rows),
+    one denial FD per hierarchy pair (concept pair for typed entities, column
+    pair for attribute nodes), one matching rule per annotated similarity
+    relation, and one temporal rule per forwarding edge. An FD covers every
+    entity of its edge class, so a class yields one rule however many edges
+    it has. Monitoring edges are representable but yield no rule, since no
+    check is defined for them.
     """
     types = validate_graph(g)
     rules: list[OfdRule] = []
 
-    # Device-link chains: sensor -> sensing device -> device.
+    # Device-link: some sensor -> sensing device -> device chain.
     attached = g.by_predicate(ATTACHED_TO)
-    sd_to_device = {
-        t.subject: str(t.obj)
-        for t in attached
-        if types[t.subject] is Concept.SENSING_DEVICE
-    }
-    chains: list[tuple[str, str]] = []
-    for t in attached:
-        if types[t.subject] is Concept.SENSOR:
-            device = sd_to_device.get(str(t.obj))
-            if device is not None:
-                chains.append((t.subject, device))
-    for sensor, device in sorted(set(chains)):
-        sensor_label = node_label(g, sensor)
+    linked = {t.subject for t in attached if types[t.subject] is Concept.SENSING_DEVICE}
+    if any(types[t.subject] is Concept.SENSOR and str(t.obj) in linked for t in attached):
         rules.append(
             _fd_rule(
                 DependencyKind.DEVICE_LINK, "Sensor", "Device",
-                rule_id=f"device_link:{sensor_label}",
-                mapping={sensor_label: node_label(g, device)},
+                rule_id="device_link:Sensor->Device",
             )
         )
 
-    # Locality: sensing device -> location.
-    for t in g.by_predicate(DEPLOYED_AT):
-        sd_label = node_label(g, t.subject)
+    # Locality: some sensing device -> location edge.
+    if g.by_predicate(DEPLOYED_AT):
         rules.append(
             _fd_rule(
                 DependencyKind.LOCALITY, "SensingDevice", "Location",
-                rule_id=f"locality:{sd_label}",
-                mapping={sd_label: node_label(g, str(t.obj))},
+                rule_id="locality:SensingDevice->Location",
             )
         )
 

@@ -152,9 +152,10 @@ class OfdRule:
     """One parsed dependency rule.
 
     Equality covers the grammar-visible structure (kind, aliases,
-    predicates); ``id`` and the carried payloads (sensor spec, concrete
-    entity mapping) are bookkeeping extracted from a context graph and are
-    excluded from comparison so that parse/render round-trips are exact.
+    predicates); ``id`` and the carried sensor spec are bookkeeping
+    extracted from a context graph and are excluded from comparison so that
+    parse/render round-trips are exact. A rule names columns, not entities:
+    one FD rule covers every entity of its edge class.
     """
 
     kind: DependencyKind
@@ -162,7 +163,6 @@ class OfdRule:
     predicates: tuple[Predicate, ...]
     id: str = field(default="", compare=False)
     spec: SensorSpec | None = field(default=None, compare=False)
-    mapping: dict[str, str] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 1 <= len(self.aliases) <= 2:

@@ -12,14 +12,14 @@ import string
 import time
 
 from llmclean.cli import main
-from llmclean.context_model import deserialize, extract_ofds
+from llmclean.context_model import ATTACHED_TO, DEPLOYED_AT, deserialize, edge, extract_ofds
 from llmclean.dataset import (
     Cell,
     Dataset,
     dataset_to_csv,
     load_csv,
 )
-from llmclean.detection import DetectionReport, run_all
+from llmclean.detection import DetectionReport, fd_columns, run_all
 from llmclean.ensemble import (
     EvalRecord,
     SearchSpec,
@@ -216,12 +216,15 @@ def test_criterion_5_end_to_end_iot_pipeline(tmp_path, capsys):
         DependencyKind.CAPABILITY,
         DependencyKind.DENIAL,
     } <= kinds
-    device_links = {r.id: r.mapping for r in rules if r.kind is DependencyKind.DEVICE_LINK}
-    assert device_links["device_link:ds18b20_1"] == {"ds18b20_1": "device_in_1"}
+    device_links = {r.id: fd_columns(r) for r in rules if r.kind is DependencyKind.DEVICE_LINK}
+    assert device_links == {"device_link:Sensor->Device": ("Sensor", "Device")}
+    assert edge(ATTACHED_TO, "ds18b20_1", "sensing_in_1") in graph.triples
+    assert edge(ATTACHED_TO, "sensing_in_1", "device_in_1") in graph.triples
     denial_ids = {r.id for r in rules if r.kind is DependencyKind.DENIAL}
     assert denial_ids == {"denial:Device->System", "denial:SensingDevice->Device"}
-    localities = {r.id: r.mapping for r in rules if r.kind is DependencyKind.LOCALITY}
-    assert localities["locality:sensing_in_1"] == {"sensing_in_1": "Room1"}
+    localities = {r.id: fd_columns(r) for r in rules if r.kind is DependencyKind.LOCALITY}
+    assert localities == {"locality:SensingDevice->Location": ("SensingDevice", "Location")}
+    assert edge(DEPLOYED_AT, "sensing_in_1", "Room1") in graph.triples
     capability_specs = {
         r.id: r.spec for r in rules if r.kind is DependencyKind.CAPABILITY
     }

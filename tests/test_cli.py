@@ -41,12 +41,14 @@ from llmclean.generation import RELATED_TEMPLATE
 from llmclean.rules import SensorSpec, parse_rule_file, parse_sensor_specs
 
 from conftest import (
+    IOT_HEADERS,
     IOT_TOPOLOGY,
     make_cassette,
     make_iot_dataset,
     iot_pipeline_responses,
     write_sensor_specs,
 )
+from oracles import oracle_findings
 
 
 @pytest.fixture
@@ -504,6 +506,90 @@ class TestBuildContext:
         assert manifest["backend"] == "replay"
         assert manifest["mapping"]["Sensor"] == "Sensor"
         assert set(manifest["outputs"]) == {"graph", "transformed_csv", "rules"}
+
+
+    def test_manifest_counts_rules_per_kind(self, iot_csv, cassette, tmp_path):
+        out_dir = self.run_build(iot_csv, cassette, tmp_path)
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        counts = manifest["rule_counts"]
+        assert list(counts) == sorted(counts)
+        assert counts["device_link"] == 1 and counts["locality"] == 1
+        rules = parse_rule_file((out_dir / "rules.ofd").read_text())
+        assert sum(counts.values()) == len(rules)
+
+
+def _fleet_csv(path: Path) -> set[tuple[int, str]]:
+    """Write a 120-sensor IoT table, 8 readings per sensor; return its planted cells.
+
+    Each sensor has its own sensing device; four sensors share a device and
+    eight a room. One reading of some sensors carries a missing System, a
+    missing Location, a Device of another sensor's group or a reading outside
+    the sensor's range, so every group keeps a clean majority.
+    """
+    rows, planted = [], set()
+    for i in range(960):
+        k = i % 120
+        sensor = f"ds18b20_{k}" if k % 2 == 0 else f"wsdcgq11lm_{k}"
+        row = ["home_system", f"device_{k // 4}", f"sensing_{k}", sensor, "temperature",
+               f"{20 + i % 7}.5", str(1_700_000_000_000 + i * 1000), f"room_{k // 8}"]
+        if i // 120 == 3 and k % 10 in (1, 3, 5, 7):  # the fourth reading of some sensors
+            column, value = {
+                1: (0, ""), 3: (7, "N/A"), 5: (1, f"device_{(k // 4 + 1) % 30}"), 7: (5, "250.0"),
+            }[k % 10]
+            row[column] = value
+            planted.add((i, IOT_HEADERS[column]))
+        rows.append(",".join(row))
+    path.write_text(",".join(IOT_HEADERS) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return planted
+
+
+class TestGraphRulesAtFleetScale:
+    """A graph with 120 sensors yields one rule per modelled dependency."""
+
+    @pytest.fixture
+    def fleet(self, tmp_path):
+        csv_path = tmp_path / "fleet.csv"
+        planted = _fleet_csv(csv_path)
+        cassette = make_cassette(tmp_path, iot_pipeline_responses(IOT_HEADERS), "fleet.json")
+        sensors = write_sensor_specs(tmp_path)
+        ctx, det = tmp_path / "ctx", tmp_path / "det"
+        assert main(["build-context", str(csv_path), "--backend", "replay",
+                     "--cassette", cassette, "--sensors", sensors,
+                     "--out-dir", str(ctx)]) == EXIT_OK
+        assert main(["detect", str(csv_path), "--graph", str(ctx / "context.nt"),
+                     "--sensors", sensors, "--out-dir", str(det)]) == EXIT_OK
+        report = json.loads((det / "report.json").read_text())
+        return csv_path, ctx, report, planted, sensors
+
+    def test_rule_file_has_no_repeated_line(self, fleet):
+        _, ctx, _, _, _ = fleet
+        lines = (ctx / "rules.ofd").read_text().splitlines()
+        assert len(lines) == len(set(lines)) == 124
+        counts = json.loads((ctx / "manifest.json").read_text())["rule_counts"]
+        assert counts == {"capability": 120, "denial": 2, "device_link": 1, "locality": 1}
+
+    def test_findings_equal_the_oracle(self, fleet):
+        csv_path, ctx, report, planted, sensors = fleet
+        d = normalize_missing(load_csv(csv_path.read_bytes()))
+        rules = extract_ofds(deserialize((ctx / "context.nt").read_text()))
+        specs = parse_sensor_specs(Path(sensors).read_text(), sensors)
+        got = {(f["row"], f["column"], f["rule"]) for f in report["findings"]}
+        assert got == oracle_findings(d, rules, specs)
+        assert {(row, column) for row, column, _ in got} == planted
+
+    def test_each_cell_has_one_id_per_kind(self, fleet):
+        csv_path, _, report, _, _ = fleet
+        ids: dict[tuple[int, str, str], set[str]] = {}
+        for f in report["findings"]:
+            kind = f["rule"].partition(":")[0]
+            if kind in ("device_link", "locality"):
+                ids.setdefault((f["row"], f["column"], kind), set()).add(f["rule"])
+        assert ids and all(len(found) == 1 for found in ids.values())
+        d = load_csv(csv_path.read_bytes())
+        sensor = d.column_index("Sensor")
+        device_link_rows = {row for row, _, kind in ids if kind == "device_link"}
+        assert device_link_rows
+        assert all(not d.rows[row][sensor].is_missing for row in device_link_rows)
 
 
 class TestBuildContextNonIot:

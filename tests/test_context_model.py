@@ -25,9 +25,11 @@ from llmclean.context_model import (
     serialize,
     validate_graph,
 )
-from llmclean.detection import temporal_link
+from llmclean.detection import fd_columns, temporal_link
 from llmclean.errors import GraphParseError, ModelError
-from llmclean.rules import DependencyKind, SensorSpec
+from llmclean.rules import DependencyKind, SensorSpec, render_rule
+
+from conftest import IOT_TOPOLOGY
 
 
 def graph(*parts) -> ContextGraph:
@@ -209,20 +211,67 @@ class TestExtractOfds:
         assert extract_ofds(ContextGraph()) == []
 
     def test_device_link_rule_and_mapping(self):
-        rules = extract_ofds(iot_graph())
+        g = iot_graph()
+        rules = extract_ofds(g)
         device_links = [r for r in rules if r.kind is DependencyKind.DEVICE_LINK]
         assert len(device_links) == 1
         rule = device_links[0]
-        assert rule.id == "device_link:ds18b20_1"
-        assert rule.mapping == {"ds18b20_1": "device_in_1"}
-        from llmclean.rules import render_rule
-
+        assert rule.id == "device_link:Sensor->Device"
+        assert fd_columns(rule) == ("Sensor", "Device")
         assert render_rule(rule) == "t1&t2&EQ(t1.Sensor,t2.Sensor)&IQ(t1.Device,t2.Device)"
+        # The modelled chain ds18b20_1 -> sensing_in_1 -> device_in_1 is in the graph.
+        assert edge(ATTACHED_TO, "ds18b20_1", "sensing_in_1") in g.triples
+        assert edge(ATTACHED_TO, "sensing_in_1", "device_in_1") in g.triples
 
     def test_locality_rule(self):
-        rules = extract_ofds(iot_graph())
-        locality = [r for r in rules if r.kind is DependencyKind.LOCALITY]
-        assert [r.mapping for r in locality] == [{"sensing_in_1": "Room1"}]
+        g = iot_graph()
+        locality = [r for r in extract_ofds(g) if r.kind is DependencyKind.LOCALITY]
+        assert [r.id for r in locality] == ["locality:SensingDevice->Location"]
+        assert fd_columns(locality[0]) == ("SensingDevice", "Location")
+        assert edge(DEPLOYED_AT, "sensing_in_1", "Room1") in g.triples
+
+    def test_one_rule_per_edge_class_on_the_fixture_topology(self):
+        # Four sensors, four sensing devices, three devices and three
+        # locations still give one device-link FD and one locality FD.
+        parts = []
+        for sensor, (device, sensing, location) in IOT_TOPOLOGY.items():
+            parts += [
+                entity(Concept.SENSOR, sensor, {"label": sensor}),
+                entity(Concept.SENSING_DEVICE, sensing, {"label": sensing}),
+                entity(Concept.DEVICE, device, {"label": device}),
+                entity(Concept.LOCATION, location, {"label": location}),
+                edge(ATTACHED_TO, sensor, sensing),
+                edge(ATTACHED_TO, sensing, device),
+                edge(DEPLOYED_AT, sensing, location),
+            ]
+        rules = extract_ofds(graph(*parts))
+        assert [(r.kind, render_rule(r)) for r in rules] == [
+            (DependencyKind.DEVICE_LINK,
+             "t1&t2&EQ(t1.Sensor,t2.Sensor)&IQ(t1.Device,t2.Device)"),
+            (DependencyKind.LOCALITY,
+             "t1&t2&EQ(t1.SensingDevice,t2.SensingDevice)&IQ(t1.Location,t2.Location)"),
+        ]
+
+    @pytest.mark.parametrize("edges", [
+        [(ATTACHED_TO, "s", "sd_a")],
+        [(ATTACHED_TO, "sd_b", "dev")],
+        [(ATTACHED_TO, "s", "sd_a"), (ATTACHED_TO, "sd_b", "dev")],
+    ], ids=["sensor-only", "device-only", "broken-chain"])
+    def test_no_device_link_without_a_complete_chain(self, edges):
+        g = graph(
+            entity(Concept.SENSOR, "s"),
+            entity(Concept.SENSING_DEVICE, "sd_a"),
+            entity(Concept.SENSING_DEVICE, "sd_b"),
+            entity(Concept.DEVICE, "dev"),
+            *(edge(*e) for e in edges),
+        )
+        assert extract_ofds(g) == []
+
+    def test_no_locality_without_a_deployment_edge(self):
+        g = ContextGraph(iot_graph().triples - {edge(DEPLOYED_AT, "sensing_in_1", "Room1")})
+        kinds = [r.kind for r in extract_ofds(g)]
+        assert DependencyKind.DEVICE_LINK in kinds
+        assert DependencyKind.LOCALITY not in kinds
 
     def test_capability_rule_carries_spec(self):
         rules = extract_ofds(iot_graph())

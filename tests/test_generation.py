@@ -23,6 +23,7 @@ from llmclean.context_model import (
     serialize,
 )
 from llmclean.dataset import Cell, Dataset, MISSING, cell_text, normalize_missing
+from llmclean.detection import fd_columns
 from llmclean.ensemble import EnsembleConfig
 from llmclean.errors import ModelError, SchemaError
 from llmclean.evaluation import ErrorSpec, inject_errors
@@ -393,10 +394,17 @@ class TestBuildIotGraph:
             DependencyKind.CAPABILITY,
             DependencyKind.DENIAL,
         } <= kinds
-        link = next(r for r in rules if r.id == "device_link:ds18b20_1")
-        assert link.mapping == {"ds18b20_1": "device_in_1"}
-        locality = next(r for r in rules if r.id == "locality:sensing_out_1")
-        assert locality.mapping == {"sensing_out_1": "Outside"}
+        links = [r for r in rules if r.kind is DependencyKind.DEVICE_LINK]
+        assert [(r.id, fd_columns(r)) for r in links] == [
+            ("device_link:Sensor->Device", ("Sensor", "Device"))
+        ]
+        assert edge(ATTACHED_TO, "ds18b20_1", "sensing_in_1") in graph.triples
+        assert edge(ATTACHED_TO, "sensing_in_1", "device_in_1") in graph.triples
+        localities = [r for r in rules if r.kind is DependencyKind.LOCALITY]
+        assert [(r.id, fd_columns(r)) for r in localities] == [
+            ("locality:SensingDevice->Location", ("SensingDevice", "Location"))
+        ]
+        assert edge(DEPLOYED_AT, "sensing_out_1", "Outside") in graph.triples
         denial_ids = {r.id for r in rules if r.kind is DependencyKind.DENIAL}
         assert denial_ids == {"denial:Device->System", "denial:SensingDevice->Device"}
 

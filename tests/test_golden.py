@@ -3,7 +3,9 @@
 Reruns on one commit are compared elsewhere; these digests pin the bytes
 across changes to the code, so a refactor that moves a single cell, truth
 entry, triple or rule fails here. The values were recorded before the
-columnar rewrite of ``evaluation`` and ``generation``.
+columnar rewrite of ``evaluation`` and ``generation``; the ``rules.ofd``
+digests were re-pinned when a graph's device-link and locality dependencies
+became one rule each instead of one per entity.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from conftest import iot_pipeline_responses, make_cassette, make_iot_dataset, wr
 
 GOLDEN = {
     "build-context/clean/context.nt": "07a6445b8fa1ec797960ef548f30349eaef3cc3e1258df8dbcdd48021a3b581c",
-    "build-context/clean/rules.ofd": "662f1e915b44c230ca6b243b24f0a2e37c3c998ea35f27ae8ecc7604776f56e9",
+    "build-context/clean/rules.ofd": "678cc9f10eeba7dfd23cade650c36c10ec291b8a8435216e8055364d43035f42",
     "build-context/clean/transformed.csv": "87dcb01b33c566dc83fa3a01f9600e0a05b4a3ec1c769582a552a555ec4c4c64",
     "evaluate/dirty.csv": "1fc95d2e3cfe9c51c815548891279ae7bb9f93f1f2e980fb53055b345016ed05",
     "evaluate/truth.jsonl": "e4733269bec12510cbacac249229e67d31757686ee69674cffdaa1d1592f5c7a",
     "evaluate/metrics.json": "30883317b37e749ca989882857cab202a0dcab6326fabf140a76841e9d36046b",
     "build-context/dirty/context.nt": "07a6445b8fa1ec797960ef548f30349eaef3cc3e1258df8dbcdd48021a3b581c",
-    "build-context/dirty/rules.ofd": "662f1e915b44c230ca6b243b24f0a2e37c3c998ea35f27ae8ecc7604776f56e9",
+    "build-context/dirty/rules.ofd": "678cc9f10eeba7dfd23cade650c36c10ec291b8a8435216e8055364d43035f42",
     "build-context/dirty/transformed.csv": "b3b52a68edb7a45a30b0d9722d439af59c3be3f24cef808b42313f0eb1d2176d",
 }
 

@@ -191,7 +191,6 @@ class TestPayloads:
             plain.predicates,
             id="capability:x",
             spec=SensorSpec("x", 0.0, 1.0),
-            mapping={"a": "b"},
         )
         assert loaded == plain
 
