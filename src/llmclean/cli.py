@@ -18,7 +18,6 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection
 
@@ -34,21 +33,28 @@ EXIT_INTERNAL = 3
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 
 
-@dataclass
 class RunManifest:
     """Everything needed to reproduce a run with the same cassette and seed."""
 
-    command: str
-    input_path: str
-    backend: str = ""
-    dataset_class: str = ""
-    seed: int | None = None
-    outputs: dict[str, str] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-    excluded_concepts: list[str] = field(default_factory=list)
-    mapping: dict[str, str] = field(default_factory=dict)
-    rule_counts: dict[str, int] = field(default_factory=dict)
-    timings_ms: dict[str, float] = field(default_factory=dict)
+    def __init__(
+        self,
+        command: str,
+        input_path: str,
+        backend: str = "",
+        dataset_class: str = "",
+        seed: int | None = None,
+    ):
+        self.command = command
+        self.input_path = input_path
+        self.backend = backend
+        self.dataset_class = dataset_class
+        self.seed = seed
+        self.outputs: dict[str, str] = {}
+        self.warnings: list[str] = []
+        self.excluded_concepts: list[str] = []
+        self.mapping: dict[str, str] = {}
+        self.rule_counts: dict[str, int] = {}
+        self.timings_ms: dict[str, float] = {}
 
     def write(self, path: Path) -> None:
         payload = {

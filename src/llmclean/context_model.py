@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from typing import Mapping
 
 from .errors import GraphParseError, ModelError
+from .frozen import Frozen, set_field
 from .rules import (
     ColumnRef,
     DependencyKind,
@@ -89,23 +89,28 @@ class ObjKind(Enum):
     NUMBER = "number"
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    subject: str
-    predicate: str
-    obj: str | float
-    obj_kind: ObjKind = ObjKind.IRI
+class Triple(Frozen):
+    __slots__ = _fields = ("subject", "predicate", "obj", "obj_kind")
 
-    def __post_init__(self):
-        if not self.subject or not self.predicate:
+    def __init__(
+        self, subject: str, predicate: str, obj: str | float, obj_kind: ObjKind = ObjKind.IRI
+    ):
+        if not subject or not predicate:
             raise ValueError("triple subject/predicate must be non-empty")
-        if self.predicate != RDF_TYPE and not _ATTR_PRED_RE.fullmatch(self.predicate):
-            raise ValueError(f"predicate {self.predicate!r} outside the vocabulary")
+        if predicate != RDF_TYPE and not _ATTR_PRED_RE.fullmatch(predicate):
+            raise ValueError(f"predicate {predicate!r} outside the vocabulary")
+        set_field(self, "subject", subject)
+        set_field(self, "predicate", predicate)
+        set_field(self, "obj", obj)
+        set_field(self, "obj_kind", obj_kind)
 
 
-@dataclass(frozen=True)
-class ContextGraph:
-    triples: frozenset[Triple] = frozenset()
+class ContextGraph(Frozen):
+    # No __slots__: the indexes below are cached in the instance's __dict__.
+    _fields = ("triples",)
+
+    def __init__(self, triples: frozenset[Triple] = frozenset()):
+        set_field(self, "triples", triples)
 
     @cached_property
     def _by_subject_predicate(self) -> dict[tuple[str, str], list[Triple]]:
@@ -182,8 +187,16 @@ def sensor_bounds(sensor_id: str, spec: SensorSpec) -> list[Triple]:
     return triples
 
 
+# Lines end at "\n" only: a reader opening the file in text mode turns a raw
+# "\r" into one, so both are escaped. Other line separators stay raw.
 def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return (
+        text.replace("\\", "\\\\").replace('"', '\\"')
+        .replace("\n", "\\n").replace("\r", "\\r")
+    )
+
+
+_UNESCAPED = {"n": "\n", "r": "\r"}
 
 
 def _unescape(text: str) -> str:
@@ -193,12 +206,25 @@ def _unescape(text: str) -> str:
         ch = text[i]
         if ch == "\\" and i + 1 < len(text):
             nxt = text[i + 1]
-            out.append({"n": "\n"}.get(nxt, nxt))
+            out.append(_UNESCAPED.get(nxt, nxt))
             i += 2
         else:
             out.append(ch)
             i += 1
     return "".join(out)
+
+
+def _closing_quote(text: str) -> int:
+    """Index of the quote that closes the literal opening ``text``, or -1."""
+    end = 1
+    while end < len(text):
+        if text[end] == "\\":
+            end += 2
+        elif text[end] == '"':
+            return end
+        else:
+            end += 1
+    return -1
 
 
 def _render_object(t: Triple) -> str:
@@ -222,17 +248,11 @@ _NUM_SUFFIX = "^^xsd:double"
 
 def _parse_object(text: str, line_no: int) -> tuple[str | float, ObjKind]:
     if text.startswith('"'):
-        end = 1
-        while end < len(text):
-            if text[end] == "\\":
-                end += 2
-                continue
-            if text[end] == '"':
-                break
-            end += 1
-        else:
+        plain = "\\" not in text  # no escapes: the next quote closes the literal
+        end = text.find('"', 1) if plain else _closing_quote(text)
+        if end < 0:
             raise GraphParseError("unterminated literal", line_no)
-        body = _unescape(text[1:end])
+        body = text[1:end] if plain else _unescape(text[1:end])
         rest = text[end + 1:]
         if rest == _NUM_SUFFIX:
             try:
@@ -249,7 +269,7 @@ def _parse_object(text: str, line_no: int) -> tuple[str | float, ObjKind]:
 
 def deserialize(text: str) -> ContextGraph:
     triples: set[Triple] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

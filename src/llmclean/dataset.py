@@ -18,7 +18,6 @@ import io
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
@@ -26,6 +25,7 @@ from operator import add, attrgetter, ge, is_, itemgetter, methodcaller, or_
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import SchemaError, StructuralError
+from .frozen import Frozen, set_field
 
 #: Placeholder spellings commonly used for missing data, matched
 #: case-insensitively after trimming.
@@ -54,12 +54,14 @@ class CellKind(Enum):
     MISSING = "missing"
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
+class Cell(Frozen):
     """One table cell: text, finite number, epoch-ms timestamp, or missing."""
 
-    kind: CellKind
-    value: str | float | int | None
+    __slots__ = _fields = ("kind", "value")
+
+    def __init__(self, kind: CellKind, value: str | float | int | None):
+        set_field(self, "kind", kind)
+        set_field(self, "value", value)
 
     @staticmethod
     def text(value: str) -> "Cell":
@@ -89,9 +91,9 @@ MISSING = Cell(CellKind.MISSING, None)
 def _cells(kind: CellKind, values: Sequence[str | float | int]) -> list[Cell]:
     """``Cell(kind, v)`` for each value, built in C-level passes.
 
-    The frozen dataclass's ``__init__`` runs Python code per cell; the slot
-    descriptors set the same two fields without it. (``any`` drains each
-    pass: a descriptor's ``__set__`` returns None.)
+    ``Cell.__init__`` runs Python code per cell; the slot descriptors set
+    the same two fields without it. (``any`` drains each pass: a
+    descriptor's ``__set__`` returns None.)
     """
     cells = list(map(object.__new__, repeat(Cell, len(values))))
     any(map(Cell.kind.__set__, cells, repeat(kind)))
@@ -111,26 +113,25 @@ def cell_text(cell: Cell) -> str:
     return ""
 
 
-@dataclass(frozen=True, slots=True)
-class CellRef:
+class CellRef(Frozen):
     """Reference to one cell: 0-based row index plus column name."""
 
-    row: int
-    column: str
+    __slots__ = _fields = ("row", "column")
+
+    def __init__(self, row: int, column: str):
+        set_field(self, "row", row)
+        set_field(self, "column", column)
 
 
-@dataclass(frozen=True)
-class PlaceholderSet:
+class PlaceholderSet(Frozen):
     """Missing-value spellings, matched case-insensitively after trimming."""
 
-    tokens: frozenset[str]
+    __slots__ = _fields = ("tokens",)
 
-    def __post_init__(self):
-        if not self.tokens:
+    def __init__(self, tokens: frozenset[str]):
+        if not tokens:
             raise ValueError("placeholder set must not be empty")
-        object.__setattr__(
-            self, "tokens", frozenset(t.strip().lower() for t in self.tokens)
-        )
+        set_field(self, "tokens", frozenset(t.strip().lower() for t in tokens))
 
     @classmethod
     def default(cls) -> "PlaceholderSet":

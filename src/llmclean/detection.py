@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -37,6 +36,7 @@ from .dataset import (
     group_modes,
 )
 from .errors import RuleError, SchemaError
+from .frozen import Frozen, set_field
 from .rules import ColumnRef, DependencyKind, Literal, OfdRule, SensorSpec, lookup_spec
 
 BLOCK_KEY_LEN = 4
@@ -50,19 +50,27 @@ TIMESTAMP_COLUMN = "timestamp"
 _CORRELATION_COLUMNS = ("message", "message_id", "correlation", "correlation_id")
 
 
-@dataclass(frozen=True, slots=True)
-class Finding:
-    cell: CellRef
-    rule_id: str
-    reason: str
+class Finding(Frozen):
+    __slots__ = _fields = ("cell", "rule_id", "reason")
+
+    def __init__(self, cell: CellRef, rule_id: str, reason: str):
+        set_field(self, "cell", cell)
+        set_field(self, "rule_id", rule_id)
+        set_field(self, "reason", reason)
 
 
-@dataclass
 class DetectionReport:
-    findings: list[Finding] = field(default_factory=list)
-    skipped_rules: list[tuple[str, str]] = field(default_factory=list)
-    duration_ms: float = 0.0
-    uncovered_sensors: int = 0
+    def __init__(
+        self,
+        findings: list[Finding] | None = None,
+        skipped_rules: list[tuple[str, str]] | None = None,
+        duration_ms: float = 0.0,
+        uncovered_sensors: int = 0,
+    ):
+        self.findings = [] if findings is None else findings
+        self.skipped_rules = [] if skipped_rules is None else skipped_rules
+        self.duration_ms = duration_ms
+        self.uncovered_sensors = uncovered_sensors
 
     @property
     def flagged_cells(self) -> set[tuple[int, str]]:

@@ -10,22 +10,27 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
+
+from .frozen import Frozen, set_field
 
 # Tolerance when comparing mean-F1 scores for ties; identical arithmetic
 # normally produces identical floats, this absorbs summation-order noise.
 F1_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class EvalRecord:
+class EvalRecord(Frozen):
     """One instance: its true label set and each prompt's answered set."""
 
-    instance_id: str
-    truth: frozenset[str]
-    per_prompt: Mapping[str, frozenset[str]]
+    __slots__ = _fields = ("instance_id", "truth", "per_prompt")
+
+    def __init__(
+        self, instance_id: str, truth: frozenset[str], per_prompt: Mapping[str, frozenset[str]]
+    ):
+        set_field(self, "instance_id", instance_id)
+        set_field(self, "truth", truth)
+        set_field(self, "per_prompt", per_prompt)
 
     @classmethod
     def make(
@@ -41,28 +46,25 @@ class EvalRecord:
         )
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
-    threshold: int
-    prompts: tuple[str, ...]
+class EnsembleConfig(Frozen):
+    __slots__ = _fields = ("threshold", "prompts")
 
-    def __post_init__(self):
-        if not self.prompts:
+    def __init__(self, threshold: int, prompts: tuple[str, ...]):
+        if not prompts:
             raise ValueError("ensemble needs at least one prompt")
-        if not 0 <= self.threshold <= len(self.prompts):
-            raise ValueError(
-                f"threshold {self.threshold} outside 0..{len(self.prompts)}"
-            )
-        object.__setattr__(self, "prompts", tuple(sorted(self.prompts)))
+        if not 0 <= threshold <= len(prompts):
+            raise ValueError(f"threshold {threshold} outside 0..{len(prompts)}")
+        set_field(self, "threshold", threshold)
+        set_field(self, "prompts", tuple(sorted(prompts)))
 
 
-@dataclass(frozen=True)
-class SearchSpec:
-    tr_range: int
+class SearchSpec(Frozen):
+    __slots__ = _fields = ("tr_range",)
 
-    def __post_init__(self):
-        if self.tr_range < 0:
+    def __init__(self, tr_range: int):
+        if tr_range < 0:
             raise ValueError("tr_range must be >= 0")
+        set_field(self, "tr_range", tr_range)
 
 
 def find_consensus(results: Sequence[Iterable[str]], threshold: int) -> list[str]:

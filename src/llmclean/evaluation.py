@@ -12,7 +12,6 @@ import json
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import chain, pairwise
 from typing import Collection, Mapping, Sequence
 
@@ -27,14 +26,14 @@ from .dataset import (
 )
 from .detection import DetectionReport
 from .ensemble import score_micro_f1
+from .frozen import Frozen, set_field
 
 
 def round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-@dataclass(frozen=True)
-class ErrorSpec:
+class ErrorSpec(Frozen):
     """How much of each corruption kind to inject, and where.
 
     Targets default to every column for missing values and to the numeric
@@ -44,17 +43,28 @@ class ErrorSpec:
     modal detection method can still recover the legitimate value.
     """
 
-    missing_rate: float = 0.0
-    outlier_rate: float = 0.0
-    fd_swap_rate: float = 0.0
-    outlier_multiplier: float = 100.0
-    seed: int = 0
-    missing_columns: tuple[str, ...] | None = None
-    outlier_columns: tuple[str, ...] | None = None
-    fd_determinant: str | None = None
-    fd_dependent: str | None = None
+    __slots__ = _fields = (
+        "missing_rate", "outlier_rate", "fd_swap_rate", "outlier_multiplier", "seed",
+        "missing_columns", "outlier_columns", "fd_determinant", "fd_dependent",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        missing_rate: float = 0.0,
+        outlier_rate: float = 0.0,
+        fd_swap_rate: float = 0.0,
+        outlier_multiplier: float = 100.0,
+        seed: int = 0,
+        missing_columns: tuple[str, ...] | None = None,
+        outlier_columns: tuple[str, ...] | None = None,
+        fd_determinant: str | None = None,
+        fd_dependent: str | None = None,
+    ):
+        for name, value in zip(self._fields, (
+            missing_rate, outlier_rate, fd_swap_rate, outlier_multiplier, seed,
+            missing_columns, outlier_columns, fd_determinant, fd_dependent,
+        )):
+            set_field(self, name, value)
         for name in ("missing_rate", "outlier_rate", "fd_swap_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -68,21 +78,23 @@ class ErrorSpec:
             raise ValueError("fd_swap_rate needs fd_determinant and fd_dependent")
 
 
-@dataclass(frozen=True)
-class Corruption:
-    ref: CellRef
-    original: Cell
-    kind: str  # missing | outlier | fd_swap
+class Corruption(Frozen):
+    __slots__ = _fields = ("ref", "original", "kind")
+
+    def __init__(self, ref: CellRef, original: Cell, kind: str):
+        set_field(self, "ref", ref)
+        set_field(self, "original", original)
+        set_field(self, "kind", kind)  # missing | outlier | fd_swap
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    entries: tuple[Corruption, ...]
+class GroundTruth(Frozen):
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        refs = [c.ref for c in self.entries]
+    def __init__(self, entries: tuple[Corruption, ...]):
+        refs = [c.ref for c in entries]
         if len(set(refs)) != len(refs):
             raise ValueError("duplicate cell in ground truth")
+        set_field(self, "entries", entries)
 
     def refs(self) -> set[tuple[int, str]]:
         return {(c.ref.row, c.ref.column) for c in self.entries}
@@ -296,12 +308,14 @@ def score_detection(
     )
 
 
-@dataclass(frozen=True)
-class RepairScore:
-    rmse: float | None
-    precision: float
-    recall: float
-    f1: float
+class RepairScore(Frozen):
+    __slots__ = _fields = ("rmse", "precision", "recall", "f1")
+
+    def __init__(self, rmse: float | None, precision: float, recall: float, f1: float):
+        set_field(self, "rmse", rmse)
+        set_field(self, "precision", precision)
+        set_field(self, "recall", recall)
+        set_field(self, "f1", f1)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -17,8 +17,6 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -31,6 +29,7 @@ from .errors import (
     TemplateError,
     TransportError,
 )
+from .frozen import Frozen, set_field
 
 logger = logging.getLogger(__name__)
 
@@ -59,18 +58,28 @@ _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 _WORD_RE = re.compile(r"[A-Za-z]+")
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    id: str
-    task_text: str
-    response_format: ResponseFormat
-    few_shot: tuple[tuple[str, str], ...] = ()
+class PromptTemplate(Frozen):
+    __slots__ = _fields = ("id", "task_text", "response_format", "few_shot")
+
+    def __init__(
+        self,
+        id: str,
+        task_text: str,
+        response_format: ResponseFormat,
+        few_shot: tuple[tuple[str, str], ...] = (),
+    ):
+        set_field(self, "id", id)
+        set_field(self, "task_text", task_text)
+        set_field(self, "response_format", response_format)
+        set_field(self, "few_shot", few_shot)
 
 
-@dataclass(frozen=True)
-class Completion:
-    raw_text: str
-    parsed: bool | str | tuple[str, ...]
+class Completion(Frozen):
+    __slots__ = _fields = ("raw_text", "parsed")
+
+    def __init__(self, raw_text: str, parsed: bool | str | tuple[str, ...]):
+        set_field(self, "raw_text", raw_text)
+        set_field(self, "parsed", parsed)
 
 
 def render_prompt(template: PromptTemplate, bindings: Mapping[str, str]) -> str:
@@ -145,14 +154,14 @@ def save_cassette(path: str | Path, entries: Mapping[str, str]) -> None:
     Path(path).write_text(json.dumps(body, indent=2, sort_keys=True), encoding="utf-8")
 
 
-@dataclass
 class ReplayBackend:
     """Deterministic backend answering from a recorded cassette file."""
 
-    cassette_path: str
-    max_parallel: int = DEFAULT_PARALLELISM
-    _cache: dict[str, dict[str, str]] | None = field(default=None, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    def __init__(self, cassette_path: str, max_parallel: int = DEFAULT_PARALLELISM):
+        self.cassette_path = cassette_path
+        self.max_parallel = max_parallel
+        self._cache: dict[str, dict[str, str]] | None = None
+        self._lock = threading.Lock()
 
     def _entries(self) -> dict[str, dict[str, str]]:
         with self._lock:
@@ -165,22 +174,27 @@ class ReplayBackend:
         return None if entry is None else entry["response"]
 
 
-@dataclass
 class RemoteBackend:
     """Chat-completions endpoint over HTTPS; token read from the environment."""
 
-    endpoint: str
-    model: str
-    timeout: float = 30.0
-    max_parallel: int = DEFAULT_PARALLELISM
-    backoff_base: float = 0.5
-
-    def __post_init__(self):
-        if self.timeout <= 0:
+    def __init__(
+        self,
+        endpoint: str,
+        model: str,
+        timeout: float = 30.0,
+        max_parallel: int = DEFAULT_PARALLELISM,
+        backoff_base: float = 0.5,
+    ):
+        if timeout <= 0:
             raise ValueError("timeout must be positive")
         # urllib would also open file:, ftp: and data: URLs.
-        if not self.endpoint.lower().startswith(("http://", "https://")):
+        if not endpoint.lower().startswith(("http://", "https://")):
             raise ValueError("endpoint must be an http:// or https:// URL")
+        self.endpoint = endpoint
+        self.model = model
+        self.timeout = timeout
+        self.max_parallel = max_parallel
+        self.backoff_base = backoff_base
 
 
 Backend = RemoteBackend | ReplayBackend
@@ -281,5 +295,7 @@ def complete_many(
 
     if len(prompts) <= 1 or backend.max_parallel <= 1:
         return [attempt(p) for p in prompts]
+    from concurrent.futures import ThreadPoolExecutor  # here: only a fan-out needs it
+
     with ThreadPoolExecutor(max_workers=backend.max_parallel) as pool:
         return list(pool.map(attempt, prompts))

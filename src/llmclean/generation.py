@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain, combinations, compress
 from operator import add, and_
@@ -34,6 +33,7 @@ from .context_model import (
 from .dataset import Cell, CellKind, Column, Dataset, group_modes
 from .ensemble import EnsembleConfig, find_consensus
 from .errors import GatewayError, SchemaError
+from .frozen import Frozen, set_field
 from .gateway import (
     Backend,
     PromptTemplate,
@@ -147,13 +147,18 @@ DEFAULT_TEMPLATES: dict[str, PromptTemplate] = {
 }
 
 
-@dataclass
 class ConceptMapping:
     """Concept-role assignments plus everything that failed to map."""
 
-    assignments: dict[str, str] = field(default_factory=dict)  # role -> column
-    missing: list[str] = field(default_factory=list)  # roles with no column
-    warnings: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        assignments: dict[str, str] | None = None,
+        missing: list[str] | None = None,
+        warnings: list[str] | None = None,
+    ):
+        self.assignments = {} if assignments is None else assignments  # role -> column
+        self.missing = [] if missing is None else missing  # roles with no column
+        self.warnings = [] if warnings is None else warnings
 
     def renames(self) -> dict[str, str]:
         return {
@@ -163,14 +168,26 @@ class ConceptMapping:
         }
 
 
-@dataclass(frozen=True)
-class ColumnPairRelation:
-    column_a: str
-    column_b: str
-    related: bool
-    concept_a: str = ""
-    concept_b: str = ""
-    hierarchy: Hierarchy = Hierarchy.INDEPENDENT
+class ColumnPairRelation(Frozen):
+    __slots__ = _fields = (
+        "column_a", "column_b", "related", "concept_a", "concept_b", "hierarchy",
+    )
+
+    def __init__(
+        self,
+        column_a: str,
+        column_b: str,
+        related: bool,
+        concept_a: str = "",
+        concept_b: str = "",
+        hierarchy: Hierarchy = Hierarchy.INDEPENDENT,
+    ):
+        set_field(self, "column_a", column_a)
+        set_field(self, "column_b", column_b)
+        set_field(self, "related", related)
+        set_field(self, "concept_a", concept_a)
+        set_field(self, "concept_b", concept_b)
+        set_field(self, "hierarchy", hierarchy)
 
 
 def classify_dataset(
@@ -329,6 +346,22 @@ def generate_columns(
 _STRUCTURAL_COLUMNS = ("system", "device", "sensingdevice", "sensor", "location")
 
 
+def quartiles(values: Sequence[float]) -> tuple[float, float]:
+    """First and third quartiles of sorted ``values`` (at least two).
+
+    The same interpolation, term for term, as ``statistics.quantiles(values,
+    n=4, method="inclusive")``, whose import (with ``fractions`` and
+    ``decimal``) would cost more than the graph build it serves.
+    """
+    m = len(values) - 1
+    j, dj = divmod(m, 4)
+    k, dk = divmod(3 * m, 4)
+    return (
+        (values[j] * (4 - dj) + values[j + 1] * dj) / 4,
+        (values[k] * (4 - dk) + values[k + 1] * dk) / 4,
+    )
+
+
 def sanitize_for_graph(d: Dataset) -> Dataset:
     """Statistically clean a working copy before graph construction.
 
@@ -337,8 +370,6 @@ def sanitize_for_graph(d: Dataset) -> Dataset:
     the copy (the caller's dataset is never modified, so detection still sees
     the original errors).
     """
-    import statistics  # imported here: the other stages do without its ~5 ms import
-
     sensor = d.columns[d.column_index("sensor")]
     columns = list(d.columns)
     for name in _STRUCTURAL_COLUMNS:
@@ -369,7 +400,7 @@ def sanitize_for_graph(d: Dataset) -> Dataset:
         for numbers in groups.values():
             if len(numbers) >= 4:
                 values = sorted(v for _, v in numbers)
-                q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+                q1, q3 = quartiles(values)
                 iqr = q3 - q1
                 low, high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
                 dropped.update(i for i, v in numbers if not low <= v <= high)

@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
 from .errors import LLMCleanError, RuleParseError
+from .frozen import Frozen, set_field
 
 DEFAULT_SIM_THRESHOLD = 0.75
 
@@ -46,24 +46,23 @@ class DependencyKind(Enum):
             raise RuleParseError(f"unknown dependency kind {name!r}") from None
 
 
-@dataclass(frozen=True)
-class SensorSpec:
+class SensorSpec(Frozen):
     """Operating range of one sensor model: min/max measurable value."""
 
-    sensor_model: str
-    min_value: float
-    max_value: float
-    unit: str = ""
+    __slots__ = _fields = ("sensor_model", "min_value", "max_value", "unit")
 
-    def __post_init__(self):
+    def __init__(self, sensor_model: str, min_value: float, max_value: float, unit: str = ""):
         # A NaN bound would fail every range check and flag every reading.
-        if math.isnan(self.min_value) or math.isnan(self.max_value):
-            raise ValueError(f"NaN bound for {self.sensor_model!r}")
-        if self.min_value > self.max_value:
+        if math.isnan(min_value) or math.isnan(max_value):
+            raise ValueError(f"NaN bound for {sensor_model!r}")
+        if min_value > max_value:
             raise ValueError(
-                f"min {self.min_value} exceeds max {self.max_value} "
-                f"for {self.sensor_model!r}"
+                f"min {min_value} exceeds max {max_value} for {sensor_model!r}"
             )
+        set_field(self, "sensor_model", sensor_model)
+        set_field(self, "min_value", min_value)
+        set_field(self, "max_value", max_value)
+        set_field(self, "unit", unit)
 
 
 def parse_sensor_spec(model: str, entry: object) -> SensorSpec:
@@ -118,37 +117,42 @@ def lookup_spec(specs: Mapping[str, SensorSpec], sensor_id: str) -> SensorSpec |
     return specs.get(strip_instance_suffix(sensor_id))
 
 
-@dataclass(frozen=True)
-class ColumnRef:
-    alias: str
-    column: str
+class ColumnRef(Frozen):
+    __slots__ = _fields = ("alias", "column")
+
+    def __init__(self, alias: str, column: str):
+        set_field(self, "alias", alias)
+        set_field(self, "column", column)
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: str
+class Literal(Frozen):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: str):
+        set_field(self, "value", value)
 
 
 Operand = ColumnRef | Literal
 
 
-@dataclass(frozen=True)
-class Predicate:
-    op: str  # EQ | IQ | SIM
-    left: Operand
-    right: Operand
-    sim_threshold: float | None = None
+class Predicate(Frozen):
+    __slots__ = _fields = ("op", "left", "right", "sim_threshold")
 
-    def __post_init__(self):
-        if self.op == "SIM":
-            if self.sim_threshold is None or not 0.0 <= self.sim_threshold <= 1.0:
+    def __init__(
+        self, op: str, left: Operand, right: Operand, sim_threshold: float | None = None
+    ):
+        if op == "SIM":  # op is EQ, IQ or SIM
+            if sim_threshold is None or not 0.0 <= sim_threshold <= 1.0:
                 raise ValueError("SIM predicate needs a threshold in [0, 1]")
-        elif self.sim_threshold is not None:
-            raise ValueError(f"{self.op} predicate must not carry a threshold")
+        elif sim_threshold is not None:
+            raise ValueError(f"{op} predicate must not carry a threshold")
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "sim_threshold", sim_threshold)
 
 
-@dataclass(frozen=True)
-class OfdRule:
+class OfdRule(Frozen):
     """One parsed dependency rule.
 
     Equality covers the grammar-visible structure (kind, aliases,
@@ -158,29 +162,38 @@ class OfdRule:
     one FD rule covers every entity of its edge class.
     """
 
-    kind: DependencyKind
-    aliases: tuple[str, ...]
-    predicates: tuple[Predicate, ...]
-    id: str = field(default="", compare=False)
-    spec: SensorSpec | None = field(default=None, compare=False)
+    __slots__ = _fields = ("kind", "aliases", "predicates", "id", "spec")
+    _compared = ("kind", "aliases", "predicates")
 
-    def __post_init__(self):
-        if not 1 <= len(self.aliases) <= 2:
-            raise ValueError(f"rule needs 1 or 2 aliases, got {len(self.aliases)}")
-        if len(set(self.aliases)) != len(self.aliases):
+    def __init__(
+        self,
+        kind: DependencyKind,
+        aliases: tuple[str, ...],
+        predicates: tuple[Predicate, ...],
+        id: str = "",
+        spec: SensorSpec | None = None,
+    ):
+        if not 1 <= len(aliases) <= 2:
+            raise ValueError(f"rule needs 1 or 2 aliases, got {len(aliases)}")
+        if len(set(aliases)) != len(aliases):
             raise ValueError("duplicate alias")
-        if not self.predicates:
+        if not predicates:
             raise ValueError("rule needs at least one predicate")
         referenced: set[str] = set()
-        for pred in self.predicates:
+        for pred in predicates:
             for operand in (pred.left, pred.right):
                 if isinstance(operand, ColumnRef):
-                    if operand.alias not in self.aliases:
+                    if operand.alias not in aliases:
                         raise ValueError(f"undeclared alias {operand.alias!r}")
                     referenced.add(operand.alias)
-        if len(self.aliases) == 2 and referenced != set(self.aliases):
-            missing = set(self.aliases) - referenced
+        if len(aliases) == 2 and referenced != set(aliases):
+            missing = set(aliases) - referenced
             raise ValueError(f"alias {missing.pop()!r} never referenced")
+        set_field(self, "kind", kind)
+        set_field(self, "aliases", aliases)
+        set_field(self, "predicates", predicates)
+        set_field(self, "id", id)
+        set_field(self, "spec", spec)
 
 
 class _Scanner:

@@ -111,6 +111,10 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         render_prompt(RELATED_TEMPLATE, {"col_a": "sensor", "col_b": "value"}): "no",
     }, name="relational.json")
     llm = {"llmclean.generation", "llmclean.gateway"}
+    # No command builds class methods at start-up (inspect alone costs ~7 ms)
+    # or loads statistics; the IoT build-context asks one prompt at a time
+    # and loads no thread pool.
+    everywhere = {"dataclasses", "inspect", "statistics"}
     for argv, absent in [
         (["detect", str(csv_path), "--rules", str(rules_path), "--out-dir", str(tmp_path / "d")],
          llm | {"llmclean.ensemble", "llmclean.evaluation", "llmclean.context_model"}),
@@ -118,17 +122,60 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
           "--seed", "1", "--out-dir", str(tmp_path / "e")], llm),
         (["build-context", str(csv_path), "--backend", "replay", "--cassette", cassette,
           "--assume-class", "IoT", "--out-dir", str(tmp_path / "b")],
-         {"llmclean.detection", "llmclean.evaluation"}),
-        # The relational path runs no statistics (its import costs ~5 ms).
+         {"llmclean.detection", "llmclean.evaluation", "concurrent.futures"}),
+        (["detect", str(csv_path), "--graph", str(tmp_path / "b" / "context.nt"),
+          "--out-dir", str(tmp_path / "g")],
+         llm | {"llmclean.ensemble", "llmclean.evaluation"}),
         (["build-context", str(csv_path), "--backend", "replay", "--cassette", relational,
           "--assume-class", "NonIoT", "--out-dir", str(tmp_path / "r")],
-         {"llmclean.detection", "llmclean.evaluation", "statistics"}),
+         {"llmclean.detection", "llmclean.evaluation"}),
     ]:
         loaded = set(json.loads(_python(_FOOTPRINT, *argv).splitlines()[-1]))
         assert "llmclean.dataset" in loaded
-        assert not loaded & absent, (argv[0], loaded & absent)
+        assert not loaded & (absent | everywhere), (argv[:2], loaded & (absent | everywhere))
         if argv[0] == "detect":
             assert not {m for m in loaded if m.split(".")[0] == "logging"}
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path, iot_csv, cassette):
+    # The value types hash strings and enums, whose hashes follow the seed; no
+    # artifact may depend on the order of a set or dict keyed by them.
+    specs = write_sensor_specs(tmp_path)
+    out = tmp_path / "out"
+    dirty, rules = str(out / "e" / "dirty.csv"), str(out / "b" / "rules.ofd")
+    commands = [
+        ["classify", iot_csv, "--backend", "replay", "--cassette", cassette],
+        ["build-context", iot_csv, "--backend", "replay", "--cassette", cassette,
+         "--sensors", specs, "--out-dir", str(out / "b")],
+        ["evaluate", iot_csv, "--rules", rules, "--sensors", specs, "--missing-rate", "0.02",
+         "--outlier-rate", "0.03", "--fd-pair", "Sensor:Device", "--fd-swap-rate", "0.04",
+         "--seed", "5", "--out-dir", str(out / "e")],
+        ["detect", dirty, "--graph", str(out / "b" / "context.nt"), "--sensors", specs,
+         "--out-dir", str(out / "g")],
+        ["detect", dirty, "--rules", rules, "--sensors", specs, "--out-dir", str(out / "r")],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for seed in ("0", "1", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": pythonpath}
+        stdout = [
+            subprocess.run([sys.executable, "-m", "llmclean.cli", *argv], capture_output=True,
+                           text=True, env=env, check=True).stdout
+            for argv in commands
+        ]
+        artifacts = {"classify": stdout[0]}
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".json":  # all but the timings
+                payload = json.loads(text)
+                for key in ("timings_ms", "duration_ms", "detection_ms"):
+                    payload.pop(key, None)
+                text = json.dumps(payload, sort_keys=True)
+            artifacts[str(path.relative_to(out))] = text
+        runs.append(artifacts)
+    assert len(runs[0]) == 10 and json.loads(runs[0]["r/report.json"])["findings"]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_package_exports_load_on_first_use():
@@ -785,6 +832,25 @@ class TestDetect:
         for key in ("findings", "skipped_rules", "uncovered_sensors", "per_rule_counts"):
             assert payload[key] == expected[key]
         assert payload["findings"]
+
+    @pytest.mark.parametrize("sensor", ["ds18b20\u2028x_1", "ds18b20\rx_1"])
+    def test_graph_with_a_line_separator_in_a_label(self, tmp_path, capsys, sensor):
+        # str.splitlines breaks at U+2028, and reading the file in text mode
+        # turns a raw "\r" into "\n": either split a line of context.nt.
+        d = make_iot_dataset()
+        csv_path = tmp_path / "iot.csv"
+        csv_path.write_text(dataset_to_csv(d).replace("ds18b20_1,", f'"{sensor}",'),
+                            encoding="utf-8")
+        cassette = make_cassette(tmp_path, iot_pipeline_responses(d.headers))
+        sensors = write_sensor_specs(tmp_path)
+        ctx = tmp_path / "ctx"
+        assert main(["build-context", str(csv_path), "--backend", "replay", "--cassette",
+                     cassette, "--sensors", sensors, "--out-dir", str(ctx)]) == EXIT_OK
+        graph = deserialize((ctx / "context.nt").read_text(encoding="utf-8"))
+        assert sensor in {t.obj for t in graph.triples}
+        assert main(["detect", str(csv_path), "--graph", str(ctx / "context.nt"),
+                     "--sensors", sensors]) == EXIT_OK
+        capsys.readouterr()
 
     def test_long_part_of_chain(self, tmp_path, capsys):
         # 1,200 attributes in one acyclic partOf chain, deeper than the recursion limit.

@@ -3,6 +3,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from llmclean.context_model import (
     ATTACHED_TO,
@@ -126,6 +127,20 @@ class TestSerialization:
     def test_newline_in_label_round_trips(self):
         g = graph(entity(Concept.LOCATION, "x", {"label": "a\nb"}))
         assert deserialize(serialize(g)) == g
+
+    # Every character str.splitlines breaks at, plus the ones the format escapes.
+    LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+    @given(st.lists(
+        st.text(st.sampled_from(LINE_BREAKS + '\\" .ab') | st.characters(), max_size=8),
+        min_size=1, max_size=4,
+    ))
+    def test_text_labels_round_trip(self, labels):
+        g = graph(*(entity(Concept.LOCATION, f"n{i}", {"label": label})
+                    for i, label in enumerate(labels)))
+        text = serialize(g)
+        assert "\r" not in text and text.count("\n") == len(g.triples)
+        assert deserialize(text) == g
 
 
 class TestValidation:

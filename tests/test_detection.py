@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import random
 
@@ -375,8 +374,8 @@ class TestRunAll:
             rule(FD_RULE, rule_id="f1"),
             rule(FD_RULE, rule_id="f2"),
             rule(other_fd, rule_id="g"),
-            dataclasses.replace(cap, id="narrow", spec=SensorSpec("m", 0, 10)),
-            dataclasses.replace(cap, id="wide", spec=SensorSpec("m", 0, 100)),
+            OfdRule(cap.kind, cap.aliases, cap.predicates, id="narrow", spec=SensorSpec("m", 0, 10)),
+            OfdRule(cap.kind, cap.aliases, cap.predicates, id="wide", spec=SensorSpec("m", 0, 100)),
         ]
         alone = {
             (f.cell.row, f.cell.column, f.rule_id)
@@ -513,11 +512,10 @@ def _draw_loaded_table(data) -> bytes:
 def _loaded_rules() -> tuple[list[OfdRule], dict[str, SensorSpec]]:
     rules = [rule(text, kind, f"r{i}") for i, (text, kind) in enumerate(_LOADED_RULES)]
     for literal in ("m_1", ""):  # a missing sensor never matches a literal
+        own = rule(f't1&EQ(t1.sensor,"{literal}")', DependencyKind.CAPABILITY)
         rules.append(
-            dataclasses.replace(
-                rule(f't1&EQ(t1.sensor,"{literal}")', DependencyKind.CAPABILITY, f"own{literal}"),
-                spec=SensorSpec("m", 0, 10),
-            )
+            OfdRule(own.kind, own.aliases, own.predicates, id=f"own{literal}",
+                    spec=SensorSpec("m", 0, 10))
         )
     return rules, {"ds18b20": SensorSpec("ds18b20", -55.0, 125.0)}
 
@@ -642,7 +640,9 @@ class TestColumnProjection:
         # Random column names and shapes: most rules are skipped, some on an
         # ambiguous fold (a/A), and the messages must not change.
         rng = random.Random(seed)
-        rules = [dataclasses.replace(random_rule(rng), id=f"r{i}") for i in range(6)]
+        drawn = [random_rule(rng) for _ in range(6)]
+        rules = [OfdRule(r.kind, r.aliases, r.predicates, id=f"r{i}", spec=r.spec)
+                 for i, r in enumerate(drawn)]
         raw = b"a,A,b,X,c_1,sensor,value,timestamp,message\n" + b"x,y,1,2,3,s,4,100000000000,m\n" * 3
         assert_projection_keeps_report(raw, rules)
 
