@@ -107,7 +107,7 @@ def _make_backend(args: argparse.Namespace):
     if args.backend == "replay":
         if not args.cassette:
             raise LLMCleanError("--backend replay requires --cassette")
-        return ReplayBackend(args.cassette, max_parallel=args.parallel)
+        return ReplayBackend(args.cassette)
     endpoint = os.environ.get(ENDPOINT_ENV, DEFAULT_ENDPOINT)
     if not os.environ.get(API_KEY_ENV):
         raise GatewayError(f"remote backend needs {API_KEY_ENV} in the environment")
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ensemble-config", dest="ensemble_config",
                        help="JSON file with classify ensemble + templates")
         p.add_argument("--parallel", type=_parallel, default=4,
-                       help="bound on concurrent backend calls")
+                       help="bound on concurrent remote backend calls")
 
     p = sub.add_parser("classify", help="print IoT or NonIoT for a CSV")
     p.add_argument("csv")

@@ -13,7 +13,7 @@ A graph is an immutable value built once: ``entity``, ``edge`` and
 topological sort of ``graphlib``, so chains of any depth are accepted.
 
 Prefixes used throughout (documented in the README):
-``rdf:`` ``ssn:`` ``iot-lite:`` ``iot-context:`` ``llmc:``
+``rdf:`` ``ssn:`` ``iot-lite:`` ``llmc:``
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from collections import defaultdict
 from enum import Enum
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
-from typing import Mapping
 
 from .errors import GraphParseError, ModelError
 from .frozen import Frozen, set_field
@@ -34,6 +33,9 @@ from .rules import (
     OfdRule,
     Predicate,
     SensorSpec,
+    closing_quote,
+    escape_literal,
+    unescape_literal,
 )
 
 
@@ -42,10 +44,8 @@ class Concept(Enum):
     DEVICE = "Device"
     SENSING_DEVICE = "SensingDevice"
     SENSOR = "Sensor"
-    ACTUATING_DEVICE = "ActuatingDevice"
     LOCATION = "Location"
     ATTRIBUTE = "Attribute"
-    MEASUREMENT = "Measurement"
     METADATA = "Metadata"
 
 
@@ -54,10 +54,8 @@ CONCEPT_IRIS: dict[Concept, str] = {
     Concept.DEVICE: "ssn:Device",
     Concept.SENSING_DEVICE: "ssn:SensingDevice",
     Concept.SENSOR: "ssn:Sensor",
-    Concept.ACTUATING_DEVICE: "ssn:ActuatingDevice",
     Concept.LOCATION: "iot-lite:Location",
     Concept.ATTRIBUTE: "iot-lite:Attribute",
-    Concept.MEASUREMENT: "iot-context:Measurement",
     Concept.METADATA: "iot-lite:Metadata",
 }
 _IRI_CONCEPTS = {iri: c for c, iri in CONCEPT_IRIS.items()}
@@ -65,20 +63,21 @@ _IRI_CONCEPTS = {iri: c for c, iri in CONCEPT_IRIS.items()}
 RDF_TYPE = "rdf:type"
 ATTACHED_TO = "llmc:attachedTo"
 DEPLOYED_AT = "llmc:deployedAt"
-FORWARDS_TO = "llmc:forwardsTo"
 HAS_METADATA = "llmc:hasMetadata"
 META_TYPE = "llmc:metaType"
 META_VALUE = "llmc:metaValue"
 PART_OF = "llmc:partOf"
 LABEL = "llmc:label"
-MONITORED_BY = "llmc:monitoredBy"
-RELATED_TO = "llmc:relatedTo"
+# No stage emits the next three, but a hand-written graph may: extract_ofds
+# turns them into the temporal and matching rules that the kernels enforce.
+FORWARDS_TO = "llmc:forwardsTo"
 MATCHES_WITH = "llmc:matchesWith"
 MATCH_THRESHOLD = "llmc:matchThreshold"
+# Yields no rule: it records a related column pair that has no hierarchy.
+RELATED_TO = "llmc:relatedTo"
 
 EDGE_PREDICATES = frozenset(
-    {ATTACHED_TO, DEPLOYED_AT, FORWARDS_TO, HAS_METADATA, PART_OF,
-     MONITORED_BY, RELATED_TO, MATCHES_WITH}
+    {ATTACHED_TO, DEPLOYED_AT, FORWARDS_TO, HAS_METADATA, PART_OF, RELATED_TO, MATCHES_WITH}
 )
 _ATTR_PRED_RE = re.compile(r"llmc:[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -143,22 +142,15 @@ def node_id(entity_id: str) -> str:
     return f"llmc:{slug(entity_id)}"
 
 
-def entity(
-    concept: Concept,
-    entity_id: str,
-    attrs: Mapping[str, str | float] | None = None,
-) -> list[Triple]:
-    """A typed entity's triples: its type plus one literal per attribute."""
-    if not entity_id:
-        raise ValueError("entity id must be non-empty")
-    node = node_id(entity_id)
-    triples = [Triple(node, RDF_TYPE, CONCEPT_IRIS[concept])]
-    for name, value in (attrs or {}).items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            triples.append(Triple(node, f"llmc:{name}", float(value), ObjKind.NUMBER))
-        else:
-            triples.append(Triple(node, f"llmc:{name}", str(value), ObjKind.TEXT))
-    return triples
+def entity(concept: Concept, label: str) -> list[Triple]:
+    """A typed entity's triples: its type and its label, the value it stands for."""
+    if not label:
+        raise ValueError("entity label must be non-empty")
+    node = node_id(label)
+    return [
+        Triple(node, RDF_TYPE, CONCEPT_IRIS[concept]),
+        Triple(node, LABEL, label, ObjKind.TEXT),
+    ]
 
 
 def edge(predicate: str, from_id: str, to_id: str) -> Triple:
@@ -187,56 +179,20 @@ def sensor_bounds(sensor_id: str, spec: SensorSpec) -> list[Triple]:
     return triples
 
 
-# Lines end at "\n" only: a reader opening the file in text mode turns a raw
-# "\r" into one, so both are escaped. Other line separators stay raw.
-def _escape(text: str) -> str:
-    return (
-        text.replace("\\", "\\\\").replace('"', '\\"')
-        .replace("\n", "\\n").replace("\r", "\\r")
-    )
-
-
-_UNESCAPED = {"n": "\n", "r": "\r"}
-
-
-def _unescape(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append(_UNESCAPED.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
-def _closing_quote(text: str) -> int:
-    """Index of the quote that closes the literal opening ``text``, or -1."""
-    end = 1
-    while end < len(text):
-        if text[end] == "\\":
-            end += 2
-        elif text[end] == '"':
-            return end
-        else:
-            end += 1
-    return -1
-
-
 def _render_object(t: Triple) -> str:
     if t.obj_kind is ObjKind.IRI:
         return str(t.obj)
     if t.obj_kind is ObjKind.TEXT:
-        return f'"{_escape(str(t.obj))}"'
+        return f'"{escape_literal(str(t.obj))}"'
     return f'"{repr(float(t.obj))}"^^xsd:double'
 
 
 def serialize(g: ContextGraph) -> str:
-    """Deterministic N-Triples-style text: one sorted line per triple."""
+    """Deterministic N-Triples-style text: one sorted line per triple.
+
+    Lines end at "\\n" only; literals use the rule files' escapes
+    (``rules.escape_literal``).
+    """
     lines = sorted(
         f"{t.subject} {t.predicate} {_render_object(t)} ." for t in g.triples
     )
@@ -249,10 +205,10 @@ _NUM_SUFFIX = "^^xsd:double"
 def _parse_object(text: str, line_no: int) -> tuple[str | float, ObjKind]:
     if text.startswith('"'):
         plain = "\\" not in text  # no escapes: the next quote closes the literal
-        end = text.find('"', 1) if plain else _closing_quote(text)
+        end = text.find('"', 1) if plain else closing_quote(text)
         if end < 0:
             raise GraphParseError("unterminated literal", line_no)
-        body = text[1:end] if plain else _unescape(text[1:end])
+        body = unescape_literal(text[1:end])
         rest = text[end + 1:]
         if rest == _NUM_SUFFIX:
             try:
@@ -406,8 +362,7 @@ def extract_ofds(g: ContextGraph) -> list[OfdRule]:
     pair for attribute nodes), one matching rule per annotated similarity
     relation, and one temporal rule per forwarding edge. An FD covers every
     entity of its edge class, so a class yields one rule however many edges
-    it has. Monitoring edges are representable but yield no rule, since no
-    check is defined for them.
+    it has. A ``relatedTo`` edge yields no rule.
     """
     types = validate_graph(g)
     rules: list[OfdRule] = []

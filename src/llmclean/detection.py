@@ -446,9 +446,7 @@ def _dispatch(
     if kind is DependencyKind.CAPABILITY:
         spec = _capability_spec(rule, specs)
         return [] if spec is None else detect_capability_violations(d, rule, spec)
-    if kind is DependencyKind.TEMPORAL:
-        return detect_temporal_violations(d, rule)
-    raise RuleError(f"rule {rule.id!r}: no check defined for kind {kind.value!r}")
+    return detect_temporal_violations(d, rule)  # the one kind left
 
 
 def _capability_sensor(rule: OfdRule) -> str:

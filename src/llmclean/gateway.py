@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import re
-import threading
 import time
 from enum import Enum
 from pathlib import Path
@@ -155,22 +154,18 @@ def save_cassette(path: str | Path, entries: Mapping[str, str]) -> None:
 
 
 class ReplayBackend:
-    """Deterministic backend answering from a recorded cassette file."""
+    """Deterministic backend answering from a recorded cassette file.
 
-    def __init__(self, cassette_path: str, max_parallel: int = DEFAULT_PARALLELISM):
+    The cassette is read when the backend is built, so an unreadable one is
+    an input error even if no prompt is asked.
+    """
+
+    def __init__(self, cassette_path: str):
         self.cassette_path = cassette_path
-        self.max_parallel = max_parallel
-        self._cache: dict[str, dict[str, str]] | None = None
-        self._lock = threading.Lock()
-
-    def _entries(self) -> dict[str, dict[str, str]]:
-        with self._lock:
-            if self._cache is None:
-                self._cache = load_cassette(self.cassette_path)
-            return self._cache
+        self._entries = load_cassette(cassette_path)
 
     def lookup(self, prompt: str) -> str | None:
-        entry = self._entries().get(cassette_key(prompt))
+        entry = self._entries.get(cassette_key(prompt))
         return None if entry is None else entry["response"]
 
 
@@ -282,9 +277,11 @@ def complete(backend: Backend, prompt: str, fmt: ResponseFormat) -> Completion:
 def complete_many(
     backend: Backend, prompts: Sequence[str], fmt: ResponseFormat
 ) -> list[Completion | GatewayError]:
-    """Batch completions, bounded by the backend's parallelism.
+    """Batch completions, in the order of ``prompts``.
 
-    This is the package's only fan-out of backend calls. A prompt that fails
+    This is the package's only fan-out of backend calls: remote calls run
+    on up to the backend's ``max_parallel`` threads, while replay lookups,
+    which wait on nothing, run in the calling thread. A prompt that fails
     leaves its GatewayError in its slot; the other prompts still run.
     """
     def attempt(prompt: str) -> Completion | GatewayError:
@@ -293,7 +290,7 @@ def complete_many(
         except GatewayError as exc:
             return exc
 
-    if len(prompts) <= 1 or backend.max_parallel <= 1:
+    if not isinstance(backend, RemoteBackend) or len(prompts) <= 1 or backend.max_parallel <= 1:
         return [attempt(p) for p in prompts]
     from concurrent.futures import ThreadPoolExecutor  # here: only a fan-out needs it
 

@@ -5,7 +5,7 @@ meta-model concepts, reshapes the table (sensor splitting, canonical
 renaming, synthetic column generation), looks up sensor capabilities, runs a
 light statistical clean-up on a working copy, and assembles the context
 graph. The relational path extracts pairwise column relationships instead
-and builds a concept hierarchy graph.
+and builds a hierarchy graph of the columns.
 """
 
 from __future__ import annotations
@@ -119,6 +119,8 @@ RELATED_TEMPLATE = PromptTemplate(
     response_format=ResponseFormat.YES_NO,
 )
 
+#: Asked by no stage, since no rule reads a column's concept; the benchmark's
+#: cassette writer (``perfbench/workloads.py``) still imports it.
 CONCEPT_TEMPLATE = PromptTemplate(
     id="pair_concept",
     task_text="What real-world concept does the column '{col}' represent?",
@@ -141,7 +143,6 @@ DEFAULT_TEMPLATES: dict[str, PromptTemplate] = {
         CLASSIFY_TEMPLATE,
         MAP_COLUMN_TEMPLATE,
         RELATED_TEMPLATE,
-        CONCEPT_TEMPLATE,
         HIERARCHY_TEMPLATE,
     )
 }
@@ -169,24 +170,18 @@ class ConceptMapping:
 
 
 class ColumnPairRelation(Frozen):
-    __slots__ = _fields = (
-        "column_a", "column_b", "related", "concept_a", "concept_b", "hierarchy",
-    )
+    __slots__ = _fields = ("column_a", "column_b", "related", "hierarchy")
 
     def __init__(
         self,
         column_a: str,
         column_b: str,
         related: bool,
-        concept_a: str = "",
-        concept_b: str = "",
         hierarchy: Hierarchy = Hierarchy.INDEPENDENT,
     ):
         set_field(self, "column_a", column_a)
         set_field(self, "column_b", column_b)
         set_field(self, "related", related)
-        set_field(self, "concept_a", concept_a)
-        set_field(self, "concept_b", concept_b)
         set_field(self, "hierarchy", hierarchy)
 
 
@@ -436,7 +431,7 @@ def build_iot_graph(
     for role, concept in _ROLE_CONCEPTS.items():
         column = col[role.lower()]
         for v in _distinct_non_missing(column) if column is not None else ():
-            triples.update(entity(concept, v, {"label": v}))
+            triples.update(entity(concept, v))
 
     for src_name, dst_name, predicate in (
         ("sensor", "sensingdevice", ATTACHED_TO),
@@ -558,16 +553,15 @@ def candidate_pairs(d: Dataset) -> dict[tuple[str, str], tuple[bool, bool]]:
 
 
 def pair_relationships(d: Dataset, backend: Backend) -> list[ColumnPairRelation]:
-    """Relatedness, concepts and hierarchy of every unordered column pair.
+    """Relatedness and hierarchy of every unordered column pair.
 
     The data is profiled first: a pair the table refutes (see ``FD_ERROR``)
     is returned unrelated without a prompt. Then two batches: relatedness of
-    each remaining pair, then one concept query per column of a related pair
-    plus one hierarchy query per related pair the data cannot order (where
-    only one direction holds, that is the hierarchy). A backend failure
-    drops only the pairs whose answers it affects; the remaining pairs'
-    results are kept. Relations come in ``combinations`` order of the
-    headers.
+    each remaining pair, then one hierarchy query per related pair the data
+    cannot order (where only one direction holds, that is the hierarchy). A
+    pair is dropped only when its relatedness answer fails, or its
+    hierarchy answer where one was asked; the other pairs are kept.
+    Relations come in ``combinations`` order of the headers.
     """
     pairs = list(combinations(d.headers, 2))
     profile = candidate_pairs(d)
@@ -592,54 +586,35 @@ def pair_relationships(d: Dataset, backend: Backend) -> list[ColumnPairRelation]
         "asked %d of %d column pairs; %d of %d hierarchies from the data",
         len(profile), len(pairs), len(related) - len(unordered), len(related),
     )
-    columns = list(dict.fromkeys(column for pair in related for column in pair))
     answers = complete_many(
         backend,
-        [render_prompt(CONCEPT_TEMPLATE, {"col": c}) for c in columns]
-        + [
-            render_prompt(HIERARCHY_TEMPLATE, {"col_a": a, "col_b": b})
-            for a, b in unordered
-        ],
+        [render_prompt(HIERARCHY_TEMPLATE, {"col_a": a, "col_b": b}) for a, b in unordered],
         ResponseFormat.SINGLE_LABEL,
     )
-    concepts = dict(zip(columns, answers))
-    for pair, answer in zip(unordered, answers[len(columns):]):
-        if not isinstance(answer, GatewayError):
-            answer = _ANSWER_HIERARCHY.get(str(answer.parsed).strip().upper(), Hierarchy.INDEPENDENT)
-        hierarchies[pair] = answer
-
-    relations: list[ColumnPairRelation] = []
-    for (a, b), is_related in verdicts.items():
-        if not is_related:
-            relations.append(ColumnPairRelation(a, b, related=False))
-            continue
-        concept_a, concept_b, hierarchy = concepts[a], concepts[b], hierarchies[a, b]
-        failed = [x for x in (concept_a, concept_b, hierarchy) if isinstance(x, GatewayError)]
-        if failed:
-            logger.warning("pair (%s, %s) failed: %s", a, b, failed[0])
-            continue
-        relations.append(
-            ColumnPairRelation(
-                a, b, related=True,
-                concept_a=str(concept_a.parsed), concept_b=str(concept_b.parsed),
-                hierarchy=hierarchy,
+    for (a, b), answer in zip(unordered, answers):
+        if isinstance(answer, GatewayError):
+            logger.warning("pair (%s, %s) failed: %s", a, b, answer)
+            del verdicts[a, b]
+        else:
+            hierarchies[a, b] = _ANSWER_HIERARCHY.get(
+                str(answer.parsed).strip().upper(), Hierarchy.INDEPENDENT
             )
-        )
-    return relations
+    return [
+        ColumnPairRelation(a, b, is_related, hierarchies.get((a, b), Hierarchy.INDEPENDENT))
+        for (a, b), is_related in verdicts.items()
+    ]
 
 
 def build_relational_graph(relations: Sequence[ColumnPairRelation]) -> ContextGraph:
-    """Column names become attribute concept nodes; hierarchies become
-    part-of edges (finer concept -> coarser concept) and independent related
-    pairs a generic related-to edge. Cyclic hierarchies are a model error.
+    """Each column becomes an attribute node labelled with its name;
+    hierarchies become part-of edges (finer column -> coarser column) and
+    independent related pairs a generic related-to edge. Cyclic hierarchies
+    are a model error.
     """
     triples: set[Triple] = set()
     for rel in relations:
-        for column, concept in ((rel.column_a, rel.concept_a), (rel.column_b, rel.concept_b)):
-            attrs: dict[str, str | float] = {"label": column}
-            if rel.related and concept:
-                attrs["concept"] = concept
-            triples.update(entity(Concept.ATTRIBUTE, column, attrs))
+        triples.update(entity(Concept.ATTRIBUTE, rel.column_a))
+        triples.update(entity(Concept.ATTRIBUTE, rel.column_b))
         if not rel.related:
             continue
         if rel.hierarchy is Hierarchy.ATTRIBUTE_OF_A:

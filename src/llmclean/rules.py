@@ -35,7 +35,6 @@ class DependencyKind(Enum):
     DEVICE_LINK = "device_link"
     TEMPORAL = "temporal"
     LOCALITY = "locality"
-    MONITORING = "monitoring"
     CAPABILITY = "capability"
 
     @classmethod
@@ -196,6 +195,51 @@ class OfdRule(Frozen):
         set_field(self, "spec", spec)
 
 
+# A literal escapes "\\" and '"', and the line breaks "\n" and "\r": rule
+# files and context graphs end their lines at "\n" only, and a reader that
+# opens one in text mode turns a raw "\r" into a line end. Other line
+# separators (U+2028 ...) stay raw inside a literal.
+def escape_literal(text: str) -> str:
+    return (
+        text.replace("\\", "\\\\").replace('"', '\\"')
+        .replace("\n", "\\n").replace("\r", "\\r")
+    )
+
+
+_UNESCAPED = {"n": "\n", "r": "\r"}
+
+
+def unescape_literal(text: str) -> str:
+    """Inverse of escape_literal for the body of a literal, quotes excluded."""
+    if "\\" not in text:
+        return text
+    out: list[str] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text):
+            nxt = text[i + 1]
+            out.append(_UNESCAPED.get(nxt, nxt))
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+def closing_quote(text: str, start: int = 0) -> int:
+    """Index of the quote that closes the literal opening at ``text[start]``, or -1."""
+    end = start + 1
+    while end < len(text):
+        if text[end] == "\\":
+            end += 2
+        elif text[end] == '"':
+            return end
+        else:
+            end += 1
+    return -1
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -229,21 +273,11 @@ class _Scanner:
     def quoted(self) -> str:
         start = self.pos
         self.expect('"')
-        out: list[str] = []
-        while True:
-            if self.eof():
-                raise self.error("unterminated string literal", start)
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == "\\":
-                if self.eof():
-                    raise self.error("dangling escape", self.pos - 1)
-                out.append(self.text[self.pos])
-                self.pos += 1
-            elif ch == '"':
-                return "".join(out)
-            else:
-                out.append(ch)
+        end = closing_quote(self.text, start)
+        if end < 0:
+            raise self.error("unterminated string literal", start)
+        self.pos = end + 1
+        return unescape_literal(self.text[start + 1:end])
 
 
 def _parse_operand(sc: _Scanner, aliases: tuple[str, ...]) -> Operand:
@@ -335,8 +369,7 @@ def parse_rule(text: str, kind: DependencyKind, rule_id: str = "") -> OfdRule:
 def _render_operand(operand: Operand) -> str:
     if isinstance(operand, ColumnRef):
         return f"{operand.alias}.{operand.column}"
-    escaped = operand.value.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return f'"{escape_literal(operand.value)}"'
 
 
 def _render_predicate(pred: Predicate) -> str:
@@ -354,9 +387,13 @@ def render_rule(rule: OfdRule) -> str:
 
 
 def parse_rule_file(text: str) -> list[OfdRule]:
-    """Parse a rule file: one ``kind: ruletext`` per line, # comments allowed."""
+    """Parse a rule file: one ``kind: ruletext`` per line, # comments allowed.
+
+    Lines end at "\\n" only (see escape_literal), so a literal may hold any
+    other line separator raw.
+    """
     rules: list[OfdRule] = []
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for line_no, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

@@ -224,6 +224,7 @@ _UNREACHED_ALLOWED = {
     "gateway.save_cassette": "writes the cassette format the replay backend reads",
     "evaluation.repair_with_truth": "the perfect repair, the upper bound of score_repair",
     "ensemble.write_records_jsonl": "writes the records the ensemble command reads",
+    "generation.CONCEPT_TEMPLATE": "asked by no stage; the benchmark's cassette writer imports it",
 }
 
 
@@ -244,7 +245,13 @@ def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return used
 
 
+def _is_enum(node: ast.ClassDef) -> bool:
+    return any(isinstance(b, ast.Name) and b.id == "Enum" for b in node.bases)
+
+
 def test_every_public_name_is_reached():
+    """Every public module-level name, and every Enum member, is named
+    somewhere outside its own definition (for a member: outside its class)."""
     package = Path(llmclean.__file__).parent
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -254,6 +261,14 @@ def test_every_public_name_is_reached():
     for module, tree in trees.items():
         elsewhere = set().union(*(_names_used(t) for m, t in trees.items() if m != module))
         for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_enum(node):
+                outside = elsewhere | _names_used(tree, skip=node)
+                unreached += [
+                    f"{module}.{node.name}.{t.id}"
+                    for member in node.body if isinstance(member, ast.Assign)
+                    for t in member.targets
+                    if isinstance(t, ast.Name) and t.id not in outside
+                ]
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -352,6 +367,16 @@ class TestMalformedCassette:
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert str(path) in err and "internal error" not in err
+
+    def test_unreadable_cassette_exits_one_when_no_prompt_is_asked(self, tmp_path, capsys):
+        # One column has no pair to ask about; the cassette is read all the same.
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text("a\nx\n")
+        path = tmp_path / "absent.json"
+        code = main(["build-context", str(csv_path), "--backend", "replay", "--cassette",
+                     str(path), "--assume-class", "NonIoT", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert str(path) in capsys.readouterr().err
 
 
 class TestCollectorState:
@@ -648,7 +673,6 @@ class TestBuildContextNonIot:
         from llmclean.gateway import render_prompt
         from llmclean.generation import (
             CLASSIFY_TEMPLATE,
-            CONCEPT_TEMPLATE,
             HIERARCHY_TEMPLATE,
             IOT_REFERENCE_HEADERS,
             RELATED_TEMPLATE,
@@ -663,8 +687,6 @@ class TestBuildContextNonIot:
         for a, b in combinations(self.HEADERS, 2):
             prompt = render_prompt(RELATED_TEMPLATE, {"col_a": a, "col_b": b})
             entries[prompt] = "yes" if (a, b) == ("ZipCode", "City") else "no"
-        entries[render_prompt(CONCEPT_TEMPLATE, {"col": "ZipCode"})] = "postal area"
-        entries[render_prompt(CONCEPT_TEMPLATE, {"col": "City"})] = "municipality"
         entries[
             render_prompt(HIERARCHY_TEMPLATE, {"col_a": "ZipCode", "col_b": "City"})
         ] = "A"
@@ -856,7 +878,7 @@ class TestDetect:
         # 1,200 attributes in one acyclic partOf chain, deeper than the recursion limit.
         names = [f"level_{i}" for i in range(1200)]
         graph = ContextGraph(frozenset(
-            [t for n in names for t in entity(Concept.ATTRIBUTE, n, {"label": n})]
+            [t for n in names for t in entity(Concept.ATTRIBUTE, n)]
             + [edge(PART_OF, a, b) for a, b in zip(names, names[1:])]
         ))
         graph_path = tmp_path / "chain.nt"
@@ -891,7 +913,7 @@ class TestDetect:
     def test_metadata_node_with_two_values_exit_one(self, tmp_path, capsys):
         graph_path = tmp_path / "meta.nt"
         graph = ContextGraph(frozenset(
-            entity(Concept.SENSOR, "s1", {"label": "s1"})
+            entity(Concept.SENSOR, "s1")
             + sensor_bounds("s1", SensorSpec("s1", 0.0, 10.0))
             + [Triple("llmc:s1_max", META_VALUE, 100.0, ObjKind.NUMBER)]
         ))
@@ -902,6 +924,25 @@ class TestDetect:
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert "metadata node 'llmc:s1_max' has 2 llmc:metaValue values: 10.0, 100.0" in err
+
+    def test_monitoring_rule_line_exit_one(self, tmp_path, capsys):
+        rules_path = tmp_path / "r.ofd"
+        rules_path.write_text('denial: t1&EQ(t1.a,"")\nmonitoring: t1&EQ(t1.a,"x")\n')
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("a\nx\n")
+        code = main(["detect", str(csv_path), "--rules", str(rules_path)])
+        assert code == EXIT_INPUT
+        assert "line 2: unknown dependency kind 'monitoring'" in capsys.readouterr().err
+
+    def test_actuating_device_graph_exit_one(self, tmp_path, capsys):
+        graph_path = tmp_path / "g.nt"
+        graph_path.write_text('llmc:fan rdf:type ssn:ActuatingDevice .\n'
+                              'llmc:fan llmc:label "fan" .\n')
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("a\nx\n")
+        code = main(["detect", str(csv_path), "--graph", str(graph_path)])
+        assert code == EXIT_INPUT
+        assert "unknown concept" in capsys.readouterr().err
 
     def test_needs_rules_or_graph(self, built, capsys):
         code = main(["detect", str(built / "transformed.csv")])
@@ -1334,7 +1375,6 @@ def _pipeline_cassette(csv_bytes: bytes, value_columns: str | None, answers: lis
         ))
         prompts += [render_prompt(DEFAULT_TEMPLATES["map_column"],
                                   {"col_names": names, "concept": role}) for role in MAPPING_ROLES]
-        prompts += [render_prompt(DEFAULT_TEMPLATES["pair_concept"], {"col": c}) for c in headers]
         for a, b in itertools.combinations(headers, 2):
             prompts += [render_prompt(DEFAULT_TEMPLATES[t], {"col_a": a, "col_b": b})
                         for t in ("pair_related", "pair_hierarchy")]

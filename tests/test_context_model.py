@@ -14,8 +14,9 @@ from llmclean.context_model import (
     HAS_METADATA,
     META_TYPE,
     META_VALUE,
-    MONITORED_BY,
+    LABEL,
     PART_OF,
+    RDF_TYPE,
     ObjKind,
     Triple,
     deserialize,
@@ -43,12 +44,12 @@ def graph(*parts) -> ContextGraph:
 
 def iot_graph() -> ContextGraph:
     return graph(
-        entity(Concept.SYSTEM, "home_system", {"label": "home_system"}),
-        entity(Concept.DEVICE, "device_in_1", {"label": "device_in_1"}),
-        entity(Concept.DEVICE, "device_main", {"label": "device_main"}),
-        entity(Concept.SENSING_DEVICE, "sensing_in_1", {"label": "sensing_in_1"}),
-        entity(Concept.SENSOR, "ds18b20_1", {"label": "ds18b20_1"}),
-        entity(Concept.LOCATION, "Room1", {"label": "Room1"}),
+        entity(Concept.SYSTEM, "home_system"),
+        entity(Concept.DEVICE, "device_in_1"),
+        entity(Concept.DEVICE, "device_main"),
+        entity(Concept.SENSING_DEVICE, "sensing_in_1"),
+        entity(Concept.SENSOR, "ds18b20_1"),
+        entity(Concept.LOCATION, "Room1"),
         edge(ATTACHED_TO, "ds18b20_1", "sensing_in_1"),
         edge(ATTACHED_TO, "sensing_in_1", "device_in_1"),
         edge(DEPLOYED_AT, "sensing_in_1", "Room1"),
@@ -62,7 +63,7 @@ def iot_graph() -> ContextGraph:
 def attribute_chain(names: list[str]) -> ContextGraph:
     """Attribute nodes with a partOf edge from each name to the next."""
     return graph(
-        *(entity(Concept.ATTRIBUTE, n, {"label": n}) for n in names),
+        *(entity(Concept.ATTRIBUTE, n) for n in names),
         *(edge(PART_OF, a, b) for a, b in zip(names, names[1:])),
     )
 
@@ -76,15 +77,15 @@ class TestGraphBuilding:
         )
 
     def test_add_entity_idempotent(self):
-        once = graph(entity(Concept.SENSOR, "ds18b20_1", {"label": "ds18b20_1"}))
+        once = graph(entity(Concept.SENSOR, "ds18b20_1"))
         twice = graph(
-            entity(Concept.SENSOR, "ds18b20_1", {"label": "ds18b20_1"}),
-            entity(Concept.SENSOR, "ds18b20_1", {"label": "ds18b20_1"}),
+            entity(Concept.SENSOR, "ds18b20_1"),
+            entity(Concept.SENSOR, "ds18b20_1"),
         )
         assert once == twice
 
     def test_entity_with_attribute_has_two_triples(self):
-        g = graph(entity(Concept.LOCATION, "Room1", {"label": "Room1"}))
+        g = graph(entity(Concept.LOCATION, "Room1"))
         assert len(g.triples) == 2
 
     def test_edge_refuses_a_non_edge_predicate(self):
@@ -98,9 +99,7 @@ class TestSerialization:
         assert deserialize("") == ContextGraph()
 
     def test_three_triples_sorted(self):
-        g = graph(
-            entity(Concept.SENSOR, "b", {"label": "b"}), entity(Concept.SENSOR, "a")
-        )
+        g = graph(entity(Concept.SENSOR, "b"), Triple("llmc:a", RDF_TYPE, "ssn:Sensor"))
         lines = serialize(g).splitlines()
         assert len(lines) == 3
         assert lines == sorted(lines)
@@ -125,7 +124,7 @@ class TestSerialization:
         assert deserialize(serialize(g)) == g
 
     def test_newline_in_label_round_trips(self):
-        g = graph(entity(Concept.LOCATION, "x", {"label": "a\nb"}))
+        g = graph(entity(Concept.LOCATION, "a\nb"))
         assert deserialize(serialize(g)) == g
 
     # Every character str.splitlines breaks at, plus the ones the format escapes.
@@ -136,7 +135,7 @@ class TestSerialization:
         min_size=1, max_size=4,
     ))
     def test_text_labels_round_trip(self, labels):
-        g = graph(*(entity(Concept.LOCATION, f"n{i}", {"label": label})
+        g = graph(*(Triple(f"llmc:n{i}", LABEL, label, ObjKind.TEXT)
                     for i, label in enumerate(labels)))
         text = serialize(g)
         assert "\r" not in text and text.count("\n") == len(g.triples)
@@ -164,7 +163,7 @@ class TestValidation:
     def test_metadata_node_with_two_types_or_values(self, predicate, obj, kind):
         # extract_ofds would read only the smallest of the two.
         g = graph(
-            entity(Concept.SENSOR, "s1", {"label": "s1"}),
+            entity(Concept.SENSOR, "s1"),
             sensor_bounds("s1", SensorSpec("s1", 0.0, 10.0)),
             Triple("llmc:s1_max", predicate, obj, kind),
         )
@@ -251,10 +250,10 @@ class TestExtractOfds:
         parts = []
         for sensor, (device, sensing, location) in IOT_TOPOLOGY.items():
             parts += [
-                entity(Concept.SENSOR, sensor, {"label": sensor}),
-                entity(Concept.SENSING_DEVICE, sensing, {"label": sensing}),
-                entity(Concept.DEVICE, device, {"label": device}),
-                entity(Concept.LOCATION, location, {"label": location}),
+                entity(Concept.SENSOR, sensor),
+                entity(Concept.SENSING_DEVICE, sensing),
+                entity(Concept.DEVICE, device),
+                entity(Concept.LOCATION, location),
                 edge(ATTACHED_TO, sensor, sensing),
                 edge(ATTACHED_TO, sensing, device),
                 edge(DEPLOYED_AT, sensing, location),
@@ -308,14 +307,6 @@ class TestExtractOfds:
         assert [temporal_link(r) for r in temporal] == [
             ("Device", "device_in_1", "device_main")
         ]
-
-    def test_monitoring_edges_yield_no_rule(self):
-        g = graph(
-            entity(Concept.DEVICE, "d", {"label": "d"}),
-            entity(Concept.DEVICE, "watcher", {"label": "watcher"}),
-            edge(MONITORED_BY, "d", "watcher"),
-        )
-        assert extract_ofds(g) == []
 
     def test_rule_count_arithmetic(self):
         # 1 chain + 1 locality edge + 1 capability pair + 2 hierarchy pairs

@@ -450,17 +450,6 @@ class TestRunAll:
         ]
         assert set(payload) >= {"findings", "skipped_rules", "duration_ms"}
 
-    def test_monitoring_rules_are_skipped(self):
-        d = table(["a"], ["x"])
-        mon = OfdRule(
-            DependencyKind.MONITORING,
-            ("t1",),
-            rule('t1&EQ(t1.a,"x")').predicates,
-            id="mon",
-        )
-        report = run_all(d, [mon])
-        assert [r for r, _ in report.skipped_rules] == ["mon"]
-
 
 from conftest import random_dataset_and_rules as _random_dataset_and_rules
 

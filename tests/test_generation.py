@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 from itertools import combinations
 
@@ -31,12 +30,10 @@ from llmclean.gateway import (
     PromptTemplate,
     ReplayBackend,
     ResponseFormat,
-    cassette_key,
     render_prompt,
 )
 from llmclean.generation import (
     CLASSIFY_TEMPLATE,
-    CONCEPT_TEMPLATE,
     ConceptMapping,
     ColumnPairRelation,
     DatasetClass,
@@ -443,15 +440,13 @@ def key_table(headers, n_rows: int = 3) -> Dataset:
     return Dataset(headers, [tuple(Cell.text(f"{h}{i}") for h in headers) for i in range(n_rows)])
 
 
-def pair_cassette(tmp_path, headers, related: dict[tuple[str, str], tuple[str, str, str]]):
-    """related: (a, b) -> (concept_a, concept_b, hierarchy answer)."""
+def pair_cassette(tmp_path, headers, related: dict[tuple[str, str], str]):
+    """related: (a, b) -> hierarchy answer; every other pair is unrelated."""
     entries = {}
     for a, b in combinations(headers, 2):
         prompt = render_prompt(RELATED_TEMPLATE, {"col_a": a, "col_b": b})
         entries[prompt] = "yes" if (a, b) in related else "no"
-    for (a, b), (concept_a, concept_b, answer) in related.items():
-        entries[render_prompt(CONCEPT_TEMPLATE, {"col": a})] = concept_a
-        entries[render_prompt(CONCEPT_TEMPLATE, {"col": b})] = concept_b
+    for (a, b), answer in related.items():
         entries[render_prompt(HIERARCHY_TEMPLATE, {"col_a": a, "col_b": b})] = answer
     return make_cassette(tmp_path, entries)
 
@@ -461,7 +456,7 @@ class TestPairRelationships:
         headers = ["ZipCode", "City", "Score"]
         path = pair_cassette(
             tmp_path, headers,
-            {("ZipCode", "City"): ("postal area", "municipality", "A")},
+            {("ZipCode", "City"): "A"},
         )
         relations = pair_relationships(key_table(headers), ReplayBackend(path))
         assert len(relations) == 3
@@ -491,55 +486,40 @@ class TestPairRelationships:
         relations = pair_relationships(key_table(headers), ReplayBackend(path))
         assert len(relations) == 2
 
-    def test_concept_asked_once_per_column(self, tmp_path):
+    def test_only_relatedness_and_hierarchy_are_asked(self, tmp_path):
         headers = ["ZipCode", "City", "State", "Score"]
         path = pair_cassette(
             tmp_path, headers,
-            {
-                ("ZipCode", "City"): ("postal area", "municipality", "A"),
-                ("ZipCode", "State"): ("postal area", "region", "A"),
-                ("City", "State"): ("municipality", "region", "A"),
-            },
+            {("ZipCode", "City"): "A", ("ZipCode", "State"): "A", ("City", "State"): "A"},
         )
-        backend = ReplayBackend(path)
-        asked: list[str] = []
-        lookup = backend.lookup
-
-        def counting_lookup(prompt):
-            asked.append(prompt)
-            return lookup(prompt)
-
-        backend.lookup = counting_lookup
+        backend, asked = counting_backend(path)
         relations = pair_relationships(key_table(headers), backend)
         assert sum(r.related for r in relations) == 3
-        concept_prompts = [p for p in asked if p.startswith(CONCEPT_TEMPLATE.task_text[:20])]
-        assert sorted(concept_prompts) == sorted(
-            render_prompt(CONCEPT_TEMPLATE, {"col": c}) for c in ("ZipCode", "City", "State")
-        )
-        assert len(asked) == 6 + 3 + 3  # relatedness, concepts, hierarchies
+        assert len(asked) == 6 + 3  # relatedness of every pair, hierarchy of the related
 
-    def test_missing_concept_drops_only_its_pairs(self, tmp_path):
-        headers = ["ZipCode", "City", "State", "Score"]
-        path = pair_cassette(
-            tmp_path, headers,
-            {
-                ("ZipCode", "City"): ("postal area", "municipality", "A"),
-                ("City", "State"): ("municipality", "region", "A"),
-            },
-        )
-        cassette = json.loads(open(path, encoding="utf-8").read())
-        del cassette[cassette_key(render_prompt(CONCEPT_TEMPLATE, {"col": "State"}))]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(cassette, fh)
-        relations = pair_relationships(key_table(headers), ReplayBackend(path))
-        pairs = {(r.column_a, r.column_b): r.related for r in relations}
-        assert pairs == {
-            ("ZipCode", "City"): True,
-            ("ZipCode", "State"): False,
-            ("ZipCode", "Score"): False,
+    def test_pair_dropped_only_when_an_asked_answer_fails(self, tmp_path):
+        # Zip and Score are keys; Zip -> City -> State hold one way only.
+        headers = ["Zip", "City", "State", "Score"]
+        rows = [
+            (f"z{i}", f"c{i // 2}", f"s{i // 4}", f"n{i}") for i in range(6)
+        ]
+        d = Dataset(headers, [tuple(map(Cell.text, row)) for row in rows])
+        entries = {}
+        for a, b in combinations(headers, 2):
+            if (a, b) != ("City", "State"):  # its relatedness answer fails
+                prompt = render_prompt(RELATED_TEMPLATE, {"col_a": a, "col_b": b})
+                entries[prompt] = "yes" if (a, b) in {("Zip", "City"), ("Zip", "Score")} else "no"
+        # No hierarchy answers: (Zip, City) is ordered by the data and is not
+        # asked; (Zip, Score) is asked, and its answer fails.
+        backend = ReplayBackend(make_cassette(tmp_path, entries))
+        relations = {(r.column_a, r.column_b): r for r in pair_relationships(d, backend)}
+        assert {pair: r.related for pair, r in relations.items()} == {
+            ("Zip", "City"): True,
+            ("Zip", "State"): False,
             ("City", "Score"): False,
             ("State", "Score"): False,
         }
+        assert relations["Zip", "City"].hierarchy is Hierarchy.ATTRIBUTE_OF_A
 
 
 FD_LEVELS = ("site", "area", "district", "region")  # finest to coarsest
@@ -682,7 +662,7 @@ class TestCandidatePairs:
         ])
         assert list(candidate_pairs(d)) == [("a", "b")]
         # The cassette holds no prompt for the refuted pairs.
-        path = pair_cassette(tmp_path, ["a", "b"], {("a", "b"): ("zone", "region", "A")})
+        path = pair_cassette(tmp_path, ["a", "b"], {("a", "b"): "A"})
         backend, asked = counting_backend(path)
         with caplog.at_level("INFO", logger="llmclean.generation"):
             relations = pair_relationships(d, backend)
@@ -690,7 +670,7 @@ class TestCandidatePairs:
             ("a", "b", True), ("a", "c", False), ("b", "c", False),
         ]
         assert relations[0].hierarchy is Hierarchy.ATTRIBUTE_OF_A
-        assert len(asked) == 1 + 2  # a -> b alone holds, so the data orders the pair
+        assert len(asked) == 1  # a -> b alone holds, so the data orders the pair
         assert render_prompt(RELATED_TEMPLATE, {"col_a": "a", "col_b": "c"}) not in asked
         assert [r.getMessage() for r in caplog.records] == [
             "asked 1 of 3 column pairs; 1 of 1 hierarchies from the data"
@@ -707,12 +687,12 @@ class TestCandidatePairs:
                  "region": [f"r{i % 10 // 5}" for i in range(40)]}
         d = Dataset(headers, list(zip(*(map(Cell.text, cells[h]) for h in headers))))
         wrong = "B" if hierarchy is Hierarchy.ATTRIBUTE_OF_A else "A"
-        path = pair_cassette(tmp_path, headers, {tuple(headers): ("x", "y", wrong)})
+        path = pair_cassette(tmp_path, headers, {tuple(headers): wrong})
         backend, asked = counting_backend(path)
         [relation] = pair_relationships(d, backend)
         assert relation.related and relation.hierarchy is hierarchy
         assert not [p for p in asked if "is an attribute of" in p]
-        assert len(asked) == 1 + 2
+        assert len(asked) == 1
 
     @pytest.mark.parametrize("answer, hierarchy", [
         ("A", Hierarchy.ATTRIBUTE_OF_A),
@@ -722,21 +702,21 @@ class TestCandidatePairs:
     def test_both_directions_still_ask(self, tmp_path, answer, hierarchy):
         # A bijection: each column determines the other, so the model decides.
         d = key_table(["code", "name"], n_rows=6)
-        path = pair_cassette(tmp_path, ["code", "name"], {("code", "name"): ("id", "label", answer)})
+        path = pair_cassette(tmp_path, ["code", "name"], {("code", "name"): answer})
         backend, asked = counting_backend(path)
         [relation] = pair_relationships(d, backend)
         assert relation.hierarchy is hierarchy
         assert render_prompt(HIERARCHY_TEMPLATE, {"col_a": "code", "col_b": "name"}) in asked
-        assert len(asked) == 1 + 2 + 1
+        assert len(asked) == 1 + 1
 
     def test_pair_with_no_shared_row_still_asks(self, tmp_path):
         d = Dataset(["a", "b"], [(Cell.text("a1"), MISSING), (MISSING, Cell.text("b1"))])
         assert candidate_pairs(d) == {("a", "b"): (True, True)}
-        path = pair_cassette(tmp_path, ["a", "b"], {("a", "b"): ("x", "y", "B")})
+        path = pair_cassette(tmp_path, ["a", "b"], {("a", "b"): "B"})
         backend, asked = counting_backend(path)
         [relation] = pair_relationships(d, backend)
         assert relation.hierarchy is Hierarchy.ATTRIBUTE_OF_B
-        assert len(asked) == 1 + 2 + 1
+        assert len(asked) == 1 + 1
 
     @pytest.mark.parametrize("seed", [1, 9001])
     def test_hierarchy_groups_survive_injected_errors(self, seed):
@@ -759,9 +739,7 @@ class TestBuildRelationalGraph:
     def test_zip_city_denial_rule(self):
         relations = [
             ColumnPairRelation(
-                "ZipCode", "City", related=True,
-                concept_a="postal area", concept_b="municipality",
-                hierarchy=Hierarchy.ATTRIBUTE_OF_A,
+                "ZipCode", "City", related=True, hierarchy=Hierarchy.ATTRIBUTE_OF_A,
             )
         ]
         graph = build_relational_graph(relations)
@@ -783,8 +761,8 @@ class TestBuildRelationalGraph:
     def test_matching_annotation_yields_sim_rule(self):
         # No stage emits matchesWith; user-supplied graphs may carry it.
         graph = ContextGraph(frozenset([
-            *entity(Concept.ATTRIBUTE, "ProviderNumber", {"label": "ProviderNumber"}),
-            *entity(Concept.ATTRIBUTE, "PhoneNumber", {"label": "PhoneNumber"}),
+            *entity(Concept.ATTRIBUTE, "ProviderNumber"),
+            *entity(Concept.ATTRIBUTE, "PhoneNumber"),
             edge(MATCHES_WITH, "ProviderNumber", "PhoneNumber"),
             Triple(node_id("ProviderNumber"), MATCH_THRESHOLD, 0.75, ObjKind.NUMBER),
         ]))

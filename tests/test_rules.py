@@ -107,7 +107,10 @@ class TestRender:
 
 
 _ident = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
-_literal = st.text(max_size=10)
+# The line breaks a rule file must carry inside a literal, the escape
+# characters, then any character.
+LINE_BREAKS = ("\n", "\r", "\u2028")
+_literal = st.text(st.sampled_from([*LINE_BREAKS, "\\", '"', "n", "r"]) | st.characters(), max_size=10)
 
 
 @st.composite
@@ -142,6 +145,7 @@ class TestRoundTripProperty:
     @settings(max_examples=300)
     def test_parse_render_identity(self, rule):
         assert parse_rule(render_rule(rule), rule.kind) == rule
+        assert parse_rule_file(render_rule_file([rule])) == [rule]
 
     def test_fuzz_never_crashes(self):
         rng = random.Random(1234)
@@ -171,6 +175,15 @@ class TestRuleFile:
         ]
         assert [r.id for r in parsed] == ["r1", "r2", "r3"]
         assert parse_rule_file(render_rule_file(parsed)) == parsed
+
+    @pytest.mark.parametrize("sep", LINE_BREAKS, ids=["LF", "CR", "U+2028"])
+    def test_literal_with_a_line_break_reads_back(self, sep):
+        rule = OfdRule(DependencyKind.CAPABILITY, ("t1",), (
+            Predicate("EQ", ColumnRef("t1", "sensor"), Literal(f"a{sep}b")),
+        ))
+        text = render_rule_file([rule])
+        assert text.count("\n") == 1 and "\r" not in text
+        assert parse_rule_file(text) == [rule]
 
     def test_unknown_kind(self):
         with pytest.raises(RuleParseError):
