@@ -6,7 +6,9 @@ is no silent network access. Exit codes: 0 success, 1 input error,
 2 external-service error, 3 internal invariant violation; a malformed
 command line exits 1 as well. Each command imports the package modules it
 runs when it runs, so detect, evaluate and ensemble start without the
-LLM-facing ones (generation, gateway) and without logging.
+LLM-facing ones (generation, gateway). Only a relational build-context
+(its pair counts, INFO with -v) and a remote backend's calls (DEBUG) log,
+and only they import logging.
 """
 
 from __future__ import annotations
@@ -97,12 +99,8 @@ def _load_dataset(path: str, columns: Collection[str] | None = None) -> Dataset:
 
 
 def _make_backend(args: argparse.Namespace):
-    """The backend the flags name; logging is set up here, for the modules that log."""
-    import logging
-
+    """The backend the flags name."""
     from .gateway import API_KEY_ENV, ENDPOINT_ENV, RemoteBackend, ReplayBackend
-
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
 
     if args.backend == "replay":
         if not args.cassette:
@@ -171,11 +169,10 @@ def _load_ensemble_config(path: str):
     return config, templates
 
 
-def _classify(args, headers):
+def _classify(args, headers, backend):
     """The ``generation.DatasetClass`` of a table with these headers."""
     from . import ensemble, generation
 
-    backend = _make_backend(args)
     config, templates = ensemble.EnsembleConfig(threshold=1, prompts=("classify",)), None
     if args.ensemble_config:
         config, templates = _load_ensemble_config(args.ensemble_config)
@@ -185,7 +182,7 @@ def _classify(args, headers):
 def cmd_classify(args) -> int:
     with open(args.csv, "rb") as fh:
         headers = read_headers(fh)  # checks every record, keeps no column
-    result = _classify(args, headers)
+    result = _classify(args, headers, _make_backend(args))
     print(result.value)
     return EXIT_OK
 
@@ -195,8 +192,11 @@ def cmd_build_context(args) -> int:
 
     d = _load_dataset(args.csv)
     d = normalize_missing(d)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Every input is read before the first prompt, which may be a paid call.
+    specs = _load_specs(args.sensors)
+    value_columns = _parse_value_columns(args.value_columns) if args.value_columns else None
+    for column, _ in value_columns or ():
+        d.column_index(column)  # raises for a column the table lacks
     manifest = RunManifest(
         command="build-context", input_path=args.csv, backend=args.backend,
         seed=args.seed,
@@ -207,13 +207,12 @@ def cmd_build_context(args) -> int:
     if args.assume_class:
         dataset_class = generation.DatasetClass(args.assume_class)
     else:
-        dataset_class = _classify(args, d.headers)
+        dataset_class = _classify(args, d.headers, backend)
     manifest.dataset_class = dataset_class.value
 
-    specs = _load_specs(args.sensors)
     if dataset_class is generation.DatasetClass.IOT:
-        if args.value_columns:
-            d = generation.split_sensors(d, _parse_value_columns(args.value_columns))
+        if value_columns:
+            d = generation.split_sensors(d, value_columns)
         mapping = generation.map_columns(d.headers, backend)
         manifest.warnings.extend(mapping.warnings)
         manifest.mapping = dict(sorted(mapping.assignments.items()))
@@ -224,6 +223,9 @@ def cmd_build_context(args) -> int:
         graph, build_warnings = generation.build_iot_graph(sanitized, specs)
         manifest.warnings.extend(build_warnings)
     else:
+        import logging  # only this branch logs
+
+        logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
         relations = generation.pair_relationships(d, backend)
         graph = generation.build_relational_graph(relations)
 
@@ -231,6 +233,8 @@ def cmd_build_context(args) -> int:
     manifest.timings_ms["build"] = (time.perf_counter() - t0) * 1000.0
     manifest.rule_counts = dict(Counter(r.kind.value for r in rules))
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only now: a failed build leaves nothing
     graph_path = out_dir / "context.nt"
     graph_path.write_text(context_model.serialize(graph), encoding="utf-8")
     csv_path = out_dir / "transformed.csv"
@@ -380,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="llmclean",
         description="Context-aware tabular data cleaning pipeline",
     )
-    parser.add_argument("-v", "--verbose", action="store_true")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log a relational build-context's pair counts")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_backend_flags(p):

@@ -1,8 +1,8 @@
 """Pluggable chat-completion interface with remote and replay backends.
 
 The remote backend speaks the common chat-completions JSON shape over HTTPS;
-the replay backend answers from a recorded cassette keyed by the SHA-256 of
-the exact rendered prompt, which keeps every LLM-dependent pipeline stage
+the replay backend answers from a recorded cassette, matched on the exact
+rendered prompt, which keeps every LLM-dependent pipeline stage
 deterministic and offline-testable. Silent template drift shows up as a
 cassette miss instead of a quietly different answer.
 """
@@ -10,9 +10,7 @@ cassette miss instead of a quietly different answer.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
-import logging
 import os
 import re
 import time
@@ -29,8 +27,6 @@ from .errors import (
     TransportError,
 )
 from .frozen import Frozen, set_field
-
-logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "LLMCLEAN_API_KEY"
 ENDPOINT_ENV = "LLMCLEAN_ENDPOINT"
@@ -129,18 +125,37 @@ def parse_completion(raw_text: str, fmt: ResponseFormat) -> Completion:
 
 
 def cassette_key(prompt: str) -> str:
+    """The SHA-256 hex digest of a prompt: the key of its cassette entry."""
+    # Imported here: hashlib loads OpenSSL (~3.5 MB), and a replay whose
+    # entries record their prompts never hashes one.
+    import hashlib
+
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
 def load_cassette(path: str | Path) -> dict[str, dict[str, str]]:
-    """Read a cassette: a JSON object of entries, each with a string "response"."""
+    """Read a cassette: a JSON object of entries, each with a string "response".
+
+    An entry may also record the string "prompt" it answers; no two entries
+    may record the same one.
+    """
     with open(path, encoding="utf-8") as fh:
         entries = json.load(fh)
     if not isinstance(entries, dict):
         raise LLMCleanError(f"{path}: cassette must be a JSON object keyed by prompt hash")
+    recorded: set[str] = set()
     for key, entry in entries.items():
         if not (isinstance(entry, dict) and isinstance(entry.get("response"), str)):
             raise LLMCleanError(f'{path}: cassette entry {key!r} has no string "response"')
+        if "prompt" in entry:
+            prompt = entry["prompt"]
+            if not isinstance(prompt, str):
+                raise LLMCleanError(f'{path}: cassette entry {key!r} has a non-string "prompt"')
+            if prompt in recorded:
+                raise LLMCleanError(
+                    f"{path}: cassette entry {key!r} records the same prompt as an earlier entry"
+                )
+            recorded.add(prompt)
     return entries
 
 
@@ -157,16 +172,26 @@ class ReplayBackend:
     """Deterministic backend answering from a recorded cassette file.
 
     The cassette is read when the backend is built, so an unreadable one is
-    an input error even if no prompt is asked.
+    an input error even if no prompt is asked. An entry that records its
+    prompt answers that prompt; one that does not answers the prompt whose
+    hash is its key, so a prompt is hashed only when such entries exist.
     """
 
     def __init__(self, cassette_path: str):
         self.cassette_path = cassette_path
-        self._entries = load_cassette(cassette_path)
+        self._by_prompt: dict[str, str] = {}
+        self._by_key: dict[str, str] = {}
+        for key, entry in load_cassette(cassette_path).items():
+            if "prompt" in entry:
+                self._by_prompt[entry["prompt"]] = entry["response"]
+            else:
+                self._by_key[key] = entry["response"]
 
     def lookup(self, prompt: str) -> str | None:
-        entry = self._entries.get(cassette_key(prompt))
-        return None if entry is None else entry["response"]
+        response = self._by_prompt.get(prompt)
+        if response is None and self._by_key:
+            response = self._by_key.get(cassette_key(prompt))
+        return response
 
 
 class RemoteBackend:
@@ -214,8 +239,11 @@ def _opener():
 
 def _remote_call(backend: RemoteBackend, prompt: str) -> str:
     import http.client
+    import logging  # here, not at the top: a replay run logs nothing
     import urllib.error
     import urllib.request
+
+    logger = logging.getLogger(__name__)
 
     token = os.environ.get(API_KEY_ENV)
     if not token:

@@ -10,7 +10,6 @@ and builds a hierarchy graph of the columns.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter, defaultdict
 from enum import Enum
 from itertools import accumulate, chain, combinations, compress
@@ -43,8 +42,6 @@ from .gateway import (
     render_prompt,
 )
 from .rules import SensorSpec, lookup_spec
-
-logger = logging.getLogger(__name__)
 
 
 class DatasetClass(Enum):
@@ -563,6 +560,9 @@ def pair_relationships(d: Dataset, backend: Backend) -> list[ColumnPairRelation]
     hierarchy answer where one was asked; the other pairs are kept.
     Relations come in ``combinations`` order of the headers.
     """
+    import logging  # here, not at the top: the other stages log nothing
+
+    logger = logging.getLogger(__name__)
     pairs = list(combinations(d.headers, 2))
     profile = candidate_pairs(d)
     verdicts = dict.fromkeys(pairs, False)  # a refuted pair is unrelated

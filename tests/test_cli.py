@@ -7,7 +7,6 @@ import gc
 import io
 import itertools
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -36,7 +35,7 @@ from llmclean.context_model import (
 from llmclean.dataset import dataset_to_csv, load_csv, normalize_missing
 from llmclean.detection import run_all
 from llmclean.ensemble import EvalRecord, write_records_jsonl
-from llmclean.gateway import render_prompt
+from llmclean.gateway import ReplayBackend, render_prompt
 from llmclean.generation import RELATED_TEMPLATE
 from llmclean.rules import SensorSpec, parse_rule_file, parse_sensor_specs
 
@@ -76,14 +75,16 @@ def test_importing_cli_does_not_load_requests():
     assert out.strip() == "[]"
 
 
-def _python(code: str, *args: str) -> str:
-    """Stdout of ``python -c code args`` in a fresh interpreter on the sources."""
+def _python(code: str, *args: str, stderr: bool = False) -> str:
+    """Stdout (or stderr) of ``python -c code args`` in a fresh interpreter on
+    the sources."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
+    done = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
-    ).stdout
+    )
+    return done.stderr if stderr else done.stdout
 
 
 # Runs the CLI as the console script does and prints the modules it imported
@@ -112,29 +113,35 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     }, name="relational.json")
     llm = {"llmclean.generation", "llmclean.gateway"}
     # No command builds class methods at start-up (inspect alone costs ~7 ms)
-    # or loads statistics; the IoT build-context asks one prompt at a time
-    # and loads no thread pool.
-    everywhere = {"dataclasses", "inspect", "statistics"}
+    # or loads statistics. No command hashes: the cassette entries record
+    # their prompts, and hashlib loads OpenSSL (~3.5 MB). Only the relational
+    # build-context logs; the IoT one also asks one prompt at a time and
+    # loads no thread pool.
+    everywhere = {"dataclasses", "inspect", "statistics", "hashlib", "_hashlib"}
     for argv, absent in [
         (["detect", str(csv_path), "--rules", str(rules_path), "--out-dir", str(tmp_path / "d")],
-         llm | {"llmclean.ensemble", "llmclean.evaluation", "llmclean.context_model"}),
+         llm | {"llmclean.ensemble", "llmclean.evaluation", "llmclean.context_model",
+                "logging"}),
         (["evaluate", str(csv_path), "--rules", str(rules_path), "--missing-rate", "0.3",
-          "--seed", "1", "--out-dir", str(tmp_path / "e")], llm),
+          "--seed", "1", "--out-dir", str(tmp_path / "e")], llm | {"logging"}),
+        (["classify", str(csv_path), "--backend", "replay", "--cassette", cassette],
+         {"llmclean.detection", "llmclean.evaluation", "logging"}),
         (["build-context", str(csv_path), "--backend", "replay", "--cassette", cassette,
           "--assume-class", "IoT", "--out-dir", str(tmp_path / "b")],
-         {"llmclean.detection", "llmclean.evaluation", "concurrent.futures"}),
+         {"llmclean.detection", "llmclean.evaluation", "concurrent.futures", "logging"}),
         (["detect", str(csv_path), "--graph", str(tmp_path / "b" / "context.nt"),
           "--out-dir", str(tmp_path / "g")],
-         llm | {"llmclean.ensemble", "llmclean.evaluation"}),
+         llm | {"llmclean.ensemble", "llmclean.evaluation", "logging"}),
         (["build-context", str(csv_path), "--backend", "replay", "--cassette", relational,
           "--assume-class", "NonIoT", "--out-dir", str(tmp_path / "r")],
          {"llmclean.detection", "llmclean.evaluation"}),
     ]:
         loaded = set(json.loads(_python(_FOOTPRINT, *argv).splitlines()[-1]))
         assert "llmclean.dataset" in loaded
-        assert not loaded & (absent | everywhere), (argv[:2], loaded & (absent | everywhere))
-        if argv[0] == "detect":
-            assert not {m for m in loaded if m.split(".")[0] == "logging"}
+        # A name in ``absent`` also stands for its submodules (logging.handlers).
+        unwanted = {m for m in loaded for name in absent | everywhere
+                    if m == name or m.startswith(name + ".")}
+        assert not unwanted, (argv[:2], unwanted)
 
 
 def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path, iot_csv, cassette):
@@ -193,14 +200,19 @@ except AttributeError:
     assert _python(code).split() == ["ok", str(len(llmclean.__all__))]
 
 
-def test_verbose_raises_the_level_of_commands_that_log(iot_csv, cassette):
-    code = (
-        "import logging, sys; from llmclean.cli import main; code = main(sys.argv[1:]); "
-        "print(code, logging.getLogger().getEffectiveLevel())"
-    )
-    argv = ["classify", iot_csv, "--backend", "replay", "--cassette", cassette]
-    assert _python(code, "-v", *argv).split()[-2:] == ["0", str(logging.INFO)]
-    assert _python(code, *argv).split()[-2:] == ["0", str(logging.WARNING)]
+def test_verbose_raises_the_level_of_commands_that_log(tmp_path):
+    # The relational build-context logs its pair counts at INFO.
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("sensor,value\ns1,1\n,2\ns2,3\n")
+    relational = make_cassette(tmp_path, {
+        render_prompt(RELATED_TEMPLATE, {"col_a": "sensor", "col_b": "value"}): "no",
+    })
+    code = "import sys; from llmclean.cli import main; print(main(sys.argv[1:]), file=sys.stderr)"
+    argv = ["build-context", str(csv_path), "--backend", "replay", "--cassette", relational,
+            "--assume-class", "NonIoT", "--out-dir", str(tmp_path / "out")]
+    verbose, quiet = (_python(code, *flag, *argv, stderr=True) for flag in (["-v"], []))
+    assert "asked 1 of 1 column pairs" in verbose and verbose.endswith("0\n")
+    assert "asked" not in quiet and quiet.endswith("0\n")
 
 
 def test_package_needs_only_the_standard_library():
@@ -353,8 +365,11 @@ class TestEnsembleConfigFile:
 class TestMalformedCassette:
     @pytest.mark.parametrize(
         "body",
-        [["yes"], {"abc": {"prompt": "p"}}, {"abc": "yes"}, {"abc": {"response": 1}}],
-        ids=["list", "no-response", "string-entry", "non-string-response"],
+        [["yes"], {"abc": {"prompt": "p"}}, {"abc": "yes"}, {"abc": {"response": 1}},
+         {"abc": {"prompt": 1, "response": "yes"}},
+         {"a": {"prompt": "p", "response": "yes"}, "b": {"prompt": "p", "response": "no"}}],
+        ids=["list", "no-response", "string-entry", "non-string-response",
+             "non-string-prompt", "repeated-prompt"],
     )
     @pytest.mark.parametrize("command", ["classify", "build-context"])
     def test_exit_one_naming_the_file(self, iot_csv, tmp_path, capsys, command, body):
@@ -521,6 +536,43 @@ class TestBuildContext:
         )
         assert code == EXIT_OK
         return out_dir
+
+    def test_reads_the_cassette_once(self, iot_csv, cassette, tmp_path, monkeypatch):
+        # classify and the later stages share one backend.
+        from llmclean import gateway
+
+        reads = []
+        load = gateway.load_cassette
+        monkeypatch.setattr(gateway, "load_cassette", lambda path: reads.append(path) or load(path))
+        self.run_build(iot_csv, cassette, tmp_path)
+        assert reads == [cassette]
+
+    @pytest.mark.parametrize(
+        "case", ["sensors", "value-columns", "unknown-value-column", "absent-cassette"]
+    )
+    def test_bad_input_asks_nothing_and_writes_nothing(
+        self, iot_csv, cassette, tmp_path, monkeypatch, capsys, case
+    ):
+        # A prompt may be a paid call, so every input is read before the
+        # first one; the out dir is made only when the artifacts are written.
+        (tmp_path / "sensors.json").write_text('{"ds18b20": {"min": "x"}}')
+        extra = {
+            "sensors": ["--sensors", str(tmp_path / "sensors.json")],
+            "value-columns": ["--value-columns", "value"],
+            "unknown-value-column": ["--value-columns", "ghost:x"],
+            "absent-cassette": [],
+        }[case]
+        if case == "absent-cassette":
+            cassette = str(tmp_path / "absent.json")
+        lookups = []
+        lookup = ReplayBackend.lookup
+        monkeypatch.setattr(
+            ReplayBackend, "lookup", lambda self, prompt: lookups.append(prompt) or lookup(self, prompt)
+        )
+        code = main(["build-context", iot_csv, "--backend", "replay", "--cassette", cassette,
+                     *extra, "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_INPUT, capsys.readouterr().err
+        assert lookups == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "entry",

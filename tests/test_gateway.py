@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from llmclean import gateway
 from llmclean.cli import EXIT_EXTERNAL, main
 from llmclean.errors import (
     FormatError,
@@ -132,6 +133,46 @@ class TestReplayBackend:
         data = json.loads(path.read_text())
         assert cassette_key("prompt text") in data
         assert data[cassette_key("prompt text")]["prompt"] == "prompt text"
+
+    def test_saved_cassette_answers_every_prompt(self, tmp_path):
+        answers = {f"prompt {i}\nsecond line": f"answer {i}" for i in range(5)}
+        backend = ReplayBackend(make_cassette(tmp_path, answers))
+        assert {prompt: backend.lookup(prompt) for prompt in answers} == answers
+
+    def test_recorded_prompt_is_answered_without_hashing(self, tmp_path, monkeypatch):
+        backend = ReplayBackend(make_cassette(tmp_path, {"p": "yes"}))
+
+        def refuse(prompt):
+            raise AssertionError("a recorded prompt was hashed")
+
+        monkeypatch.setattr(gateway, "cassette_key", refuse)
+        assert complete(backend, "p", ResponseFormat.YES_NO).parsed is True
+        assert backend.lookup("unknown") is None
+
+    def test_key_only_entry_answers_through_its_hash(self, tmp_path):
+        # The shape a hand-built cassette may take: no "prompt" beside the key.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            cassette_key("keyed"): {"response": "yes"},
+            cassette_key("recorded"): {"prompt": "recorded", "response": "no"},
+        }))
+        backend = ReplayBackend(str(path))
+        assert complete(backend, "keyed", ResponseFormat.YES_NO).parsed is True
+        assert complete(backend, "recorded", ResponseFormat.YES_NO).parsed is False
+        assert backend.lookup("unknown") is None
+
+    def test_miss_names_the_hash_prefix(self, tmp_path):
+        backend = ReplayBackend(make_cassette(tmp_path, {"p": "yes"}))
+        with pytest.raises(ReplayMissError, match=f"prompt hash {cassette_key('unknown')[:12]}"):
+            complete(backend, "unknown", ResponseFormat.YES_NO)
+
+    def test_entry_answers_its_recorded_prompt_whatever_its_key(self, tmp_path):
+        # A recorded prompt is matched as text; the key is not checked against it.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({cassette_key("other"): {"prompt": "p", "response": "yes"}}))
+        backend = ReplayBackend(str(path))
+        assert backend.lookup("p") == "yes"
+        assert backend.lookup("other") is None
 
     def test_concurrent_lookups(self, tmp_path):
         prompts = [f"p{i}" for i in range(16)]
