@@ -17,7 +17,6 @@ _EXPORTS = {
     "CellRef": "dataset",
     "Dataset": "dataset",
     "MISSING": "dataset",
-    "PlaceholderSet": "dataset",
     "load_csv": "dataset",
     "normalize_missing": "dataset",
     "DetectionReport": "detection",
@@ -32,7 +31,6 @@ _EXPORTS = {
     "GroundTruth": "evaluation",
     "inject_errors": "evaluation",
     "score_detection": "evaluation",
-    "score_repair": "evaluation",
     "DependencyKind": "rules",
     "OfdRule": "rules",
     "SensorSpec": "rules",

@@ -149,16 +149,27 @@ def _load_ensemble_config(path: str):
     templates = dict(generation.DEFAULT_TEMPLATES)
     try:
         for t in raw.get("templates", []):
-            template = generation.PromptTemplate(
-                id=str(t["id"]),
+            template_id = str(t["id"])
+            # classify parses every answer as yes/no, whatever a template asks.
+            if t.get("format", "yes_no") != "yes_no":
+                raise LLMCleanError(
+                    f"{path}: template {template_id!r} has format {t['format']!r}; "
+                    "classify templates must be yes_no"
+                )
+            templates[template_id] = generation.PromptTemplate(
+                id=template_id,
                 task_text=str(t["task_text"]),
-                response_format=generation.ResponseFormat(t.get("format", "yes_no")),
+                response_format=generation.ResponseFormat.YES_NO,
                 few_shot=tuple((str(q), str(a)) for q, a in t.get("few_shot", [])),
             )
-            templates[template.id] = template
-        config = ensemble.EnsembleConfig(
-            threshold=int(raw["threshold"]), prompts=tuple(map(str, raw["prompts"]))
-        )
+        threshold, prompts = raw["threshold"], raw["prompts"]
+        # A number with no fractional part (int() raises for inf and NaN);
+        # a bool or a string is not one.
+        if type(threshold) not in (int, float) or int(threshold) != threshold:
+            raise LLMCleanError(f"{path}: threshold must be a JSON integer, got {threshold!r}")
+        if not isinstance(prompts, list) or not all(isinstance(p, str) for p in prompts):
+            raise LLMCleanError(f"{path}: prompts must be a list of strings, got {prompts!r}")
+        config = ensemble.EnsembleConfig(threshold=int(threshold), prompts=tuple(prompts))
     except KeyError as exc:
         raise LLMCleanError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

@@ -30,6 +30,7 @@ from .frozen import Frozen, set_field
 #: Placeholder spellings commonly used for missing data, matched
 #: case-insensitively after trimming.
 DEFAULT_PLACEHOLDER_TOKENS = ("N/A", "nan", "none", "null", "")
+_PLACEHOLDERS = frozenset(t.lower() for t in DEFAULT_PLACEHOLDER_TOKENS)
 
 #: Integers at or above this magnitude are read as epoch milliseconds.
 #: (100_000_000_000 ms is early 1973; plain measurements rarely get there.)
@@ -121,24 +122,6 @@ class CellRef(Frozen):
     def __init__(self, row: int, column: str):
         set_field(self, "row", row)
         set_field(self, "column", column)
-
-
-class PlaceholderSet(Frozen):
-    """Missing-value spellings, matched case-insensitively after trimming."""
-
-    __slots__ = _fields = ("tokens",)
-
-    def __init__(self, tokens: frozenset[str]):
-        if not tokens:
-            raise ValueError("placeholder set must not be empty")
-        set_field(self, "tokens", frozenset(t.strip().lower() for t in tokens))
-
-    @classmethod
-    def default(cls) -> "PlaceholderSet":
-        return cls(frozenset(DEFAULT_PLACEHOLDER_TOKENS))
-
-    def matches(self, text: str) -> bool:
-        return text.strip().lower() in self.tokens
 
 
 def _encoder() -> defaultdict:
@@ -667,19 +650,25 @@ def dataset_to_csv(d: Dataset) -> str:
     return buf.getvalue()
 
 
-def normalize_missing(d: Dataset, placeholders: PlaceholderSet | None = None) -> Dataset:
+def placeholder_flags(texts: Iterable[str]) -> Iterator[bool]:
+    """Whether each text spells a missing value: one of the placeholder
+    tokens, case-insensitively, after trimming. Lazy, and no Python-level
+    call per text, so a column's distinct texts are checked in C."""
+    return map(_PLACEHOLDERS.__contains__, map(str.lower, map(str.strip, texts)))
+
+
+def normalize_missing(d: Dataset) -> Dataset:
     """Fold placeholder text cells ("N/A", "null", empty, ...) into Missing.
 
     Works on each column's distinct values, matching all its text values in
     one pass; a column without placeholders is shared unchanged. Idempotent;
     never touches number or timestamp cells.
     """
-    tokens = (placeholders or PlaceholderSet.default()).tokens
     columns = []
     for column in d.columns:
         is_text = _is_text(column.values)
         texts = map(_value, compress(column.values, is_text))
-        hits = list(map(tokens.__contains__, map(str.lower, map(str.strip, texts))))
+        hits = list(placeholder_flags(texts))
         if any(hits):
             folded = list(column.values)
             for code in compress(compress(count(), is_text), hits):  # the texts that hit

@@ -32,8 +32,8 @@ from .dataset import (
     CellRef,
     Column,
     Dataset,
-    PlaceholderSet,
     group_modes,
+    placeholder_flags,
 )
 from .errors import RuleError, SchemaError
 from .frozen import Frozen, set_field
@@ -182,7 +182,7 @@ def detect_missing(d: Dataset, rule: OfdRule) -> list[Finding]:
     col_idx = _resolve(d, rule.id, columns[0].column)
     column = d.columns[col_idx]
     literal = literals[0].value
-    if PlaceholderSet.default().matches(literal):
+    if any(placeholder_flags([literal])):
         hits = [k for k, cell in enumerate(column.values) if cell.is_missing]
     else:
         hits = [

@@ -1,4 +1,4 @@
-"""Benchmark harness: seeded error injection and detection/repair scoring.
+"""Benchmark harness: seeded error injection and detection scoring.
 
 Injection writes a ground-truth manifest alongside the dirtied table so that
 detector output can be scored cell-by-cell. Scoring follows the empty-set
@@ -118,32 +118,6 @@ class GroundTruth(Frozen):
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
-    @classmethod
-    def from_jsonl(cls, text: str) -> "GroundTruth":
-        entries = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            kind = CellKind(obj["original_kind"])
-            raw = obj["original"]
-            if kind is CellKind.NUMBER:
-                original = Cell.number(float(raw))
-            elif kind is CellKind.TIMESTAMP:
-                original = Cell.timestamp(int(raw))
-            elif kind is CellKind.MISSING:
-                original = Cell(CellKind.MISSING, None)
-            else:
-                original = Cell.text(raw)
-            entries.append(
-                Corruption(CellRef(obj["row"], obj["column"]), original, obj["kind"])
-            )
-        return cls(tuple(entries))
-
-
-_INJECTABLE_PLACEHOLDERS = tuple(DEFAULT_PLACEHOLDER_TOKENS)
-
 
 def _numeric_columns(d: Dataset) -> list[str]:
     numeric = []
@@ -258,7 +232,7 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
             raise ValueError("missing_rate exceeds remaining capacity")
         for position in rng.sample(eligible, count):
             j, i = divmod(position, d.n_rows)
-            token = rng.choice(_INJECTABLE_PLACEHOLDERS)
+            token = rng.choice(DEFAULT_PLACEHOLDER_TOKENS)
             take(i, cols[j], Cell.text(token), "missing")
 
     if spec.outlier_rate > 0:
@@ -306,102 +280,3 @@ def score_detection(
         {f"{r}\x00{c}" for r, c in flagged},
         {f"{r}\x00{c}" for r, c in truth_refs},
     )
-
-
-class RepairScore(Frozen):
-    __slots__ = _fields = ("rmse", "precision", "recall", "f1")
-
-    def __init__(self, rmse: float | None, precision: float, recall: float, f1: float):
-        set_field(self, "rmse", rmse)
-        set_field(self, "precision", precision)
-        set_field(self, "recall", recall)
-        set_field(self, "f1", f1)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "numeric": {"rmse": self.rmse},
-                "categorical": {
-                    "precision": self.precision,
-                    "recall": self.recall,
-                    "f1": self.f1,
-                },
-            },
-            indent=2,
-        )
-
-
-def score_repair(
-    repaired: Dataset, clean: Dataset, truth: GroundTruth, dirty: Dataset | None = None
-) -> RepairScore:
-    """Score an externally repaired dataset against the clean original.
-
-    Numeric columns: RMSE between repaired and clean over the truth cells
-    (None when no numeric truth cells exist). Categorical columns: a repair
-    action is any cell that differs from the dirty dataset; precision is
-    correct actions over all actions, recall is correct actions over the
-    truth cells in categorical columns.
-    """
-    if repaired.headers != clean.headers or repaired.n_rows != clean.n_rows:
-        raise ValueError("repaired dataset shape differs from clean dataset")
-    if dirty is None:
-        dirty = _reconstruct_dirty(clean, truth)
-    if dirty.headers != clean.headers or dirty.n_rows != clean.n_rows:
-        raise ValueError("dirty dataset shape differs from clean dataset")
-
-    numeric = set(_numeric_columns(clean))
-    truth_refs = truth.refs()
-
-    squared: list[float] = []
-    numeric_truth = 0
-    for row, column in sorted(truth_refs):
-        if column not in numeric:
-            continue
-        numeric_truth += 1
-        clean_cell = clean.cell(row, column)
-        repaired_cell = repaired.cell(row, column)
-        if (
-            clean_cell.kind is CellKind.NUMBER
-            and repaired_cell.kind is CellKind.NUMBER
-        ):
-            squared.append((float(repaired_cell.value) - float(clean_cell.value)) ** 2)
-    rmse = math.sqrt(sum(squared) / numeric_truth) if numeric_truth else None
-
-    actions: set[tuple[int, str]] = set()
-    correct: set[tuple[int, str]] = set()
-    categorical = [h for h in clean.headers if h not in numeric]
-    for column in categorical:
-        c_idx = clean.column_index(column)
-        cells = zip(
-            repaired.columns[c_idx].cells(),
-            dirty.columns[c_idx].cells(),
-            clean.columns[c_idx].cells(),
-        )
-        for i, (fixed, before, original) in enumerate(cells):
-            if fixed != before:
-                actions.add((i, column))
-                if fixed == original:
-                    correct.add((i, column))
-    cat_truth = {(r, c) for r, c in truth_refs if c not in numeric}
-
-    inter = len(correct)
-    precision = inter / len(actions) if actions else (1.0 if not cat_truth else 0.0)
-    recall = inter / len(cat_truth) if cat_truth else (1.0 if not actions else 0.0)
-    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return RepairScore(rmse, precision, recall, f1)
-
-
-def _reconstruct_dirty(clean: Dataset, truth: GroundTruth) -> Dataset:
-    # Without the real dirty table, mark the cell as changed; any value
-    # different from both clean and repaired suffices for action counting.
-    return _with_cells(clean, {
-        (c.ref.row, clean.column_index(c.ref.column)): Cell.text("\x00corrupted")
-        for c in truth.entries
-    })
-
-
-def repair_with_truth(dirty: Dataset, truth: GroundTruth) -> Dataset:
-    """Perfect repair: restore every corrupted cell's original value."""
-    return _with_cells(dirty, {
-        (c.ref.row, dirty.column_index(c.ref.column)): c.original for c in truth.entries
-    })

@@ -38,15 +38,11 @@ MAX_ATTEMPTS = 3
 class ResponseFormat(Enum):
     YES_NO = "yes_no"
     SINGLE_LABEL = "single_label"
-    LABEL_LIST = "label_list"
 
 
 FORMAT_INSTRUCTIONS = {
     ResponseFormat.YES_NO: "Answer with only yes or no.",
     ResponseFormat.SINGLE_LABEL: "Answer with a single label only.",
-    ResponseFormat.LABEL_LIST: (
-        "Answer with a comma-separated list of labels. Answer NONE if there are none."
-    ),
 }
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -72,7 +68,7 @@ class PromptTemplate(Frozen):
 class Completion(Frozen):
     __slots__ = _fields = ("raw_text", "parsed")
 
-    def __init__(self, raw_text: str, parsed: bool | str | tuple[str, ...]):
+    def __init__(self, raw_text: str, parsed: bool | str):
         set_field(self, "raw_text", raw_text)
         set_field(self, "parsed", parsed)
 
@@ -108,20 +104,11 @@ def parse_completion(raw_text: str, fmt: ResponseFormat) -> Completion:
         if token == "no":
             return Completion(raw_text, False)
         raise FormatError(f"expected yes/no, got {raw_text!r}", raw_text)
-    if fmt is ResponseFormat.SINGLE_LABEL:
-        for line in raw_text.splitlines():
-            label = line.strip()
-            if label:
-                return Completion(raw_text, label)
-        raise FormatError("empty single-label response", raw_text)
-    labels: list[str] = []
-    for part in re.split(r"[,\n]", raw_text):
-        label = part.strip()
-        if label and label not in labels:
-            labels.append(label)
-    if len(labels) == 1 and labels[0].upper() == "NONE":
-        labels = []
-    return Completion(raw_text, tuple(labels))
+    for line in raw_text.splitlines():  # SINGLE_LABEL: the first non-blank line
+        label = line.strip()
+        if label:
+            return Completion(raw_text, label)
+    raise FormatError("empty single-label response", raw_text)
 
 
 def cassette_key(prompt: str) -> str:

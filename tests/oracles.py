@@ -25,7 +25,6 @@ from llmclean.dataset import (
     CellKind,
     CellRef,
     Dataset,
-    PlaceholderSet,
     cell_text,
 )
 from llmclean.ensemble import EvalRecord
@@ -54,6 +53,11 @@ def sim_recursive(a: str, b: str) -> float:
     return 1.0 - lev_recursive(a, b) / max(len(a), len(b))
 
 
+def _is_placeholder(text: str) -> bool:
+    """A missing-value spelling: a placeholder token, ignoring case and edge spaces."""
+    return text.strip().lower() in {t.lower() for t in DEFAULT_PLACEHOLDER_TOKENS}
+
+
 def _fd_shape(rule: OfdRule) -> tuple[str, str]:
     eq = next(p for p in rule.predicates if p.op == "EQ")
     iq = next(p for p in rule.predicates if p.op == "IQ")
@@ -78,7 +82,6 @@ def oracle_findings(
     """Set of (row, column, rule_id) the definitions say must be flagged."""
     specs = specs or {}
     out: set[tuple[int, str, str]] = set()
-    placeholders = PlaceholderSet.default()
 
     for rule in rules:
         if rule.kind is DependencyKind.DENIAL and len(rule.aliases) == 1:
@@ -89,7 +92,7 @@ def oracle_findings(
             name = d.headers[idx]
             for i, row in enumerate(d.rows):
                 cell = row[idx]
-                if placeholders.matches(literal.value):
+                if _is_placeholder(literal.value):
                     hit = cell.kind is CellKind.MISSING
                 else:
                     hit = cell.kind is CellKind.TEXT and cell.value == literal.value
@@ -359,13 +362,12 @@ def oracle_load_csv(data: bytes) -> Dataset:
 
 def oracle_normalize_missing(d: Dataset) -> Dataset:
     """Row-wise placeholder folding: every text cell checked on its own."""
-    placeholders = PlaceholderSet.default()
     return Dataset.from_lists(
         d.headers,
         [
             [
                 Cell(CellKind.MISSING, None)
-                if c.kind is CellKind.TEXT and placeholders.matches(c.value)
+                if c.kind is CellKind.TEXT and _is_placeholder(c.value)
                 else c
                 for c in row
             ]

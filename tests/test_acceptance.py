@@ -33,9 +33,7 @@ from llmclean.evaluation import (
     ErrorSpec,
     GroundTruth,
     inject_errors,
-    repair_with_truth,
     score_detection,
-    score_repair,
 )
 from llmclean.errors import RuleParseError
 from llmclean.rules import DependencyKind, SensorSpec, parse_rule, render_rule
@@ -376,33 +374,3 @@ def test_criterion_8_metric_conventions():
     assert score_detection(report_for(set()), truth_for({(0, "a")})) == (0.0, 0.0, 0.0)
     assert score_detection(report_for(set()), truth_for(set())) == (1.0, 1.0, 1.0)
     assert score_micro_f1(set(), set()) == (1.0, 1.0, 1.0)
-
-    # repair conventions
-    clean = Dataset.from_lists(
-        ["num", "cat"],
-        [[Cell.number(float(i)), Cell.text(f"c{i}")] for i in range(10)],
-    )
-    spec = ErrorSpec(missing_rate=0.3, seed=2, missing_columns=("num", "cat"))
-    dirty, truth = inject_errors(clean, spec)
-    perfect = repair_with_truth(dirty, truth)
-    assert perfect == clean
-    score = score_repair(perfect, clean, truth, dirty)
-    assert score.rmse in (0.0, None)
-    assert (score.precision, score.recall, score.f1) == (1.0, 1.0, 1.0)
-
-    untouched = score_repair(dirty, clean, truth, dirty)
-    assert (untouched.precision, untouched.recall, untouched.f1) == (0.0, 0.0, 0.0)
-
-    numeric_clean = Dataset.from_lists(["v"], [[Cell.number(float(i))] for i in range(4)])
-    numeric_truth = GroundTruth(
-        tuple(
-            Corruption(CellRef(i, "v"), numeric_clean.rows[i][0], "outlier")
-            for i in range(4)
-        )
-    )
-    numeric_dirty = Dataset.from_lists(["v"], [[Cell.number(99.0)] for _ in range(4)])
-    repaired_rows = [list(r) for r in numeric_clean.rows]
-    repaired_rows[0][0] = Cell.number(2.0)  # clean value is 0.0 -> off by 2
-    repaired = Dataset.from_lists(["v"], repaired_rows)
-    s = score_repair(repaired, numeric_clean, numeric_truth, numeric_dirty)
-    assert abs(s.rmse - 1.0) < 1e-12  # sqrt(4/4)

@@ -20,7 +20,6 @@ from llmclean.dataset import (
     CellKind,
     Dataset,
     MISSING,
-    PlaceholderSet,
     cell_text,
     dataset_to_csv,
     load_csv,
@@ -548,17 +547,6 @@ class TestNormalizeMissing:
         d = Dataset.from_lists(["c"], [[c] for c in cells])
         once = normalize_missing(d)
         assert normalize_missing(once) == once
-
-    def test_custom_placeholder_set(self):
-        p = PlaceholderSet(frozenset({"missing!"}))
-        d = Dataset.from_lists(["c"], [[Cell.text("MISSING!")], [Cell.text("")]])
-        out = normalize_missing(d, p)
-        assert out.rows[0][0] is MISSING
-        assert out.rows[1][0] == Cell.text("")  # '' not in the custom set
-
-    def test_empty_placeholder_set_rejected(self):
-        with pytest.raises(ValueError):
-            PlaceholderSet(frozenset())
 
 
 class TestCellInvariants:

@@ -65,7 +65,7 @@ class TestRenderPrompt:
 
     def test_few_shot_block_precedes_task(self):
         template = PromptTemplate(
-            "t", "Question?", ResponseFormat.LABEL_LIST,
+            "t", "Question?", ResponseFormat.SINGLE_LABEL,
             few_shot=(("in1", "out1"), ("in2", "NONE")),
         )
         rendered = render_prompt(template, {})
@@ -95,17 +95,6 @@ class TestParsing:
             parse_completion("maybe?", ResponseFormat.YES_NO)
         assert exc.value.raw_text == "maybe?"
 
-    def test_label_list_split(self):
-        completion = parse_completion("Berlin, Hamburg,\nMunich", ResponseFormat.LABEL_LIST)
-        assert set(completion.parsed) == {"Berlin", "Hamburg", "Munich"}
-
-    def test_label_list_drops_empties_and_dupes(self):
-        completion = parse_completion("a,,a,\n, b", ResponseFormat.LABEL_LIST)
-        assert completion.parsed == ("a", "b")
-
-    def test_label_list_none_token(self):
-        assert parse_completion("NONE", ResponseFormat.LABEL_LIST).parsed == ()
-
     def test_single_label_takes_first_line(self):
         assert parse_completion("\n Device \nmore", ResponseFormat.SINGLE_LABEL).parsed == "Device"
 
@@ -123,8 +112,8 @@ class TestReplayBackend:
 
     def test_bit_deterministic_across_instances(self, tmp_path):
         path = make_cassette(tmp_path, {"p": "a, b"})
-        first = complete(ReplayBackend(path), "p", ResponseFormat.LABEL_LIST)
-        second = complete(ReplayBackend(path), "p", ResponseFormat.LABEL_LIST)
+        first = complete(ReplayBackend(path), "p", ResponseFormat.SINGLE_LABEL)
+        second = complete(ReplayBackend(path), "p", ResponseFormat.SINGLE_LABEL)
         assert first == second
 
     def test_cassette_keyed_by_sha256(self, tmp_path):
