@@ -6,9 +6,8 @@ is no silent network access. Exit codes: 0 success, 1 input error,
 2 external-service error, 3 internal invariant violation; a malformed
 command line exits 1 as well. Each command imports the package modules it
 runs when it runs, so detect, evaluate and ensemble start without the
-LLM-facing ones (generation, gateway). Only a relational build-context
-(its pair counts, INFO with -v) and a remote backend's calls (DEBUG) log,
-and only they import logging.
+LLM-facing ones (generation, gateway). Nothing logs: build-context reports
+its warnings and work counts in manifest.json.
 """
 
 from __future__ import annotations
@@ -33,48 +32,6 @@ EXIT_EXTERNAL = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
-
-
-class RunManifest:
-    """Everything needed to reproduce a run with the same cassette and seed."""
-
-    def __init__(
-        self,
-        command: str,
-        input_path: str,
-        backend: str = "",
-        dataset_class: str = "",
-        seed: int | None = None,
-    ):
-        self.command = command
-        self.input_path = input_path
-        self.backend = backend
-        self.dataset_class = dataset_class
-        self.seed = seed
-        self.outputs: dict[str, str] = {}
-        self.warnings: list[str] = []
-        self.excluded_concepts: list[str] = []
-        self.mapping: dict[str, str] = {}
-        self.rule_counts: dict[str, int] = {}
-        self.timings_ms: dict[str, float] = {}
-
-    def write(self, path: Path) -> None:
-        payload = {
-            "command": self.command,
-            "input": self.input_path,
-            "backend": self.backend,
-            "class": self.dataset_class,
-            "seed": self.seed,
-            "outputs": self.outputs,
-            "warnings": self.warnings,
-            "excluded_concepts": self.excluded_concepts,
-            "mapping": self.mapping,
-            "rule_counts": self.rule_counts,
-            "timings_ms": self.timings_ms,
-        }
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
 
 
 def _load_dataset(path: str, columns: Collection[str] | None = None) -> Dataset:
@@ -148,19 +105,34 @@ def _load_ensemble_config(path: str):
         raise LLMCleanError(f"{path}: ensemble config must be a JSON object")
     templates = dict(generation.DEFAULT_TEMPLATES)
     try:
-        for t in raw.get("templates", []):
-            template_id = str(t["id"])
+        listed = raw.get("templates", [])
+        if not isinstance(listed, list) or not all(isinstance(t, dict) for t in listed):
+            raise LLMCleanError(f"{path}: templates must be a list of objects, got {listed!r}")
+        for t in listed:
+            template_id = t["id"]
+            if not isinstance(template_id, str):
+                raise LLMCleanError(f"{path}: template id {template_id!r} is not a string")
+            where = f"{path}: template {template_id!r}"
+            task_text, fmt = t["task_text"], t.get("format", "yes_no")
+            for key, value in (("task_text", task_text), ("format", fmt)):
+                if not isinstance(value, str):
+                    raise LLMCleanError(f"{where}: {key} must be a string, got {value!r}")
             # classify parses every answer as yes/no, whatever a template asks.
-            if t.get("format", "yes_no") != "yes_no":
+            if fmt != "yes_no":
+                raise LLMCleanError(f"{where} has format {fmt!r}; classify templates must be yes_no")
+            few_shot = t.get("few_shot", [])
+            if not isinstance(few_shot, list) or not all(
+                isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)
+                for e in few_shot
+            ):
                 raise LLMCleanError(
-                    f"{path}: template {template_id!r} has format {t['format']!r}; "
-                    "classify templates must be yes_no"
+                    f"{where}: few_shot must be a list of [input, output] strings, got {few_shot!r}"
                 )
             templates[template_id] = generation.PromptTemplate(
                 id=template_id,
-                task_text=str(t["task_text"]),
+                task_text=task_text,
                 response_format=generation.ResponseFormat.YES_NO,
-                few_shot=tuple((str(q), str(a)) for q, a in t.get("few_shot", [])),
+                few_shot=tuple(map(tuple, few_shot)),
             )
         threshold, prompts = raw["threshold"], raw["prompts"]
         # A number with no fractional part (int() raises for inf and NaN);
@@ -172,7 +144,7 @@ def _load_ensemble_config(path: str):
         config = ensemble.EnsembleConfig(threshold=int(threshold), prompts=tuple(prompts))
     except KeyError as exc:
         raise LLMCleanError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # int() of NaN or infinity
         raise LLMCleanError(f"{path}: {exc}") from None
     for prompt_id in config.prompts:
         if prompt_id not in templates:
@@ -208,10 +180,6 @@ def cmd_build_context(args) -> int:
     value_columns = _parse_value_columns(args.value_columns) if args.value_columns else None
     for column, _ in value_columns or ():
         d.column_index(column)  # raises for a column the table lacks
-    manifest = RunManifest(
-        command="build-context", input_path=args.csv, backend=args.backend,
-        seed=args.seed,
-    )
     backend = _make_backend(args)
     t0 = time.perf_counter()
 
@@ -219,45 +187,54 @@ def cmd_build_context(args) -> int:
         dataset_class = generation.DatasetClass(args.assume_class)
     else:
         dataset_class = _classify(args, d.headers, backend)
-    manifest.dataset_class = dataset_class.value
 
+    mapping: dict[str, str] = {}
+    excluded: list[str] = []
+    pair_counts: dict[str, int] = {}
     if dataset_class is generation.DatasetClass.IOT:
         if value_columns:
             d = generation.split_sensors(d, value_columns)
-        mapping = generation.map_columns(d.headers, backend)
-        manifest.warnings.extend(mapping.warnings)
-        manifest.mapping = dict(sorted(mapping.assignments.items()))
-        d = generation.rename_columns(d, mapping)
-        d, excluded = generation.generate_columns(d, mapping)
-        manifest.excluded_concepts = excluded
+        concepts = generation.map_columns(d.headers, backend)
+        mapping = dict(sorted(concepts.assignments.items()))
+        d = generation.rename_columns(d, concepts)
+        d, excluded = generation.generate_columns(d, concepts)
         sanitized = generation.sanitize_for_graph(d)
         graph, build_warnings = generation.build_iot_graph(sanitized, specs)
-        manifest.warnings.extend(build_warnings)
+        warnings = concepts.warnings + build_warnings
     else:
-        import logging  # only this branch logs
-
-        logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
-        relations = generation.pair_relationships(d, backend)
+        relations, warnings, pair_counts = generation.pair_relationships(d, backend)
         graph = generation.build_relational_graph(relations)
 
     rules = context_model.extract_ofds(graph)
-    manifest.timings_ms["build"] = (time.perf_counter() - t0) * 1000.0
-    manifest.rule_counts = dict(Counter(r.kind.value for r in rules))
+    build_ms = (time.perf_counter() - t0) * 1000.0
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # only now: a failed build leaves nothing
-    graph_path = out_dir / "context.nt"
-    graph_path.write_text(context_model.serialize(graph), encoding="utf-8")
-    csv_path = out_dir / "transformed.csv"
-    csv_path.write_text(dataset_to_csv(d), encoding="utf-8")
-    rules_path = out_dir / "rules.ofd"
-    rules_path.write_text(render_rule_file(rules), encoding="utf-8")
-    manifest.outputs = {
-        "graph": str(graph_path),
-        "transformed_csv": str(csv_path),
-        "rules": str(rules_path),
+    outputs = {
+        "graph": out_dir / "context.nt",
+        "transformed_csv": out_dir / "transformed.csv",
+        "rules": out_dir / "rules.ofd",
     }
-    manifest.write(out_dir / "manifest.json")
+    outputs["graph"].write_text(context_model.serialize(graph), encoding="utf-8")
+    outputs["transformed_csv"].write_text(dataset_to_csv(d), encoding="utf-8")
+    outputs["rules"].write_text(render_rule_file(rules), encoding="utf-8")
+    # Everything needed to reproduce the run with the same cassette.
+    manifest = {
+        "command": "build-context",
+        "input": args.csv,
+        "backend": args.backend,
+        "class": dataset_class.value,
+        "outputs": {name: str(path) for name, path in outputs.items()},
+        "warnings": warnings,
+        "excluded_concepts": excluded,
+        "mapping": mapping,
+        "pair_counts": pair_counts,
+        "rule_counts": dict(Counter(r.kind.value for r in rules)),
+        "timings_ms": {"build": build_ms},
+    }
+    tmp = out_dir / "manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    os.replace(tmp, out_dir / "manifest.json")
     print(f"class={dataset_class.value} triples={len(graph.triples)} rules={len(rules)}")
     return EXIT_OK
 
@@ -395,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="llmclean",
         description="Context-aware tabular data cleaning pipeline",
     )
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="log a relational build-context's pair counts")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_backend_flags(p):
@@ -416,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-context", help="generate graph, rules, transformed CSV")
     p.add_argument("csv")
     add_backend_flags(p)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", default="out")
     p.add_argument("--sensors", help="sensor spec JSON file")
     p.add_argument("--value-columns", dest="value_columns",

@@ -475,17 +475,10 @@ def run_all(
     that cannot be applied is recorded under ``skipped_rules`` and never
     aborts the remaining rules. Distinct sensors in the data that no
     capability rule with a spec checks (a rule whose literal is the sensor
-    id and whose spec comes from the rule or the spec map) are counted as
-    uncovered.
+    id and whose spec is its own or, failing that, the spec map's) are
+    counted as uncovered.
     """
-    merged_specs = dict(specs or {})
-    for rule in rules:
-        if rule.kind is DependencyKind.CAPABILITY and rule.spec is not None:
-            try:
-                merged_specs.setdefault(_capability_sensor(rule), rule.spec)
-            except RuleError:
-                pass
-
+    specs = specs or {}
     start = time.perf_counter()
     report = DetectionReport()
     seen: set[tuple[int, str, str]] = set()
@@ -494,7 +487,7 @@ def run_all(
         check = (rule, rule.spec)
         if check not in checked:
             try:
-                checked[check] = _dispatch(d, rule, merged_specs, exact_matching)
+                checked[check] = _dispatch(d, rule, specs, exact_matching)
             except RuleError as exc:  # not cached: the message names this rule
                 report.skipped_rules.append((rule.id, str(exc)))
                 continue
@@ -510,7 +503,7 @@ def run_all(
             for rule in rules
             if rule.kind is DependencyKind.CAPABILITY
             and (rule, rule.spec) in checked
-            and _capability_spec(rule, merged_specs) is not None
+            and _capability_spec(rule, specs) is not None
         }
         sensors = d.columns[d.column_index(SENSOR_COLUMN)]
         present = {t for cell, t in zip(sensors.values, sensors.texts) if not cell.is_missing}

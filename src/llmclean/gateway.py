@@ -226,11 +226,8 @@ def _opener():
 
 def _remote_call(backend: RemoteBackend, prompt: str) -> str:
     import http.client
-    import logging  # here, not at the top: a replay run logs nothing
     import urllib.error
     import urllib.request
-
-    logger = logging.getLogger(__name__)
 
     token = os.environ.get(API_KEY_ENV)
     if not token:
@@ -247,8 +244,6 @@ def _remote_call(backend: RemoteBackend, prompt: str) -> str:
         # A fresh request per attempt: opening one through a proxy rewrites its host.
         request = urllib.request.Request(backend.endpoint, body, headers, method="POST")
         try:
-            # Never log headers: the auth token must not reach any sink.
-            logger.debug("POST %s model=%s attempt=%d", backend.endpoint, backend.model, attempt + 1)
             with _opener().open(request, timeout=backend.timeout) as resp:
                 raw = resp.read()
         except urllib.error.HTTPError as exc:

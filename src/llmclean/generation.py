@@ -27,7 +27,6 @@ from .context_model import (
     edge,
     entity,
     sensor_bounds,
-    validate_graph,
 )
 from .dataset import Cell, CellKind, Column, Dataset, group_modes
 from .ensemble import EnsembleConfig, find_consensus
@@ -549,23 +548,25 @@ def candidate_pairs(d: Dataset) -> dict[tuple[str, str], tuple[bool, bool]]:
     return kept
 
 
-def pair_relationships(d: Dataset, backend: Backend) -> list[ColumnPairRelation]:
+def pair_relationships(
+    d: Dataset, backend: Backend
+) -> tuple[list[ColumnPairRelation], list[str], dict[str, int]]:
     """Relatedness and hierarchy of every unordered column pair.
 
     The data is profiled first: a pair the table refutes (see ``FD_ERROR``)
     is returned unrelated without a prompt. Then two batches: relatedness of
     each remaining pair, then one hierarchy query per related pair the data
     cannot order (where only one direction holds, that is the hierarchy). A
-    pair is dropped only when its relatedness answer fails, or its
-    hierarchy answer where one was asked; the other pairs are kept.
-    Relations come in ``combinations`` order of the headers.
+    pair is dropped, with a warning, only when its relatedness answer fails,
+    or its hierarchy answer where one was asked; the other pairs are kept.
+    Returns the relations in ``combinations`` order of the headers, the
+    warnings, and the counts of column pairs, pairs asked, related pairs and
+    hierarchies asked.
     """
-    import logging  # here, not at the top: the other stages log nothing
-
-    logger = logging.getLogger(__name__)
     pairs = list(combinations(d.headers, 2))
     profile = candidate_pairs(d)
     verdicts = dict.fromkeys(pairs, False)  # a refuted pair is unrelated
+    warnings: list[str] = []
     related_prompts = [
         render_prompt(RELATED_TEMPLATE, {"col_a": a, "col_b": b})
         for a, b in profile
@@ -574,7 +575,7 @@ def pair_relationships(d: Dataset, backend: Backend) -> list[ColumnPairRelation]
         profile, complete_many(backend, related_prompts, ResponseFormat.YES_NO)
     ):
         if isinstance(answer, GatewayError):
-            logger.warning("pair (%s, %s) failed: %s", a, b, answer)
+            warnings.append(f"pair ({a}, {b}) failed: {answer}")
             del verdicts[a, b]
         else:
             verdicts[a, b] = bool(answer.parsed)
@@ -582,10 +583,12 @@ def pair_relationships(d: Dataset, backend: Backend) -> list[ColumnPairRelation]
     related = [pair for pair, is_related in verdicts.items() if is_related]
     hierarchies = {pair: _DATA_HIERARCHY.get(profile[pair]) for pair in related}
     unordered = [pair for pair, hierarchy in hierarchies.items() if hierarchy is None]
-    logger.info(
-        "asked %d of %d column pairs; %d of %d hierarchies from the data",
-        len(profile), len(pairs), len(related) - len(unordered), len(related),
-    )
+    counts = {
+        "pairs": len(pairs),
+        "asked": len(profile),
+        "related": len(related),
+        "hierarchies_asked": len(unordered),
+    }
     answers = complete_many(
         backend,
         [render_prompt(HIERARCHY_TEMPLATE, {"col_a": a, "col_b": b}) for a, b in unordered],
@@ -593,23 +596,25 @@ def pair_relationships(d: Dataset, backend: Backend) -> list[ColumnPairRelation]
     )
     for (a, b), answer in zip(unordered, answers):
         if isinstance(answer, GatewayError):
-            logger.warning("pair (%s, %s) failed: %s", a, b, answer)
+            warnings.append(f"pair ({a}, {b}) failed: {answer}")
             del verdicts[a, b]
         else:
             hierarchies[a, b] = _ANSWER_HIERARCHY.get(
                 str(answer.parsed).strip().upper(), Hierarchy.INDEPENDENT
             )
-    return [
+    relations = [
         ColumnPairRelation(a, b, is_related, hierarchies.get((a, b), Hierarchy.INDEPENDENT))
         for (a, b), is_related in verdicts.items()
     ]
+    return relations, warnings, counts
 
 
 def build_relational_graph(relations: Sequence[ColumnPairRelation]) -> ContextGraph:
     """Each column becomes an attribute node labelled with its name;
     hierarchies become part-of edges (finer column -> coarser column) and
-    independent related pairs a generic related-to edge. Cyclic hierarchies
-    are a model error.
+    independent related pairs a generic related-to edge. The graph is not
+    validated here: ``context_model.extract_ofds`` does that, and reports a
+    cyclic hierarchy as a model error.
     """
     triples: set[Triple] = set()
     for rel in relations:
@@ -624,6 +629,4 @@ def build_relational_graph(relations: Sequence[ColumnPairRelation]) -> ContextGr
         else:
             a, b = sorted((rel.column_a, rel.column_b))
             triples.add(edge(RELATED_TO, a, b))
-    graph = ContextGraph(frozenset(triples))
-    validate_graph(graph)
-    return graph
+    return ContextGraph(frozenset(triples))

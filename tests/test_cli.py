@@ -114,24 +114,24 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     llm = {"llmclean.generation", "llmclean.gateway"}
     # No command builds class methods at start-up (inspect alone costs ~7 ms)
     # or loads statistics. No command hashes: the cassette entries record
-    # their prompts, and hashlib loads OpenSSL (~3.5 MB). Only the relational
-    # build-context logs; the IoT one also asks one prompt at a time and
+    # their prompts, and hashlib loads OpenSSL (~3.5 MB). No command logs (a
+    # remote fan-out would load logging through concurrent.futures; these
+    # runs replay). The IoT build-context also asks one prompt at a time and
     # loads no thread pool.
-    everywhere = {"dataclasses", "inspect", "statistics", "hashlib", "_hashlib"}
+    everywhere = {"dataclasses", "inspect", "statistics", "hashlib", "_hashlib", "logging"}
     for argv, absent in [
         (["detect", str(csv_path), "--rules", str(rules_path), "--out-dir", str(tmp_path / "d")],
-         llm | {"llmclean.ensemble", "llmclean.evaluation", "llmclean.context_model",
-                "logging"}),
+         llm | {"llmclean.ensemble", "llmclean.evaluation", "llmclean.context_model"}),
         (["evaluate", str(csv_path), "--rules", str(rules_path), "--missing-rate", "0.3",
-          "--seed", "1", "--out-dir", str(tmp_path / "e")], llm | {"logging"}),
+          "--seed", "1", "--out-dir", str(tmp_path / "e")], llm),
         (["classify", str(csv_path), "--backend", "replay", "--cassette", cassette],
-         {"llmclean.detection", "llmclean.evaluation", "logging"}),
+         {"llmclean.detection", "llmclean.evaluation"}),
         (["build-context", str(csv_path), "--backend", "replay", "--cassette", cassette,
           "--assume-class", "IoT", "--out-dir", str(tmp_path / "b")],
-         {"llmclean.detection", "llmclean.evaluation", "concurrent.futures", "logging"}),
+         {"llmclean.detection", "llmclean.evaluation", "concurrent.futures"}),
         (["detect", str(csv_path), "--graph", str(tmp_path / "b" / "context.nt"),
           "--out-dir", str(tmp_path / "g")],
-         llm | {"llmclean.ensemble", "llmclean.evaluation", "logging"}),
+         llm | {"llmclean.ensemble", "llmclean.evaluation"}),
         (["build-context", str(csv_path), "--backend", "replay", "--cassette", relational,
           "--assume-class", "NonIoT", "--out-dir", str(tmp_path / "r")],
          {"llmclean.detection", "llmclean.evaluation"}),
@@ -198,21 +198,6 @@ except AttributeError:
     print("ok", len(values))
 """
     assert _python(code).split() == ["ok", str(len(llmclean.__all__))]
-
-
-def test_verbose_raises_the_level_of_commands_that_log(tmp_path):
-    # The relational build-context logs its pair counts at INFO.
-    csv_path = tmp_path / "t.csv"
-    csv_path.write_text("sensor,value\ns1,1\n,2\ns2,3\n")
-    relational = make_cassette(tmp_path, {
-        render_prompt(RELATED_TEMPLATE, {"col_a": "sensor", "col_b": "value"}): "no",
-    })
-    code = "import sys; from llmclean.cli import main; print(main(sys.argv[1:]), file=sys.stderr)"
-    argv = ["build-context", str(csv_path), "--backend", "replay", "--cassette", relational,
-            "--assume-class", "NonIoT", "--out-dir", str(tmp_path / "out")]
-    verbose, quiet = (_python(code, *flag, *argv, stderr=True) for flag in (["-v"], []))
-    assert "asked 1 of 1 column pairs" in verbose and verbose.endswith("0\n")
-    assert "asked" not in quiet and quiet.endswith("0\n")
 
 
 def test_package_needs_only_the_standard_library():
@@ -312,6 +297,45 @@ def test_every_public_name_is_reached():
     assert sorted(set(_UNREACHED_ALLOWED) - set(unreached)) == []
 
 
+# Options a command accepts without reading them, and why each stays.
+_UNREAD_OPTIONS_ALLOWED = {
+    ("detect", "parallel"): "perfbench/workloads.py passes it; the next benchmark change drops it",
+    ("evaluate", "parallel"): "perfbench/workloads.py passes it; the next benchmark change drops it",
+}
+
+
+def _args_read(functions: dict[str, ast.FunctionDef], name: str, param: str) -> set[str]:
+    """The attributes function ``name`` reads from its parameter ``param``,
+    and those read by the module's functions it passes ``param`` to."""
+    read = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == param:
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in functions:
+            callee = functions[node.func.id]
+            for arg, target in zip(node.args, callee.args.args):
+                if isinstance(arg, ast.Name) and arg.id == param:
+                    read |= _args_read(functions, node.func.id, target.arg)
+    return read
+
+
+def test_every_option_is_read_by_its_command():
+    from llmclean import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    parser = cli.build_parser()
+    assert [a.dest for a in parser._actions] == ["help", "command"]  # no global option
+    [commands] = [a for a in parser._actions if isinstance(a.choices, dict)]
+    unread = set()
+    for command, sub in commands.choices.items():
+        read = _args_read(functions, sub.get_default("func").__name__, "args")
+        unread |= {(command, a.dest) for a in sub._actions if a.dest not in read | {"help"}}
+    assert unread == set(_UNREAD_OPTIONS_ALLOWED)
+
+
 class TestClassify:
     def test_prints_iot(self, iot_csv, cassette, capsys):
         code = main(["classify", iot_csv, "--backend", "replay", "--cassette", cassette])
@@ -366,6 +390,26 @@ class TestEnsembleConfigFile:
             ({"threshold": "1", "prompts": ["classify"]}, "got '1'"),
             ({"threshold": 1, "prompts": "classify"}, "got 'classify'"),
             ({"threshold": 1, "prompts": ["classify", 1]}, "got ['classify', 1]"),
+            # template fields are strings, few-shot examples pairs of strings
+            ({"threshold": 1, "prompts": ["classify"],
+              "templates": [{"id": 7, "task_text": ["Is", "it?"], "few_shot": [[1, 2]]}]},
+             "template id 7 is not a string"),
+            ({"threshold": 1, "prompts": ["p"],
+              "templates": [{"id": "p", "task_text": ["Is", "it?"]}]},
+             "template 'p': task_text must be a string, got ['Is', 'it?']"),
+            ({"threshold": 1, "prompts": ["p"],
+              "templates": [{"id": "p", "task_text": "Is it?", "format": 1}]},
+             "template 'p': format must be a string, got 1"),
+            ({"threshold": 1, "prompts": ["p"],
+              "templates": [{"id": "p", "task_text": "Is it?", "few_shot": [[1, 2]]}]},
+             "template 'p': few_shot must be a list of [input, output] strings, got [[1, 2]]"),
+            ({"threshold": 1, "prompts": ["p"],
+              "templates": [{"id": "p", "task_text": "Is it?", "few_shot": ["ab"]}]},
+             "template 'p': few_shot must be a list of [input, output] strings, got ['ab']"),
+            ({"threshold": 1, "prompts": ["classify"], "templates": {"a": 1}},
+             "templates must be a list of objects, got {'a': 1}"),
+            ({"threshold": 1, "prompts": ["classify"], "templates": ["p"]},
+             "templates must be a list of objects, got ['p']"),
         ],
     )
     @pytest.mark.parametrize("command", ["classify", "build-context"])
@@ -656,6 +700,7 @@ class TestBuildContext:
         assert manifest["backend"] == "replay"
         assert manifest["mapping"]["Sensor"] == "Sensor"
         assert set(manifest["outputs"]) == {"graph", "transformed_csv", "rules"}
+        assert manifest["pair_counts"] == {} and "seed" not in manifest
 
 
     def test_manifest_counts_rules_per_kind(self, iot_csv, cassette, tmp_path):
@@ -745,7 +790,9 @@ class TestGraphRulesAtFleetScale:
 class TestBuildContextNonIot:
     HEADERS = ["ZipCode", "City", "Score"]
 
-    def _cassette(self, tmp_path):
+    def _cassette(self, tmp_path, unanswered=()):
+        """Answers for the table; no relatedness answer for the pairs in
+        ``unanswered``."""
         from itertools import combinations
 
         from llmclean.gateway import render_prompt
@@ -763,12 +810,37 @@ class TestBuildContextNonIot:
             ): "no"
         }
         for a, b in combinations(self.HEADERS, 2):
-            prompt = render_prompt(RELATED_TEMPLATE, {"col_a": a, "col_b": b})
-            entries[prompt] = "yes" if (a, b) == ("ZipCode", "City") else "no"
+            if (a, b) not in unanswered:
+                prompt = render_prompt(RELATED_TEMPLATE, {"col_a": a, "col_b": b})
+                entries[prompt] = "yes" if (a, b) == ("ZipCode", "City") else "no"
         entries[
             render_prompt(HIERARCHY_TEMPLATE, {"col_a": "ZipCode", "col_b": "City"})
         ] = "A"
         return make_cassette(tmp_path, entries, "hospital.json")
+
+    @pytest.mark.parametrize("unanswered, warnings", [
+        ((), []),
+        ((("City", "Score"),), ["pair (City, Score) failed: no recorded response"]),
+    ])
+    def test_manifest_counts_pairs_and_lists_failed_ones(
+        self, tmp_path, capsys, unanswered, warnings
+    ):
+        csv_path = tmp_path / "hospital.csv"
+        csv_path.write_text("ZipCode,City,Score\n10018,Springfield,4\n10019,Shelbyville,5\n")
+        out_dir = tmp_path / "out"
+        code = main(["build-context", str(csv_path), "--backend", "replay",
+                     "--cassette", self._cassette(tmp_path, unanswered),
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""  # nothing logs
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        # Every pair is a key pair, so each is asked; the model relates one,
+        # which the data cannot order.
+        assert manifest["pair_counts"] == {
+            "pairs": 3, "asked": 3, "related": 1, "hierarchies_asked": 1,
+        }
+        assert [w.split(" for prompt hash")[0] for w in manifest["warnings"]] == warnings
+        assert manifest["mapping"] == {} and manifest["class"] == "NonIoT"
 
     def test_relational_graph_and_rules(self, tmp_path, capsys):
         csv_path = tmp_path / "hospital.csv"
@@ -1207,10 +1279,11 @@ class TestUnreadFlagsRefused:
             ["detect", "x.csv", "--rules", "r.ofd", "--seed", "1"],
             ["ensemble", "r.jsonl", "--parallel", "2"],
             ["ensemble", "r.jsonl", "--out-dir", "out"],
+            ["build-context", "x.csv", "--backend", "replay", "--seed", "1"],
         ],
         ids=[
             "classify-seed", "classify-out-dir", "detect-seed",
-            "ensemble-parallel", "ensemble-out-dir",
+            "ensemble-parallel", "ensemble-out-dir", "build-context-seed",
         ],
     )
     def test_refused(self, argv, capsys):
@@ -1218,6 +1291,13 @@ class TestUnreadFlagsRefused:
             main(argv)
         assert exc.value.code == EXIT_INPUT
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["-v", "--verbose"])
+    def test_no_verbose_flag(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag, "detect", "x.csv", "--rules", "r.ofd"])
+        assert exc.value.code == EXIT_INPUT
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -1231,7 +1311,7 @@ class TestUsageErrors:
             ["classify", "x.csv", "--backend", "replay", "--parallel", "1.5"],
             ["classify", "x.csv", "--backend", "replay", "--parallel", "0"],
             ["build-context", "--backend", "replay"],
-            ["build-context", "x.csv", "--backend", "replay", "--seed", "1.5"],
+            ["build-context", "x.csv", "--backend", "replay", "--parallel", "1.5"],
             ["build-context", "x.csv", "--backend", "replay", "--parallel", "0"],
             ["detect", "--rules", "r.ofd"],
             ["detect", "x.csv", "--rules", "r.ofd", "--parallel", "abc"],

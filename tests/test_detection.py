@@ -563,6 +563,22 @@ class TestOracleEquivalence:
         got = {(f.cell.row, f.cell.column, f.rule_id) for f in report.findings}
         assert got == oracle_findings(d, [cap], specs) == {(1, "value", "cap")}
 
+    def test_rule_without_spec_borrows_no_other_rules_spec(self):
+        # Both rules pin sensor s1; only ``own`` carries a spec, and the spec
+        # map has none, so ``plain`` checks nothing and s1 counts as covered
+        # through ``own`` alone.
+        d = table(["sensor", "value"], ["s1", 50.0])
+        base = rule('t1&EQ(t1.sensor,"s1")', DependencyKind.CAPABILITY)
+        rules = [
+            OfdRule(base.kind, base.aliases, base.predicates, id="plain"),
+            OfdRule(base.kind, base.aliases, base.predicates, id="own",
+                    spec=SensorSpec("s1", 0, 10)),
+        ]
+        report = run_all(d, rules, specs={})
+        got = {(f.cell.row, f.cell.column, f.rule_id) for f in report.findings}
+        assert got == oracle_findings(d, rules, {}) == {(0, "value", "own")}
+        assert report.uncovered_sensors == 0
+
     def test_findings_sorted_and_unique(self):
         d, rules, specs = _random_dataset_and_rules(99)
         report = run_all(d, rules, specs=specs, exact_matching=True)

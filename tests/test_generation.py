@@ -458,7 +458,7 @@ class TestPairRelationships:
             tmp_path, headers,
             {("ZipCode", "City"): "A"},
         )
-        relations = pair_relationships(key_table(headers), ReplayBackend(path))
+        relations, _, _ = pair_relationships(key_table(headers), ReplayBackend(path))
         assert len(relations) == 3
         hit = next(r for r in relations if r.related)
         assert (hit.column_a, hit.column_b) == ("ZipCode", "City")
@@ -466,12 +466,14 @@ class TestPairRelationships:
 
     def test_single_header_no_pairs(self, tmp_path):
         path = make_cassette(tmp_path, {})
-        assert pair_relationships(key_table(["only"]), ReplayBackend(path)) == []
+        assert pair_relationships(key_table(["only"]), ReplayBackend(path)) == ([], [], {
+            "pairs": 0, "asked": 0, "related": 0, "hierarchies_asked": 0,
+        })
 
     def test_pair_count_19_headers(self, tmp_path):
         headers = [f"c{i}" for i in range(19)]
         path = pair_cassette(tmp_path, headers, {})
-        relations = pair_relationships(key_table(headers), ReplayBackend(path))
+        relations, _, _ = pair_relationships(key_table(headers), ReplayBackend(path))
         assert len(relations) == 171  # C(19, 2)
 
     def test_failed_pair_dropped_others_kept(self, tmp_path):
@@ -483,8 +485,10 @@ class TestPairRelationships:
                 prompt = render_prompt(RELATED_TEMPLATE, {"col_a": x, "col_b": y})
                 entries[prompt] = "no"
         path = make_cassette(tmp_path, entries)
-        relations = pair_relationships(key_table(headers), ReplayBackend(path))
+        relations, warnings, _ = pair_relationships(key_table(headers), ReplayBackend(path))
         assert len(relations) == 2
+        [warning] = warnings
+        assert warning.startswith("pair (a, c) failed: no recorded response")
 
     def test_only_relatedness_and_hierarchy_are_asked(self, tmp_path):
         headers = ["ZipCode", "City", "State", "Score"]
@@ -493,7 +497,7 @@ class TestPairRelationships:
             {("ZipCode", "City"): "A", ("ZipCode", "State"): "A", ("City", "State"): "A"},
         )
         backend, asked = counting_backend(path)
-        relations = pair_relationships(key_table(headers), backend)
+        relations, _, _ = pair_relationships(key_table(headers), backend)
         assert sum(r.related for r in relations) == 3
         assert len(asked) == 6 + 3  # relatedness of every pair, hierarchy of the related
 
@@ -512,7 +516,8 @@ class TestPairRelationships:
         # No hierarchy answers: (Zip, City) is ordered by the data and is not
         # asked; (Zip, Score) is asked, and its answer fails.
         backend = ReplayBackend(make_cassette(tmp_path, entries))
-        relations = {(r.column_a, r.column_b): r for r in pair_relationships(d, backend)}
+        found, warnings, counts = pair_relationships(d, backend)
+        relations = {(r.column_a, r.column_b): r for r in found}
         assert {pair: r.related for pair, r in relations.items()} == {
             ("Zip", "City"): True,
             ("Zip", "State"): False,
@@ -520,6 +525,10 @@ class TestPairRelationships:
             ("State", "Score"): False,
         }
         assert relations["Zip", "City"].hierarchy is Hierarchy.ATTRIBUTE_OF_A
+        assert [w.split(":")[0] for w in warnings] == [
+            "pair (City, State) failed", "pair (Zip, Score) failed",
+        ]
+        assert counts == {"pairs": 6, "asked": 6, "related": 2, "hierarchies_asked": 1}
 
 
 FD_LEVELS = ("site", "area", "district", "region")  # finest to coarsest
@@ -654,7 +663,7 @@ class TestCandidatePairs:
         assert candidate_pairs(d) == ({("x", "y"): (True, False)} if kept else {})
         assert oracle_fd_directions(d, FD_ERROR * 0.99) == {("x", "y"): (False, False)}
 
-    def test_refuted_pair_sends_no_prompt(self, tmp_path, caplog):
+    def test_refuted_pair_sends_no_prompt(self, tmp_path):
         # b follows a; c is independent of both.
         d = Dataset(["a", "b", "c"], [
             (Cell.text(f"a{i % 10}"), Cell.text(f"b{i % 10 // 2}"), Cell.text(f"c{i // 10}"))
@@ -664,17 +673,15 @@ class TestCandidatePairs:
         # The cassette holds no prompt for the refuted pairs.
         path = pair_cassette(tmp_path, ["a", "b"], {("a", "b"): "A"})
         backend, asked = counting_backend(path)
-        with caplog.at_level("INFO", logger="llmclean.generation"):
-            relations = pair_relationships(d, backend)
+        relations, warnings, counts = pair_relationships(d, backend)
         assert [(r.column_a, r.column_b, r.related) for r in relations] == [
             ("a", "b", True), ("a", "c", False), ("b", "c", False),
         ]
         assert relations[0].hierarchy is Hierarchy.ATTRIBUTE_OF_A
         assert len(asked) == 1  # a -> b alone holds, so the data orders the pair
         assert render_prompt(RELATED_TEMPLATE, {"col_a": "a", "col_b": "c"}) not in asked
-        assert [r.getMessage() for r in caplog.records] == [
-            "asked 1 of 3 column pairs; 1 of 1 hierarchies from the data"
-        ]
+        assert warnings == []
+        assert counts == {"pairs": 3, "asked": 1, "related": 1, "hierarchies_asked": 0}
 
     @pytest.mark.parametrize("headers, hierarchy", [
         (["zone", "region"], Hierarchy.ATTRIBUTE_OF_A),
@@ -689,7 +696,7 @@ class TestCandidatePairs:
         wrong = "B" if hierarchy is Hierarchy.ATTRIBUTE_OF_A else "A"
         path = pair_cassette(tmp_path, headers, {tuple(headers): wrong})
         backend, asked = counting_backend(path)
-        [relation] = pair_relationships(d, backend)
+        [relation], _, _ = pair_relationships(d, backend)
         assert relation.related and relation.hierarchy is hierarchy
         assert not [p for p in asked if "is an attribute of" in p]
         assert len(asked) == 1
@@ -704,7 +711,7 @@ class TestCandidatePairs:
         d = key_table(["code", "name"], n_rows=6)
         path = pair_cassette(tmp_path, ["code", "name"], {("code", "name"): answer})
         backend, asked = counting_backend(path)
-        [relation] = pair_relationships(d, backend)
+        [relation], _, _ = pair_relationships(d, backend)
         assert relation.hierarchy is hierarchy
         assert render_prompt(HIERARCHY_TEMPLATE, {"col_a": "code", "col_b": "name"}) in asked
         assert len(asked) == 1 + 1
@@ -714,7 +721,7 @@ class TestCandidatePairs:
         assert candidate_pairs(d) == {("a", "b"): (True, True)}
         path = pair_cassette(tmp_path, ["a", "b"], {("a", "b"): "B"})
         backend, asked = counting_backend(path)
-        [relation] = pair_relationships(d, backend)
+        [relation], _, _ = pair_relationships(d, backend)
         assert relation.hierarchy is Hierarchy.ATTRIBUTE_OF_B
         assert len(asked) == 1 + 1
 
@@ -755,7 +762,7 @@ class TestBuildRelationalGraph:
             ColumnPairRelation("B", "A", True, hierarchy=Hierarchy.ATTRIBUTE_OF_A),
         ]
         with pytest.raises(ModelError) as exc:
-            build_relational_graph(relations)
+            extract_ofds(build_relational_graph(relations))
         assert "A" in str(exc.value) and "B" in str(exc.value)
 
     def test_matching_annotation_yields_sim_rule(self):
