@@ -149,6 +149,8 @@ def _load_ensemble_config(path: str):
     for prompt_id in config.prompts:
         if prompt_id not in templates:
             raise LLMCleanError(f"{path}: prompt {prompt_id!r} has no template")
+        if config.prompts.count(prompt_id) > 1:  # one answer would count as several votes
+            raise LLMCleanError(f"{path}: prompt {prompt_id!r} is listed more than once")
     return config, templates
 
 
@@ -194,16 +196,16 @@ def cmd_build_context(args) -> int:
     if dataset_class is generation.DatasetClass.IOT:
         if value_columns:
             d = generation.split_sensors(d, value_columns)
-        concepts = generation.map_columns(d.headers, backend)
-        mapping = dict(sorted(concepts.assignments.items()))
-        d = generation.rename_columns(d, concepts)
-        d, excluded = generation.generate_columns(d, concepts)
+        assignments, warnings = generation.map_columns(d.headers, backend)
+        mapping = dict(sorted(assignments.items()))
+        d = generation.rename_columns(d, assignments)
+        d, excluded = generation.generate_columns(d)
         sanitized = generation.sanitize_for_graph(d)
         graph, build_warnings = generation.build_iot_graph(sanitized, specs)
-        warnings = concepts.warnings + build_warnings
+        warnings += build_warnings
     else:
-        relations, warnings, pair_counts = generation.pair_relationships(d, backend)
-        graph = generation.build_relational_graph(relations)
+        edges, warnings, pair_counts = generation.pair_relationships(d, backend)
+        graph = generation.build_relational_graph(edges)
 
     rules = context_model.extract_ofds(graph)
     build_ms = (time.perf_counter() - t0) * 1000.0
@@ -242,12 +244,10 @@ def cmd_build_context(args) -> int:
 def _rules_for_detection(args):
     if args.rules:
         return parse_rule_file(Path(args.rules).read_text(encoding="utf-8"))
-    if args.graph:
-        from . import context_model
+    from . import context_model
 
-        graph = context_model.deserialize(Path(args.graph).read_text(encoding="utf-8"))
-        return context_model.extract_ofds(graph)
-    raise LLMCleanError("detect needs --rules or --graph")
+    graph = context_model.deserialize(Path(args.graph).read_text(encoding="utf-8"))
+    return context_model.extract_ofds(graph)
 
 
 def cmd_detect(args) -> int:
@@ -398,10 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assume-class", dest="assume_class", choices=("IoT", "NonIoT"))
     p.set_defaults(func=cmd_build_context)
 
+    def add_rule_source(p):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--rules", help="rule file")
+        source.add_argument("--graph", help="context graph .nt file (rules auto-extracted)")
+
     p = sub.add_parser("detect", help="enforce rules against a CSV")
     p.add_argument("csv")
-    p.add_argument("--rules", help="rule file")
-    p.add_argument("--graph", help="context graph .nt file (rules auto-extracted)")
+    add_rule_source(p)
     p.add_argument("--sensors", help="sensor spec JSON file")
     p.add_argument("--exact-matching", dest="exact_matching", action="store_true",
                    help="disable blocking for matching rules")
@@ -411,8 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="inject errors, detect, score")
     p.add_argument("csv", help="clean CSV input")
-    p.add_argument("--rules")
-    p.add_argument("--graph")
+    add_rule_source(p)
     p.add_argument("--sensors")
     p.add_argument("--missing-rate", dest="missing_rate", type=float, default=0.0)
     p.add_argument("--outlier-rate", dest="outlier_rate", type=float, default=0.0)

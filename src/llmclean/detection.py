@@ -324,7 +324,7 @@ def detect_capability_violations(
 
 def temporal_link(rule: OfdRule) -> tuple[str, str, str]:
     """Extract (device column, from-device, to-device) out of a temporal rule."""
-    if len(rule.predicates) != 2:
+    if len(rule.aliases) != 2 or len(rule.predicates) != 2:
         raise RuleError(f"rule {rule.id!r} is not a temporal link rule")
     by_alias: dict[str, tuple[str, str]] = {}
     for pred in rule.predicates:
@@ -335,8 +335,11 @@ def temporal_link(rule: OfdRule) -> tuple[str, str, str]:
         by_alias[pred.left.alias] = (pred.left.column, pred.right.value)
     if set(by_alias) != set(rule.aliases):
         raise RuleError(f"rule {rule.id!r}: each alias needs a device predicate")
-    column = by_alias[rule.aliases[0]][0]
-    return column, by_alias[rule.aliases[0]][1], by_alias[rule.aliases[1]][1]
+    column, from_device = by_alias[rule.aliases[0]]
+    other_column, to_device = by_alias[rule.aliases[1]]
+    if column != other_column:
+        raise RuleError(f"rule {rule.id!r}: both device predicates must compare one column")
+    return column, from_device, to_device
 
 
 def _timestamp_value(cell: Cell) -> float | None:
@@ -455,6 +458,8 @@ def _capability_sensor(rule: OfdRule) -> str:
     pred = rule.predicates[0]
     if pred.op != "EQ" or not isinstance(pred.right, Literal):
         raise RuleError(f"rule {rule.id!r}: capability rule must pin the sensor id")
+    if not isinstance(pred.left, ColumnRef) or pred.left.column.lower() != SENSOR_COLUMN:
+        raise RuleError(f"rule {rule.id!r}: capability rule must compare the sensor column")
     return pred.right.value
 
 

@@ -65,14 +65,6 @@ class PromptTemplate(Frozen):
         set_field(self, "few_shot", few_shot)
 
 
-class Completion(Frozen):
-    __slots__ = _fields = ("raw_text", "parsed")
-
-    def __init__(self, raw_text: str, parsed: bool | str):
-        set_field(self, "raw_text", raw_text)
-        set_field(self, "parsed", parsed)
-
-
 def render_prompt(template: PromptTemplate, bindings: Mapping[str, str]) -> str:
     """Render few-shot block, task text with substitutions, format line.
 
@@ -94,20 +86,21 @@ def render_prompt(template: PromptTemplate, bindings: Mapping[str, str]) -> str:
     return "\n".join(lines)
 
 
-def parse_completion(raw_text: str, fmt: ResponseFormat) -> Completion:
+def parse_completion(raw_text: str, fmt: ResponseFormat) -> bool | str:
+    """The answer in ``raw_text``: a bool for yes/no, the label for a single label."""
     if fmt is ResponseFormat.YES_NO:
         # First word only; models tend to elaborate despite the instruction.
         m = _WORD_RE.search(raw_text)
         token = m.group().lower() if m else ""
         if token == "yes":
-            return Completion(raw_text, True)
+            return True
         if token == "no":
-            return Completion(raw_text, False)
+            return False
         raise FormatError(f"expected yes/no, got {raw_text!r}", raw_text)
     for line in raw_text.splitlines():  # SINGLE_LABEL: the first non-blank line
         label = line.strip()
         if label:
-            return Completion(raw_text, label)
+            return label
     raise FormatError("empty single-label response", raw_text)
 
 
@@ -164,11 +157,10 @@ class ReplayBackend:
     hash is its key, so a prompt is hashed only when such entries exist.
     """
 
-    def __init__(self, cassette_path: str):
-        self.cassette_path = cassette_path
+    def __init__(self, path: str):
         self._by_prompt: dict[str, str] = {}
         self._by_key: dict[str, str] = {}
-        for key, entry in load_cassette(cassette_path).items():
+        for key, entry in load_cassette(path).items():
             if "prompt" in entry:
                 self._by_prompt[entry["prompt"]] = entry["response"]
             else:
@@ -272,7 +264,7 @@ def _remote_call(backend: RemoteBackend, prompt: str) -> str:
     raise TransportError(f"request failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
-def complete(backend: Backend, prompt: str, fmt: ResponseFormat) -> Completion:
+def complete(backend: Backend, prompt: str, fmt: ResponseFormat) -> bool | str:
     """Run one completion and parse it according to the response format."""
     if isinstance(backend, ReplayBackend):
         response = backend.lookup(prompt)
@@ -286,7 +278,7 @@ def complete(backend: Backend, prompt: str, fmt: ResponseFormat) -> Completion:
 
 def complete_many(
     backend: Backend, prompts: Sequence[str], fmt: ResponseFormat
-) -> list[Completion | GatewayError]:
+) -> list[bool | str | GatewayError]:
     """Batch completions, in the order of ``prompts``.
 
     This is the package's only fan-out of backend calls: remote calls run
@@ -294,7 +286,7 @@ def complete_many(
     which wait on nothing, run in the calling thread. A prompt that fails
     leaves its GatewayError in its slot; the other prompts still run.
     """
-    def attempt(prompt: str) -> Completion | GatewayError:
+    def attempt(prompt: str) -> bool | str | GatewayError:
         try:
             return complete(backend, prompt, fmt)
         except GatewayError as exc:

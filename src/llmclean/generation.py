@@ -31,7 +31,6 @@ from .context_model import (
 from .dataset import Cell, CellKind, Column, Dataset, group_modes
 from .ensemble import EnsembleConfig, find_consensus
 from .errors import GatewayError, SchemaError
-from .frozen import Frozen, set_field
 from .gateway import (
     Backend,
     PromptTemplate,
@@ -46,12 +45,6 @@ from .rules import SensorSpec, lookup_spec
 class DatasetClass(Enum):
     IOT = "IoT"
     NON_IOT = "NonIoT"
-
-
-class Hierarchy(Enum):
-    ATTRIBUTE_OF_A = "attribute_of_a"  # column_b is an attribute of column_a
-    ATTRIBUTE_OF_B = "attribute_of_b"
-    INDEPENDENT = "independent"
 
 
 #: Concept roles resolved against columns, and the canonical column name each
@@ -144,43 +137,6 @@ DEFAULT_TEMPLATES: dict[str, PromptTemplate] = {
 }
 
 
-class ConceptMapping:
-    """Concept-role assignments plus everything that failed to map."""
-
-    def __init__(
-        self,
-        assignments: dict[str, str] | None = None,
-        missing: list[str] | None = None,
-        warnings: list[str] | None = None,
-    ):
-        self.assignments = {} if assignments is None else assignments  # role -> column
-        self.missing = [] if missing is None else missing  # roles with no column
-        self.warnings = [] if warnings is None else warnings
-
-    def renames(self) -> dict[str, str]:
-        return {
-            column: CANONICAL_NAMES[role]
-            for role, column in self.assignments.items()
-            if column.lower() != CANONICAL_NAMES[role].lower()
-        }
-
-
-class ColumnPairRelation(Frozen):
-    __slots__ = _fields = ("column_a", "column_b", "related", "hierarchy")
-
-    def __init__(
-        self,
-        column_a: str,
-        column_b: str,
-        related: bool,
-        hierarchy: Hierarchy = Hierarchy.INDEPENDENT,
-    ):
-        set_field(self, "column_a", column_a)
-        set_field(self, "column_b", column_b)
-        set_field(self, "related", related)
-        set_field(self, "hierarchy", hierarchy)
-
-
 def classify_dataset(
     headers: Sequence[str],
     backend: Backend,
@@ -198,50 +154,47 @@ def classify_dataset(
     votes: list[set[str]] = []
     for prompt_id in config.prompts:
         template = templates[prompt_id]
-        completion = complete(
+        answer = complete(
             backend, render_prompt(template, bindings), ResponseFormat.YES_NO
         )
-        votes.append({"yes"} if completion.parsed else set())
+        votes.append({"yes"} if answer else set())
     consensus = find_consensus(votes, config.threshold)
     return DatasetClass.IOT if "yes" in consensus else DatasetClass.NON_IOT
 
 
-def map_columns(headers: Sequence[str], backend: Backend) -> ConceptMapping:
-    """One single-label query per concept role; hallucinated columns become
+def map_columns(
+    headers: Sequence[str], backend: Backend
+) -> tuple[dict[str, str], list[str]]:
+    """One single-label query per concept role. Returns the column of each
+    role that maps to one, plus warnings: hallucinated columns become
     warnings rather than errors."""
-    mapping = ConceptMapping()
-    claimed: set[str] = set()
+    assignments: dict[str, str] = {}
+    warnings: list[str] = []
     for role in MAPPING_ROLES:
         prompt = render_prompt(
             MAP_COLUMN_TEMPLATE, {"col_names": ", ".join(headers), "concept": role}
         )
         try:
-            completion = complete(backend, prompt, ResponseFormat.SINGLE_LABEL)
+            label = complete(backend, prompt, ResponseFormat.SINGLE_LABEL)
         except GatewayError as exc:
-            mapping.warnings.append(f"{role}: {exc}")
-            mapping.missing.append(role)
+            warnings.append(f"{role}: {exc}")
             continue
-        label = str(completion.parsed).strip()
-        if label.upper() == "NONE" or not label:
-            mapping.missing.append(role)
+        if label.upper() == "NONE":
             continue
         matches = [h for h in headers if h == label] or [
             h for h in headers if h.lower() == label.lower()
         ]
         if not matches:
-            mapping.warnings.append(
+            warnings.append(
                 f"{role}: model answered unknown column {label!r}"
             )
-            mapping.missing.append(role)
-        elif matches[0] in claimed:
-            mapping.warnings.append(
+        elif matches[0] in assignments.values():
+            warnings.append(
                 f"{role}: column {matches[0]!r} already mapped to another concept"
             )
-            mapping.missing.append(role)
         else:
-            mapping.assignments[role] = matches[0]
-            claimed.add(matches[0])
-    return mapping
+            assignments[role] = matches[0]
+    return assignments, warnings
 
 
 def split_sensors(
@@ -276,9 +229,14 @@ def split_sensors(
     return Dataset.from_columns(headers, columns, d.n_rows * k)
 
 
-def rename_columns(d: Dataset, mapping: ConceptMapping) -> Dataset:
-    """Rewrite mapped headers to the canonical schema; data untouched."""
-    renames = mapping.renames()
+def rename_columns(d: Dataset, assignments: Mapping[str, str]) -> Dataset:
+    """Rewrite the headers of assigned roles (role -> column) to the
+    canonical schema; data untouched."""
+    renames = {
+        column: CANONICAL_NAMES[role]
+        for role, column in assignments.items()
+        if column.lower() != CANONICAL_NAMES[role].lower()
+    }
     new_headers = [renames.get(h, h) for h in d.headers]
     collisions = {h for h in new_headers if new_headers.count(h) > 1}
     if collisions:
@@ -290,24 +248,21 @@ def _distinct_non_missing(column: Column) -> list[str]:
     return sorted({t for cell, t in zip(column.values, column.texts) if not cell.is_missing})
 
 
-def generate_columns(
-    d: Dataset, mapping: ConceptMapping
-) -> tuple[Dataset, list[str]]:
+def generate_columns(d: Dataset) -> tuple[Dataset, list[str]]:
     """Append synthetic columns for synthesizable missing concepts.
 
-    The system column holds ``system_1``; device, sensing-device and sensor
-    ids are derived one per distinct location (``device_1``, ``device_2``, ...
-    in sorted location order, ``_0`` for a missing location, ``_1`` on every
-    row when the table has no location column). Returns the widened dataset
-    plus the concepts that could not be synthesized. Existing columns are
-    never removed or reordered.
+    ``d`` is the renamed table, so a concept is missing when no header folds
+    onto its canonical name. The system column holds ``system_1``; device,
+    sensing-device and sensor ids are derived one per distinct location
+    (``device_1``, ``device_2``, ... in sorted location order, ``_0`` for a
+    missing location, ``_1`` on every row when the table has no location
+    column). Returns the widened dataset plus the concepts that could not be
+    synthesized. Existing columns are never removed or reordered.
     """
     present = {h.lower() for h in d.headers}
-    to_add = [c for c in SYNTHESIZABLE if c in mapping.missing and c.lower() not in present]
-    excluded = [
-        role for role in mapping.missing
-        if role not in SYNTHESIZABLE and CANONICAL_NAMES.get(role, role).lower() not in present
-    ]
+    missing = [role for role in MAPPING_ROLES if CANONICAL_NAMES[role].lower() not in present]
+    to_add = [role for role in missing if role in SYNTHESIZABLE]
+    excluded = [role for role in missing if role not in SYNTHESIZABLE]
     if not to_add:
         return d, excluded
 
@@ -470,13 +425,18 @@ def build_iot_graph(
 #: hierarchy.
 FD_ERROR = 0.05
 
-#: The hierarchy of a pair from which of ``a -> b`` and ``b -> a`` hold;
-#: None where the data cannot order the pair and the model is asked.
-_DATA_HIERARCHY = {
-    (True, False): Hierarchy.ATTRIBUTE_OF_A,
-    (False, True): Hierarchy.ATTRIBUTE_OF_B,
-}
-_ANSWER_HIERARCHY = {"A": Hierarchy.ATTRIBUTE_OF_A, "B": Hierarchy.ATTRIBUTE_OF_B}
+#: Whether ``a`` is the finer column of a related pair ``(a, b)`` for each
+#: hierarchy answer (``b`` is an attribute of ``a``); None where they are
+#: independent concepts.
+_A_IS_FINER = {"A": True, "B": False, "NONE": None}
+
+
+def _pair_edge(a: str, b: str, a_is_finer: bool | None) -> Triple:
+    """A part-of edge from the finer column to the coarser one, or a
+    related-to edge of the sorted pair when neither is finer."""
+    if a_is_finer is None:
+        return edge(RELATED_TO, *sorted((a, b)))
+    return edge(PART_OF, a, b) if a_is_finer else edge(PART_OF, b, a)
 
 
 def _present(column: Column) -> list[bool] | None:
@@ -550,39 +510,45 @@ def candidate_pairs(d: Dataset) -> dict[tuple[str, str], tuple[bool, bool]]:
 
 def pair_relationships(
     d: Dataset, backend: Backend
-) -> tuple[list[ColumnPairRelation], list[str], dict[str, int]]:
-    """Relatedness and hierarchy of every unordered column pair.
+) -> tuple[dict[tuple[str, str], Triple | None], list[str], dict[str, int]]:
+    """The edge, if any, of every unordered column pair.
 
     The data is profiled first: a pair the table refutes (see ``FD_ERROR``)
     is returned unrelated without a prompt. Then two batches: relatedness of
     each remaining pair, then one hierarchy query per related pair the data
     cannot order (where only one direction holds, that is the hierarchy). A
     pair is dropped, with a warning, only when its relatedness answer fails,
-    or its hierarchy answer where one was asked; the other pairs are kept.
-    Returns the relations in ``combinations`` order of the headers, the
-    warnings, and the counts of column pairs, pairs asked, related pairs and
-    hierarchies asked.
+    or its hierarchy answer where one was asked (an answer other than A, B
+    or NONE fails too); the other pairs are kept. Returns each kept pair's
+    edge (see ``_pair_edge``), None for an unrelated pair, in
+    ``combinations`` order of the headers; the warnings; and the counts of
+    column pairs, pairs asked, related pairs and hierarchies asked.
     """
     pairs = list(combinations(d.headers, 2))
     profile = candidate_pairs(d)
-    verdicts = dict.fromkeys(pairs, False)  # a refuted pair is unrelated
+    edges: dict[tuple[str, str], Triple | None] = dict.fromkeys(pairs)  # refuted ones unrelated
     warnings: list[str] = []
     related_prompts = [
         render_prompt(RELATED_TEMPLATE, {"col_a": a, "col_b": b})
         for a, b in profile
     ]
+    related = []
     for (a, b), answer in zip(
         profile, complete_many(backend, related_prompts, ResponseFormat.YES_NO)
     ):
         if isinstance(answer, GatewayError):
             warnings.append(f"pair ({a}, {b}) failed: {answer}")
-            del verdicts[a, b]
-        else:
-            verdicts[a, b] = bool(answer.parsed)
+            del edges[a, b]
+        elif answer:
+            related.append((a, b))
 
-    related = [pair for pair, is_related in verdicts.items() if is_related]
-    hierarchies = {pair: _DATA_HIERARCHY.get(profile[pair]) for pair in related}
-    unordered = [pair for pair, hierarchy in hierarchies.items() if hierarchy is None]
+    unordered = []
+    for a, b in related:
+        a_to_b, b_to_a = profile[a, b]
+        if a_to_b == b_to_a:  # both hold: the model orders the pair
+            unordered.append((a, b))
+        else:
+            edges[a, b] = _pair_edge(a, b, a_to_b)
     counts = {
         "pairs": len(pairs),
         "asked": len(profile),
@@ -595,38 +561,26 @@ def pair_relationships(
         ResponseFormat.SINGLE_LABEL,
     )
     for (a, b), answer in zip(unordered, answers):
-        if isinstance(answer, GatewayError):
-            warnings.append(f"pair ({a}, {b}) failed: {answer}")
-            del verdicts[a, b]
-        else:
-            hierarchies[a, b] = _ANSWER_HIERARCHY.get(
-                str(answer.parsed).strip().upper(), Hierarchy.INDEPENDENT
-            )
-    relations = [
-        ColumnPairRelation(a, b, is_related, hierarchies.get((a, b), Hierarchy.INDEPENDENT))
-        for (a, b), is_related in verdicts.items()
-    ]
-    return relations, warnings, counts
+        if isinstance(answer, str) and answer.upper() in _A_IS_FINER:
+            edges[a, b] = _pair_edge(a, b, _A_IS_FINER[answer.upper()])
+            continue
+        if not isinstance(answer, GatewayError):
+            answer = f"expected A, B or NONE, got {answer!r}"
+        warnings.append(f"pair ({a}, {b}) failed: {answer}")
+        del edges[a, b]
+    return edges, warnings, counts
 
 
-def build_relational_graph(relations: Sequence[ColumnPairRelation]) -> ContextGraph:
-    """Each column becomes an attribute node labelled with its name;
-    hierarchies become part-of edges (finer column -> coarser column) and
-    independent related pairs a generic related-to edge. The graph is not
+def build_relational_graph(edges: Mapping[tuple[str, str], Triple | None]) -> ContextGraph:
+    """Each column of a pair becomes an attribute node labelled with its
+    name, and the pair's edge, if any, joins them. The graph is not
     validated here: ``context_model.extract_ofds`` does that, and reports a
     cyclic hierarchy as a model error.
     """
     triples: set[Triple] = set()
-    for rel in relations:
-        triples.update(entity(Concept.ATTRIBUTE, rel.column_a))
-        triples.update(entity(Concept.ATTRIBUTE, rel.column_b))
-        if not rel.related:
-            continue
-        if rel.hierarchy is Hierarchy.ATTRIBUTE_OF_A:
-            triples.add(edge(PART_OF, rel.column_a, rel.column_b))
-        elif rel.hierarchy is Hierarchy.ATTRIBUTE_OF_B:
-            triples.add(edge(PART_OF, rel.column_b, rel.column_a))
-        else:
-            a, b = sorted((rel.column_a, rel.column_b))
-            triples.add(edge(RELATED_TO, a, b))
+    for (a, b), link in edges.items():
+        triples.update(entity(Concept.ATTRIBUTE, a))
+        triples.update(entity(Concept.ATTRIBUTE, b))
+        if link is not None:
+            triples.add(link)
     return ContextGraph(frozenset(triples))

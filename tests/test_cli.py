@@ -21,6 +21,7 @@ from llmclean.cli import EXIT_EXTERNAL, EXIT_INPUT, EXIT_OK, main
 from llmclean.context_model import (
     META_VALUE,
     PART_OF,
+    RELATED_TO,
     Concept,
     ContextGraph,
     ObjKind,
@@ -410,6 +411,9 @@ class TestEnsembleConfigFile:
              "templates must be a list of objects, got {'a': 1}"),
             ({"threshold": 1, "prompts": ["classify"], "templates": ["p"]},
              "templates must be a list of objects, got ['p']"),
+            # one answer must not count as two votes
+            ({"threshold": 2, "prompts": ["classify", "classify"]},
+             "prompt 'classify' is listed more than once"),
         ],
     )
     @pytest.mark.parametrize("command", ["classify", "build-context"])
@@ -790,9 +794,9 @@ class TestGraphRulesAtFleetScale:
 class TestBuildContextNonIot:
     HEADERS = ["ZipCode", "City", "Score"]
 
-    def _cassette(self, tmp_path, unanswered=()):
+    def _cassette(self, tmp_path, unanswered=(), hierarchy="A"):
         """Answers for the table; no relatedness answer for the pairs in
-        ``unanswered``."""
+        ``unanswered``; ``hierarchy`` answers for (ZipCode, City)."""
         from itertools import combinations
 
         from llmclean.gateway import render_prompt
@@ -815,7 +819,7 @@ class TestBuildContextNonIot:
                 entries[prompt] = "yes" if (a, b) == ("ZipCode", "City") else "no"
         entries[
             render_prompt(HIERARCHY_TEMPLATE, {"col_a": "ZipCode", "col_b": "City"})
-        ] = "A"
+        ] = hierarchy
         return make_cassette(tmp_path, entries, "hospital.json")
 
     @pytest.mark.parametrize("unanswered, warnings", [
@@ -841,6 +845,25 @@ class TestBuildContextNonIot:
         }
         assert [w.split(" for prompt hash")[0] for w in manifest["warnings"]] == warnings
         assert manifest["mapping"] == {} and manifest["class"] == "NonIoT"
+
+    @pytest.mark.parametrize("answer, warnings, edges", [
+        ("Column B", ["pair (ZipCode, City) failed: expected A, B or NONE, got 'Column B'"], set()),
+        ("NONE", [], {edge(RELATED_TO, "City", "ZipCode")}),
+    ], ids=["unparseable", "none"])
+    def test_hierarchy_answer_other_than_a_b_or_none_fails(
+        self, tmp_path, answer, warnings, edges
+    ):
+        csv_path = tmp_path / "hospital.csv"
+        csv_path.write_text("ZipCode,City,Score\n10018,Springfield,4\n10019,Shelbyville,5\n")
+        out_dir = tmp_path / "out"
+        code = main(["build-context", str(csv_path), "--backend", "replay",
+                     "--cassette", self._cassette(tmp_path, hierarchy=answer),
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_OK
+        assert json.loads((out_dir / "manifest.json").read_text())["warnings"] == warnings
+        graph = deserialize((out_dir / "context.nt").read_text())
+        assert {t for t in graph.triples if t.predicate in (PART_OF, RELATED_TO)} == edges
+        assert (out_dir / "rules.ofd").read_text() == ""
 
     def test_relational_graph_and_rules(self, tmp_path, capsys):
         csv_path = tmp_path / "hospital.csv"
@@ -1095,8 +1118,10 @@ class TestDetect:
         assert "unknown concept" in capsys.readouterr().err
 
     def test_needs_rules_or_graph(self, built, capsys):
-        code = main(["detect", str(built / "transformed.csv")])
-        assert code == EXIT_INPUT
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", str(built / "transformed.csv")])
+        assert exc.value.code == EXIT_INPUT
+        assert "one of the arguments --rules --graph is required" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -1336,6 +1361,18 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["detect", "evaluate"])
+    @pytest.mark.parametrize("flags, message", [
+        ([], "one of the arguments --rules --graph is required"),
+        (["--rules", "r.ofd", "--graph", "g.nt"], "--graph: not allowed with argument --rules"),
+    ], ids=["neither", "both"])
+    def test_exactly_one_rule_source(self, tmp_path, capsys, command, flags, message):
+        # Refused before any file is read: none of these paths exists.
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(tmp_path / "x.csv"), *flags])
+        assert exc.value.code == EXIT_INPUT
+        assert message in capsys.readouterr().err
 
     def test_parallel_below_one_named(self, capsys):
         with pytest.raises(SystemExit):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from llmclean.dataset import Dataset, dataset_to_csv, load_csv, normalize_missing
 from llmclean.errors import LLMCleanError
 from llmclean.evaluation import ErrorSpec, inject_errors
-from llmclean.generation import ConceptMapping, generate_columns, sanitize_for_graph, split_sensors
+from llmclean.generation import generate_columns, sanitize_for_graph, split_sensors
 
 from oracles import oracle_inject_errors, oracle_sanitize_for_graph
 
@@ -125,9 +125,8 @@ def test_columnar_stages_match_row_references(data, spec):
     split = split_sensors(clean, [("value", "t"), ("sensor", "u"), ("value", "t")])
     check_columns(split)
     assert split.n_rows == 3 * clean.n_rows
-    synthesizable = ["System", "Device", "SensingDevice", "Sensor"]
     for table in (split, Dataset.from_columns(HEADERS[:2], clean.columns[:2], clean.n_rows)):
-        widened, _ = generate_columns(table, ConceptMapping(missing=synthesizable))
+        widened, _ = generate_columns(table)
         check_columns(widened)
 
 

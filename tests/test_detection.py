@@ -340,6 +340,39 @@ class TestRunAll:
         assert report.flagged_cells == {(0, "a")}
         assert [r for r, _ in report.skipped_rules] == ["cap"]
 
+    @pytest.mark.parametrize("column, skipped", [
+        ("Device", True), ("sensor", False), ("Sensor", False),
+    ])
+    def test_capability_rule_must_compare_the_sensor_column(self, column, skipped):
+        # Row 0's sensor is s1, row 1's Device is s1; both readings are out of range.
+        d = table(["sensor", "value", "Device"], ["s1", 999.0, "d1"], ["s2", 999.0, "s1"])
+        cap = rule(f't1&EQ(t1.{column},"s1")', DependencyKind.CAPABILITY, "cap")
+        report = run_all(d, [cap], specs={"s1": SensorSpec("s1", 0, 10)})
+        if skipped:
+            assert report.findings == []
+            assert report.skipped_rules == [
+                ("cap", "rule 'cap': capability rule must compare the sensor column")
+            ]
+        else:
+            assert report.flagged_cells == {(0, "value")}
+            assert report.skipped_rules == []
+
+    @pytest.mark.parametrize("text, message", [
+        ('t1&t2&EQ(t1.Device,"dev_a")&EQ(t2.sensor,"dev_b")',
+         "both device predicates must compare one column"),
+        ('t1&EQ(t1.Device,"dev_a")&EQ(t1.Device,"dev_b")', "is not a temporal link rule"),
+    ], ids=["two-columns", "one-alias"])
+    def test_temporal_rule_must_link_two_aliases_on_one_column(self, text, message):
+        d = table(
+            ["Device", "sensor", "timestamp"],
+            ["dev_a", "dev_a", 10**12 + 250],
+            ["dev_b", "dev_b", 10**12 + 100],
+        )
+        report = run_all(d, [rule(text, DependencyKind.TEMPORAL, "tr")])
+        assert report.findings == []
+        [(rule_id, reason)] = report.skipped_rules
+        assert rule_id == "tr" and message in reason
+
     def test_capability_without_spec_counts_uncovered(self):
         d = table(["sensor", "value"], ["mystery_1", 1.0])
         cap = rule('t1&EQ(t1.sensor,"mystery_1")', DependencyKind.CAPABILITY, "cap")

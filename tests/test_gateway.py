@@ -18,7 +18,6 @@ from llmclean.errors import (
 )
 from llmclean.gateway import (
     MAX_ATTEMPTS,
-    Completion,
     PromptTemplate,
     RemoteBackend,
     ReplayBackend,
@@ -87,7 +86,7 @@ class TestParsing:
         ],
     )
     def test_yes_no(self, raw, expected):
-        assert parse_completion(raw, ResponseFormat.YES_NO).parsed is expected
+        assert parse_completion(raw, ResponseFormat.YES_NO) is expected
 
     def test_yes_no_garbage_raises_format_error(self):
         with pytest.raises(FormatError) as exc:
@@ -95,14 +94,14 @@ class TestParsing:
         assert exc.value.raw_text == "maybe?"
 
     def test_single_label_takes_first_line(self):
-        assert parse_completion("\n Device \nmore", ResponseFormat.SINGLE_LABEL).parsed == "Device"
+        assert parse_completion("\n Device \nmore", ResponseFormat.SINGLE_LABEL) == "Device"
 
 
 class TestReplayBackend:
     def test_lookup_hit(self, tmp_path):
         path = make_cassette(tmp_path, {"p": "yes"})
         backend = ReplayBackend(path)
-        assert complete(backend, "p", ResponseFormat.YES_NO) == Completion("yes", True)
+        assert complete(backend, "p", ResponseFormat.YES_NO) is True
 
     def test_strict_miss(self, tmp_path):
         backend = ReplayBackend(make_cassette(tmp_path, {"p": "yes"}))
@@ -134,7 +133,7 @@ class TestReplayBackend:
             raise AssertionError("a recorded prompt was hashed")
 
         monkeypatch.setattr(gateway, "cassette_key", refuse)
-        assert complete(backend, "p", ResponseFormat.YES_NO).parsed is True
+        assert complete(backend, "p", ResponseFormat.YES_NO) is True
         assert backend.lookup("unknown") is None
 
     def test_key_only_entry_answers_through_its_hash(self, tmp_path):
@@ -145,8 +144,8 @@ class TestReplayBackend:
             cassette_key("recorded"): {"prompt": "recorded", "response": "no"},
         }))
         backend = ReplayBackend(str(path))
-        assert complete(backend, "keyed", ResponseFormat.YES_NO).parsed is True
-        assert complete(backend, "recorded", ResponseFormat.YES_NO).parsed is False
+        assert complete(backend, "keyed", ResponseFormat.YES_NO) is True
+        assert complete(backend, "recorded", ResponseFormat.YES_NO) is False
         assert backend.lookup("unknown") is None
 
     def test_miss_names_the_hash_prefix(self, tmp_path):
@@ -169,7 +168,7 @@ class TestReplayBackend:
         results = complete_many(backend, prompts[:8] + ["unknown"] + prompts[8:],
                                 ResponseFormat.YES_NO)
         assert isinstance(results[8], ReplayMissError)
-        assert all(c.parsed is True for c in results[:8] + results[9:])
+        assert all(answer is True for answer in results[:8] + results[9:])
 
 
 _NON_STRING_CONTENT = {"null-content": None, "number-content": 5}
@@ -261,8 +260,7 @@ class TestRemoteBackend:
     def test_success(self, http_server, monkeypatch):
         monkeypatch.setenv("LLMCLEAN_API_KEY", "sk-secret")
         backend = RemoteBackend(http_server, "test-model", timeout=5.0)
-        completion = complete(backend, "ping", ResponseFormat.YES_NO)
-        assert completion.parsed is True
+        assert complete(backend, "ping", ResponseFormat.YES_NO) is True
         assert _Handler.seen_bodies[0]["model"] == "test-model"
         assert _Handler.seen_bodies[0]["messages"][0]["content"] == "ping"
 
@@ -277,7 +275,7 @@ class TestRemoteBackend:
         _Handler.behavior = "flaky"
         _Handler.failures_left = 2
         backend = RemoteBackend(http_server, "m", timeout=5.0, backoff_base=0.01)
-        assert complete(backend, "p", ResponseFormat.YES_NO).parsed is True
+        assert complete(backend, "p", ResponseFormat.YES_NO) is True
         assert len(_Handler.seen_bodies) == 3
 
     def test_gives_up_after_attempts(self, http_server, monkeypatch):

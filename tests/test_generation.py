@@ -11,6 +11,8 @@ from llmclean.context_model import (
     DEPLOYED_AT,
     MATCHES_WITH,
     MATCH_THRESHOLD,
+    PART_OF,
+    RELATED_TO,
     Concept,
     ContextGraph,
     ObjKind,
@@ -34,14 +36,12 @@ from llmclean.gateway import (
 )
 from llmclean.generation import (
     CLASSIFY_TEMPLATE,
-    ConceptMapping,
-    ColumnPairRelation,
     DatasetClass,
     FD_ERROR,
     HIERARCHY_TEMPLATE,
-    Hierarchy,
     IOT_REFERENCE_HEADERS,
     MAP_COLUMN_TEMPLATE,
+    MAPPING_ROLES,
     RELATED_TEMPLATE,
     build_iot_graph,
     build_relational_graph,
@@ -120,31 +120,28 @@ class TestMapColumns:
     def test_two_assignments(self, tmp_path):
         headers = ["temperature", "time"]
         path = map_cassette(tmp_path, headers, {"Value": "temperature", "Timestamp": "time"})
-        mapping = map_columns(headers, ReplayBackend(path))
-        assert mapping.assignments == {"Value": "temperature", "Timestamp": "time"}
-        assert "System" in mapping.missing
+        assignments, warnings = map_columns(headers, ReplayBackend(path))
+        assert assignments == {"Value": "temperature", "Timestamp": "time"}
+        assert warnings == []
 
     def test_none_answer_recorded_missing(self, tmp_path):
         headers = ["a"]
         path = map_cassette(tmp_path, headers, {})
-        mapping = map_columns(headers, ReplayBackend(path))
-        assert set(mapping.missing) == {
-            "System", "Device", "SensingDevice", "Sensor", "Location", "Value", "Timestamp"
-        }
+        assert map_columns(headers, ReplayBackend(path)) == ({}, [])
 
     def test_hallucinated_column_warns(self, tmp_path):
         headers = ["real"]
         path = map_cassette(tmp_path, headers, {"Value": "imaginary"})
-        mapping = map_columns(headers, ReplayBackend(path))
-        assert "Value" in mapping.missing
-        assert any("imaginary" in w for w in mapping.warnings)
+        assignments, warnings = map_columns(headers, ReplayBackend(path))
+        assert assignments == {}
+        assert warnings == ["Value: model answered unknown column 'imaginary'"]
 
     def test_double_claim_warns(self, tmp_path):
         headers = ["only"]
         path = map_cassette(tmp_path, headers, {"Value": "only", "Timestamp": "only"})
-        mapping = map_columns(headers, ReplayBackend(path))
-        assert mapping.assignments == {"Value": "only"}
-        assert "Timestamp" in mapping.missing
+        assignments, warnings = map_columns(headers, ReplayBackend(path))
+        assert assignments == {"Value": "only"}
+        assert warnings == ["Timestamp: column 'only' already mapped to another concept"]
 
 
 class TestSplitSensors:
@@ -187,86 +184,88 @@ class TestRenameColumns:
             ["Sensor_name", "temperature", "place", "time"],
             [[Cell.text("s"), Cell.number(1.0), Cell.text("p"), Cell.timestamp(10**12)]],
         )
-        mapping = ConceptMapping(
-            assignments={
-                "Sensor": "Sensor_name",
-                "Value": "temperature",
-                "Location": "place",
-                "Timestamp": "time",
-            }
-        )
-        out = rename_columns(d, mapping)
+        assignments = {
+            "Sensor": "Sensor_name",
+            "Value": "temperature",
+            "Location": "place",
+            "Timestamp": "time",
+        }
+        out = rename_columns(d, assignments)
         assert out.headers == ("sensor", "value", "location", "timestamp")
         assert out.rows == d.rows
 
     def test_identity_mapping_unchanged(self):
-        d = Dataset.from_lists(["sensor"], [[Cell.text("s")]])
-        mapping = ConceptMapping(assignments={"Sensor": "sensor"})
-        assert rename_columns(d, mapping) == d
+        # A column already canonical up to case keeps its spelling.
+        d = Dataset.from_lists(["sensor", "device"], [[Cell.text("s"), Cell.text("d")]])
+        assert rename_columns(d, {"Sensor": "sensor", "Device": "device"}) == d
 
     def test_collision_rejected(self):
         d = Dataset.from_lists(
             ["a", "value"], [[Cell.number(1.0), Cell.number(2.0)]]
         )
-        mapping = ConceptMapping(assignments={"Value": "a"})
         with pytest.raises(SchemaError):
-            rename_columns(d, mapping)
+            rename_columns(d, {"Value": "a"})
 
 
 class TestGenerateColumns:
-    def _base(self):
+    """A concept is missing when no header folds onto its canonical name."""
+
+    def _base(self, *present):
+        """The value/location/timestamp table plus one column per name in ``present``."""
+        rows = [
+            [Cell.number(20.0), Cell.text("Room1"), Cell.timestamp(10**12)],
+            [Cell.number(21.0), Cell.text("Room2"), Cell.timestamp(10**12 + 1)],
+            [Cell.number(22.0), Cell.text("Room1"), Cell.timestamp(10**12 + 2)],
+        ]
         return Dataset.from_lists(
-            ["value", "location", "timestamp"],
-            [
-                [Cell.number(20.0), Cell.text("Room1"), Cell.timestamp(10**12)],
-                [Cell.number(21.0), Cell.text("Room2"), Cell.timestamp(10**12 + 1)],
-                [Cell.number(22.0), Cell.text("Room1"), Cell.timestamp(10**12 + 2)],
-            ],
+            ["value", "location", "timestamp", *present],
+            [row + [Cell.text(f"{name}_x") for name in present] for row in rows],
         )
 
     def test_structural_columns_added(self):
-        mapping = ConceptMapping(missing=["System", "Device", "SensingDevice", "Sensor"])
-        out, excluded = generate_columns(self._base(), mapping)
+        out, excluded = generate_columns(self._base())
         assert out.headers == (
             "value", "location", "timestamp", "System", "Device", "SensingDevice", "sensor"
         )
         assert excluded == []
 
     def test_nothing_missing_unchanged(self):
-        mapping = ConceptMapping(missing=[])
-        out, excluded = generate_columns(self._base(), mapping)
-        assert out == self._base()
+        # Headers match canonical names case-insensitively.
+        full = self._base("system", "DEVICE", "SensingDevice", "Sensor")
+        out, excluded = generate_columns(full)
+        assert out == full
         assert excluded == []
 
     def test_two_locations_two_devices(self):
-        mapping = ConceptMapping(missing=["Device"])
-        out, _ = generate_columns(self._base(), mapping)
+        out, _ = generate_columns(self._base("System", "SensingDevice", "sensor"))
+        assert out.headers[-1] == "Device"
         devices = {cell_text(c) for c in out.column("Device")}
         assert len(devices) == 2
 
     def test_ids_follow_sorted_locations(self):
-        mapping = ConceptMapping(missing=["System", "Sensor"])
-        out, _ = generate_columns(self._base(), mapping)
+        out, _ = generate_columns(self._base("Device", "SensingDevice"))
+        assert out.headers[-2:] == ("System", "sensor")
         assert [cell_text(c) for c in out.column("System")] == ["system_1"] * 3
         assert [cell_text(c) for c in out.column("sensor")] == [
             "sensor_1", "sensor_2", "sensor_1"
         ]
-        no_location = Dataset.from_lists(["value"], [[Cell.number(1.0)]] * 2)
-        out, _ = generate_columns(no_location, ConceptMapping(missing=["Device"]))
+        no_location = Dataset.from_lists(
+            ["value", "System", "SensingDevice", "sensor"],
+            [[Cell.number(1.0), Cell.text("s"), Cell.text("sd"), Cell.text("t")]] * 2,
+        )
+        out, _ = generate_columns(no_location)
+        assert out.headers[-1] == "Device"
         assert [cell_text(c) for c in out.column("Device")] == ["device_1"] * 2
 
     def test_non_synthesizable_concepts_excluded(self):
         d = Dataset.from_lists(["value"], [[Cell.number(1.0)]])
-        mapping = ConceptMapping(missing=["Location", "Timestamp", "Device"])
-        out, excluded = generate_columns(d, mapping)
-        assert "Location" in excluded and "Timestamp" in excluded
+        out, excluded = generate_columns(d)
+        assert excluded == ["Location", "Timestamp"]
         assert out.has_column("Device")
 
     def test_existing_columns_preserved_in_order(self):
-        mapping = ConceptMapping(missing=["System"])
-        out, _ = generate_columns(self._base(), mapping)
-        assert out.headers[:3] == self._base().headers
-
+        out, _ = generate_columns(self._base("Device"))
+        assert out.headers[:4] == self._base("Device").headers
 
 class TestSanitize:
     def _table(self, locations):
@@ -366,14 +365,8 @@ class TestBuildIotGraph:
 
     def test_table_shapes_from_full_fixture(self):
         d = make_iot_dataset(n_rows=100)
-        mapping = ConceptMapping(
-            assignments={
-                "System": "System", "Device": "Device", "SensingDevice": "SensingDevice",
-                "Sensor": "Sensor", "Location": "Location", "Value": "Value",
-                "Timestamp": "Timestamp",
-            }
-        )
-        renamed = rename_columns(normalize_missing(d), mapping)
+        assignments = {role: role for role in MAPPING_ROLES}
+        renamed = rename_columns(normalize_missing(d), assignments)
         specs = {
             "ds18b20": SensorSpec("ds18b20", -55.0, 125.0, "C"),
             "wsdcgq11lm": SensorSpec("wsdcgq11lm", -20.0, 60.0, "C"),
@@ -407,8 +400,7 @@ class TestBuildIotGraph:
 
     def test_pipeline_graph_deterministic(self):
         d = make_iot_dataset(n_rows=60)
-        mapping = ConceptMapping(assignments={"Sensor": "Sensor", "Value": "Value"})
-        renamed = rename_columns(d, mapping)
+        renamed = rename_columns(d, {"Sensor": "Sensor", "Value": "Value"})
         one = serialize(build_iot_graph(sanitize_for_graph(renamed))[0])
         two = serialize(build_iot_graph(sanitize_for_graph(renamed))[0])
         assert one == two
@@ -417,20 +409,14 @@ class TestBuildIotGraph:
         from llmclean.evaluation import ErrorSpec, inject_errors
 
         clean = make_iot_dataset(n_rows=200)
-        mapping = ConceptMapping(
-            assignments={
-                "System": "System", "Device": "Device", "SensingDevice": "SensingDevice",
-                "Sensor": "Sensor", "Location": "Location", "Value": "Value",
-                "Timestamp": "Timestamp",
-            }
-        )
+        assignments = {role: role for role in MAPPING_ROLES}
         dirty, _ = inject_errors(
             clean,
             ErrorSpec(missing_rate=0.05, seed=3, missing_columns=("System", "Device", "Location")),
         )
-        clean_graph = build_iot_graph(sanitize_for_graph(rename_columns(clean, mapping)))[0]
+        clean_graph = build_iot_graph(sanitize_for_graph(rename_columns(clean, assignments)))[0]
         dirty_graph = build_iot_graph(
-            sanitize_for_graph(rename_columns(normalize_missing(dirty), mapping))
+            sanitize_for_graph(rename_columns(normalize_missing(dirty), assignments))
         )[0]
         assert clean_graph == dirty_graph
 
@@ -458,23 +444,24 @@ class TestPairRelationships:
             tmp_path, headers,
             {("ZipCode", "City"): "A"},
         )
-        relations, _, _ = pair_relationships(key_table(headers), ReplayBackend(path))
-        assert len(relations) == 3
-        hit = next(r for r in relations if r.related)
-        assert (hit.column_a, hit.column_b) == ("ZipCode", "City")
-        assert hit.hierarchy is Hierarchy.ATTRIBUTE_OF_A
+        edges, _, _ = pair_relationships(key_table(headers), ReplayBackend(path))
+        assert list(edges.items()) == [
+            (("ZipCode", "City"), edge(PART_OF, "ZipCode", "City")),
+            (("ZipCode", "Score"), None),
+            (("City", "Score"), None),
+        ]
 
     def test_single_header_no_pairs(self, tmp_path):
         path = make_cassette(tmp_path, {})
-        assert pair_relationships(key_table(["only"]), ReplayBackend(path)) == ([], [], {
+        assert pair_relationships(key_table(["only"]), ReplayBackend(path)) == ({}, [], {
             "pairs": 0, "asked": 0, "related": 0, "hierarchies_asked": 0,
         })
 
     def test_pair_count_19_headers(self, tmp_path):
         headers = [f"c{i}" for i in range(19)]
         path = pair_cassette(tmp_path, headers, {})
-        relations, _, _ = pair_relationships(key_table(headers), ReplayBackend(path))
-        assert len(relations) == 171  # C(19, 2)
+        edges, _, _ = pair_relationships(key_table(headers), ReplayBackend(path))
+        assert len(edges) == 171  # C(19, 2)
 
     def test_failed_pair_dropped_others_kept(self, tmp_path):
         headers = ["a", "b", "c"]
@@ -485,8 +472,8 @@ class TestPairRelationships:
                 prompt = render_prompt(RELATED_TEMPLATE, {"col_a": x, "col_b": y})
                 entries[prompt] = "no"
         path = make_cassette(tmp_path, entries)
-        relations, warnings, _ = pair_relationships(key_table(headers), ReplayBackend(path))
-        assert len(relations) == 2
+        edges, warnings, _ = pair_relationships(key_table(headers), ReplayBackend(path))
+        assert edges == {("a", "b"): None, ("b", "c"): None}
         [warning] = warnings
         assert warning.startswith("pair (a, c) failed: no recorded response")
 
@@ -497,8 +484,8 @@ class TestPairRelationships:
             {("ZipCode", "City"): "A", ("ZipCode", "State"): "A", ("City", "State"): "A"},
         )
         backend, asked = counting_backend(path)
-        relations, _, _ = pair_relationships(key_table(headers), backend)
-        assert sum(r.related for r in relations) == 3
+        edges, _, _ = pair_relationships(key_table(headers), backend)
+        assert sum(link is not None for link in edges.values()) == 3
         assert len(asked) == 6 + 3  # relatedness of every pair, hierarchy of the related
 
     def test_pair_dropped_only_when_an_asked_answer_fails(self, tmp_path):
@@ -516,15 +503,13 @@ class TestPairRelationships:
         # No hierarchy answers: (Zip, City) is ordered by the data and is not
         # asked; (Zip, Score) is asked, and its answer fails.
         backend = ReplayBackend(make_cassette(tmp_path, entries))
-        found, warnings, counts = pair_relationships(d, backend)
-        relations = {(r.column_a, r.column_b): r for r in found}
-        assert {pair: r.related for pair, r in relations.items()} == {
-            ("Zip", "City"): True,
-            ("Zip", "State"): False,
-            ("City", "Score"): False,
-            ("State", "Score"): False,
+        edges, warnings, counts = pair_relationships(d, backend)
+        assert edges == {
+            ("Zip", "City"): edge(PART_OF, "Zip", "City"),
+            ("Zip", "State"): None,
+            ("City", "Score"): None,
+            ("State", "Score"): None,
         }
-        assert relations["Zip", "City"].hierarchy is Hierarchy.ATTRIBUTE_OF_A
         assert [w.split(":")[0] for w in warnings] == [
             "pair (City, State) failed", "pair (Zip, Score) failed",
         ]
@@ -673,46 +658,44 @@ class TestCandidatePairs:
         # The cassette holds no prompt for the refuted pairs.
         path = pair_cassette(tmp_path, ["a", "b"], {("a", "b"): "A"})
         backend, asked = counting_backend(path)
-        relations, warnings, counts = pair_relationships(d, backend)
-        assert [(r.column_a, r.column_b, r.related) for r in relations] == [
-            ("a", "b", True), ("a", "c", False), ("b", "c", False),
+        edges, warnings, counts = pair_relationships(d, backend)
+        assert list(edges.items()) == [
+            (("a", "b"), edge(PART_OF, "a", "b")), (("a", "c"), None), (("b", "c"), None),
         ]
-        assert relations[0].hierarchy is Hierarchy.ATTRIBUTE_OF_A
         assert len(asked) == 1  # a -> b alone holds, so the data orders the pair
         assert render_prompt(RELATED_TEMPLATE, {"col_a": "a", "col_b": "c"}) not in asked
         assert warnings == []
         assert counts == {"pairs": 3, "asked": 1, "related": 1, "hierarchies_asked": 0}
 
-    @pytest.mark.parametrize("headers, hierarchy", [
-        (["zone", "region"], Hierarchy.ATTRIBUTE_OF_A),
-        (["region", "zone"], Hierarchy.ATTRIBUTE_OF_B),
-    ])
-    def test_one_direction_sends_no_hierarchy_prompt(self, tmp_path, headers, hierarchy):
+    @pytest.mark.parametrize("headers, wrong", [
+        (["zone", "region"], "B"),
+        (["region", "zone"], "A"),
+    ], ids=["zone-region", "region-zone"])
+    def test_one_direction_sends_no_hierarchy_prompt(self, tmp_path, headers, wrong):
         # zone -> region holds, region -> zone does not; the cassette's
         # hierarchy answer points the other way and must not be read.
         cells = {"zone": [f"z{i % 10}" for i in range(40)],
                  "region": [f"r{i % 10 // 5}" for i in range(40)]}
         d = Dataset(headers, list(zip(*(map(Cell.text, cells[h]) for h in headers))))
-        wrong = "B" if hierarchy is Hierarchy.ATTRIBUTE_OF_A else "A"
         path = pair_cassette(tmp_path, headers, {tuple(headers): wrong})
         backend, asked = counting_backend(path)
-        [relation], _, _ = pair_relationships(d, backend)
-        assert relation.related and relation.hierarchy is hierarchy
+        edges, _, _ = pair_relationships(d, backend)
+        assert edges == {tuple(headers): edge(PART_OF, "zone", "region")}
         assert not [p for p in asked if "is an attribute of" in p]
         assert len(asked) == 1
 
-    @pytest.mark.parametrize("answer, hierarchy", [
-        ("A", Hierarchy.ATTRIBUTE_OF_A),
-        ("B", Hierarchy.ATTRIBUTE_OF_B),
-        ("NONE", Hierarchy.INDEPENDENT),
-    ])
-    def test_both_directions_still_ask(self, tmp_path, answer, hierarchy):
+    @pytest.mark.parametrize("answer, link", [
+        ("A", edge(PART_OF, "code", "name")),
+        ("B", edge(PART_OF, "name", "code")),
+        ("NONE", edge(RELATED_TO, "code", "name")),
+    ], ids=["A", "B", "NONE"])
+    def test_both_directions_still_ask(self, tmp_path, answer, link):
         # A bijection: each column determines the other, so the model decides.
         d = key_table(["code", "name"], n_rows=6)
         path = pair_cassette(tmp_path, ["code", "name"], {("code", "name"): answer})
         backend, asked = counting_backend(path)
-        [relation], _, _ = pair_relationships(d, backend)
-        assert relation.hierarchy is hierarchy
+        edges, _, _ = pair_relationships(d, backend)
+        assert edges == {("code", "name"): link}
         assert render_prompt(HIERARCHY_TEMPLATE, {"col_a": "code", "col_b": "name"}) in asked
         assert len(asked) == 1 + 1
 
@@ -721,8 +704,8 @@ class TestCandidatePairs:
         assert candidate_pairs(d) == {("a", "b"): (True, True)}
         path = pair_cassette(tmp_path, ["a", "b"], {("a", "b"): "B"})
         backend, asked = counting_backend(path)
-        [relation], _, _ = pair_relationships(d, backend)
-        assert relation.hierarchy is Hierarchy.ATTRIBUTE_OF_B
+        edges, _, _ = pair_relationships(d, backend)
+        assert edges == {("a", "b"): edge(PART_OF, "b", "a")}
         assert len(asked) == 1 + 1
 
     @pytest.mark.parametrize("seed", [1, 9001])
@@ -744,25 +727,17 @@ class TestCandidatePairs:
 
 class TestBuildRelationalGraph:
     def test_zip_city_denial_rule(self):
-        relations = [
-            ColumnPairRelation(
-                "ZipCode", "City", related=True, hierarchy=Hierarchy.ATTRIBUTE_OF_A,
-            )
-        ]
-        graph = build_relational_graph(relations)
+        graph = build_relational_graph({("ZipCode", "City"): edge(PART_OF, "ZipCode", "City")})
         rules = extract_ofds(graph)
         assert [r.id for r in rules] == ["denial:ZipCode->City"]
 
     def test_empty_relations_empty_graph(self):
-        assert build_relational_graph([]).triples == frozenset()
+        assert build_relational_graph({}).triples == frozenset()
 
     def test_cycle_raises_naming_columns(self):
-        relations = [
-            ColumnPairRelation("A", "B", True, hierarchy=Hierarchy.ATTRIBUTE_OF_A),
-            ColumnPairRelation("B", "A", True, hierarchy=Hierarchy.ATTRIBUTE_OF_A),
-        ]
+        edges = {("A", "B"): edge(PART_OF, "A", "B"), ("B", "A"): edge(PART_OF, "B", "A")}
         with pytest.raises(ModelError) as exc:
-            extract_ofds(build_relational_graph(relations))
+            extract_ofds(build_relational_graph(edges))
         assert "A" in str(exc.value) and "B" in str(exc.value)
 
     def test_matching_annotation_yields_sim_rule(self):
@@ -779,16 +754,15 @@ class TestBuildRelationalGraph:
         assert matching[0].predicates[0].sim_threshold == 0.75
 
     def test_independent_related_pair_yields_no_rule(self):
-        relations = [ColumnPairRelation("X", "Y", related=True)]
-        graph = build_relational_graph(relations)
+        graph = build_relational_graph({("X", "Y"): edge(RELATED_TO, "X", "Y")})
         assert extract_ofds(graph) == []
 
     def test_one_denial_rule_per_hierarchy_edge(self):
-        relations = [
-            ColumnPairRelation("A", "B", True, hierarchy=Hierarchy.ATTRIBUTE_OF_A),
-            ColumnPairRelation("C", "B", True, hierarchy=Hierarchy.ATTRIBUTE_OF_B),
-            ColumnPairRelation("D", "E", True),
-        ]
-        graph = build_relational_graph(relations)
+        graph = build_relational_graph({
+            ("A", "B"): edge(PART_OF, "A", "B"),
+            ("C", "B"): edge(PART_OF, "B", "C"),
+            ("D", "E"): edge(RELATED_TO, "D", "E"),
+            ("D", "F"): None,
+        })
         denial = [r for r in extract_ofds(graph) if r.kind is DependencyKind.DENIAL]
         assert sorted(r.id for r in denial) == ["denial:A->B", "denial:B->C"]
