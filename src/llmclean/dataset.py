@@ -516,7 +516,7 @@ def _type_column(raws: list[str], raw_codes: list[int]) -> Column:
     return Column(tuple(_cells(CellKind.TEXT, raws)), tuple(raw_codes))
 
 
-_BLOCK_CHARS = 1 << 18
+_BLOCK_CHARS = 1 << 15
 _CHUNK_ROWS = 4096
 
 

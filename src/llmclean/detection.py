@@ -37,7 +37,7 @@ from .dataset import (
 )
 from .errors import RuleError, SchemaError
 from .frozen import Frozen, set_field
-from .rules import ColumnRef, DependencyKind, Literal, OfdRule, SensorSpec, lookup_spec
+from .rules import ColumnRef, DependencyKind, Literal, OfdRule, Predicate, SensorSpec, lookup_spec
 
 BLOCK_KEY_LEN = 4
 
@@ -133,10 +133,17 @@ def similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / longest
 
 
-def _column_of(rule: OfdRule, operand) -> str:
-    if not isinstance(operand, ColumnRef):
-        raise RuleError(f"rule {rule.id!r}: expected a column reference")
-    return operand.column
+def _across(rule: OfdRule, predicate: Predicate) -> str:
+    """The one column ``predicate`` compares between the rule's two tuples."""
+    left, right = predicate.left, predicate.right
+    if not (
+        isinstance(left, ColumnRef)
+        and isinstance(right, ColumnRef)
+        and left.column == right.column
+        and left.alias != right.alias
+    ):
+        raise RuleError(f"rule {rule.id!r}: {predicate.op} must compare one column across tuples")
+    return left.column
 
 
 def fd_columns(rule: OfdRule) -> tuple[str, str]:
@@ -147,13 +154,7 @@ def fd_columns(rule: OfdRule) -> tuple[str, str]:
     iq = [p for p in rule.predicates if p.op == "IQ"]
     if len(eq) != 1 or len(iq) != 1:
         raise RuleError(f"rule {rule.id!r} must pair one EQ with one IQ predicate")
-    det = _column_of(rule, eq[0].left)
-    if det != _column_of(rule, eq[0].right):
-        raise RuleError(f"rule {rule.id!r}: EQ must compare one column across tuples")
-    dep = _column_of(rule, iq[0].left)
-    if dep != _column_of(rule, iq[0].right):
-        raise RuleError(f"rule {rule.id!r}: IQ must compare one column across tuples")
-    return det, dep
+    return _across(rule, eq[0]), _across(rule, iq[0])
 
 
 def _resolve(d: Dataset, rule_id: str, column: str) -> int:
@@ -232,11 +233,7 @@ def _sim_predicates(rule: OfdRule) -> tuple[str, float, str, float]:
     ):
         raise RuleError(f"rule {rule.id!r} is not a binary matching rule")
     first, second = rule.predicates
-    col_a = _column_of(rule, first.left)
-    col_b = _column_of(rule, second.left)
-    if col_a != _column_of(rule, first.right) or col_b != _column_of(rule, second.right):
-        raise RuleError(f"rule {rule.id!r}: SIM must compare one column across tuples")
-    return col_a, first.sim_threshold, col_b, second.sim_threshold
+    return _across(rule, first), first.sim_threshold, _across(rule, second), second.sim_threshold
 
 
 def detect_matching_violations(

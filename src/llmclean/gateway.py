@@ -1,6 +1,6 @@
 """Pluggable chat-completion interface with remote and replay backends.
 
-The remote backend speaks the common chat-completions JSON shape over HTTPS;
+The remote backend speaks the common chat-completions JSON shape over HTTP(S);
 the replay backend answers from a recorded cassette, matched on the exact
 rendered prompt, which keeps every LLM-dependent pipeline stage
 deterministic and offline-testable. Silent template drift shows up as a
@@ -9,7 +9,6 @@ cassette miss instead of a quietly different answer.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import re
@@ -17,6 +16,7 @@ import time
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from .errors import (
     FormatError,
@@ -33,6 +33,7 @@ ENDPOINT_ENV = "LLMCLEAN_ENDPOINT"
 DEFAULT_PARALLELISM = 4
 #: Tries per remote call: the first plus two retries of a transport failure.
 MAX_ATTEMPTS = 3
+_MAX_LINE = 65536  # longest status or header line read from a reply
 
 
 class ResponseFormat(Enum):
@@ -174,7 +175,7 @@ class ReplayBackend:
 
 
 class RemoteBackend:
-    """Chat-completions endpoint over HTTPS; token read from the environment."""
+    """Chat-completions endpoint over HTTP(S); token read from the environment."""
 
     def __init__(
         self,
@@ -186,9 +187,9 @@ class RemoteBackend:
     ):
         if timeout <= 0:
             raise ValueError("timeout must be positive")
-        # urllib would also open file:, ftp: and data: URLs.
-        if not endpoint.lower().startswith(("http://", "https://")):
-            raise ValueError("endpoint must be an http:// or https:// URL")
+        parts = urlsplit(endpoint)
+        if parts.scheme.lower() not in ("http", "https") or not parts.hostname:
+            raise ValueError("endpoint must be an http:// or https:// URL with a host")
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
@@ -199,28 +200,120 @@ class RemoteBackend:
 Backend = RemoteBackend | ReplayBackend
 
 
-@functools.cache
-def _opener():
-    """The process's one HTTP opener, built on first use: building one per call
-    costs about 0.4 ms, a large share of a call to a nearby endpoint.
+def _post(url: str, headers: Mapping[str, str], body: bytes, timeout: float) -> tuple[int, bytes]:
+    """POST ``body`` to ``url`` as one HTTP/1.1 write; the reply's status and body.
 
-    It refuses redirects: urllib would copy the Authorization header to the
-    redirect target even on another host, so a 3xx must fail instead.
+    Each call opens its own connection, through the environment's proxy for
+    ``url`` if it names one, and closes it. The timeout bounds the connect and
+    each read. An OSError (refused, TLS, timeout) or a ValueError (a reply
+    that is not HTTP, or one cut short) means the request failed.
     """
-    import urllib.request  # here, not at the top: only the remote backend needs it
+    import socket  # here: a replay run opens no connection
 
-    class RefuseRedirects(urllib.request.HTTPRedirectHandler):
-        def redirect_request(self, req, fp, code, msg, headers, newurl):
-            return None
+    parts = urlsplit(url)
+    scheme = parts.scheme.lower()
+    https = scheme == "https"
+    host = parts.hostname
+    port_default = 443 if https else 80
+    port = parts.port or port_default
+    bracketed = f"[{host}]" if ":" in host else host
+    origin = f"{bracketed}:{port}"
+    authority = bracketed if parts.port is None else origin
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    head = {"Host": authority, **headers}
+    proxy = _proxy_for(scheme, authority)
+    if proxy is None:
+        sock = socket.create_connection((host, port), timeout)
+    elif not proxy.hostname:
+        raise ValueError("proxy URL has no host")
+    else:  # spoken to in plain HTTP, on urllib's default port for the endpoint's scheme
+        sock = socket.create_connection((proxy.hostname, proxy.port or port_default), timeout)
+    try:
+        if proxy is not None:
+            auth = {}
+            if proxy.username and proxy.password:
+                import base64
 
-    return urllib.request.build_opener(RefuseRedirects)
+                pair = f"{unquote(proxy.username)}:{unquote(proxy.password)}".encode()
+                auth["Proxy-Authorization"] = f"Basic {base64.b64encode(pair).decode()}"
+            if https:  # a tunnel: the proxy sees only where it leads
+                with sock.makefile("rb") as reply:
+                    sock.sendall(_request_head("CONNECT", origin, {"Host": origin, **auth}))
+                    status, _ = _read_head(reply)
+                if status != 200:
+                    raise OSError(f"proxy refused the tunnel (status {status})")
+            else:  # the proxy forwards the request, so it gets the whole URL
+                target = f"http://{authority}{target}"
+                head.update(auth)
+        if https:
+            import ssl  # here: only an https:// endpoint needs it
+
+            sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
+        head.update({"Content-Length": str(len(body)), "Connection": "close"})
+        with sock.makefile("rb") as reply:
+            sock.sendall(_request_head("POST", target, head) + body)
+            status, fields = _read_head(reply)
+            while status < 200:  # interim replies (100 Continue, 103 Early Hints)
+                status, fields = _read_head(reply)
+            if "chunked" in fields.get("transfer-encoding", "").lower():
+                chunks = []
+                while size := int(_line(reply).split(b";")[0], 16):
+                    chunks.append(_exactly(reply, size))
+                    _line(reply)
+                return status, b"".join(chunks)
+            if "content-length" in fields:
+                return status, _exactly(reply, int(fields["content-length"]))
+            return status, reply.read()
+    finally:
+        sock.close()
+
+
+def _proxy_for(scheme: str, authority: str) -> SplitResult | None:
+    """The split URL of the proxy urllib would use for ``scheme://authority``, or None."""
+    # urllib.request loads http.client, ssl and email; most runs set no proxy.
+    if not any(key.lower().endswith("_proxy") for key in os.environ):
+        return None
+    from urllib.request import getproxies_environment, proxy_bypass_environment
+
+    proxy = getproxies_environment().get(scheme)
+    if proxy is None or proxy_bypass_environment(authority):
+        return None
+    return urlsplit(proxy if "://" in proxy else f"{scheme}://{proxy}")
+
+
+def _request_head(method: str, target: str, headers: Mapping[str, str]) -> bytes:
+    lines = [f"{method} {target} HTTP/1.1", *(f"{k}: {v}" for k, v in headers.items()), "", ""]
+    return "\r\n".join(lines).encode("latin-1")
+
+
+def _line(reply) -> bytes:
+    line = reply.readline(_MAX_LINE)
+    if not line.endswith(b"\n"):
+        raise ValueError("reply cut short" if len(line) < _MAX_LINE else "reply line too long")
+    return line
+
+
+def _exactly(reply, size: int) -> bytes:
+    data = reply.read(size)
+    if len(data) != size:
+        raise ValueError(f"reply body cut short ({len(data)} of {size} bytes)")
+    return data
+
+
+def _read_head(reply) -> tuple[int, dict[str, str]]:
+    """The status and header fields (names lower-cased) of the next reply."""
+    version, _, rest = _line(reply).partition(b" ")
+    if not version.startswith(b"HTTP/"):
+        raise ValueError("reply is not HTTP")
+    status = int(rest[:3])
+    fields = {}
+    while (line := _line(reply)) not in (b"\r\n", b"\n"):
+        name, _, value = line.decode("latin-1").partition(":")
+        fields[name.strip().lower()] = value.strip()
+    return status, fields
 
 
 def _remote_call(backend: RemoteBackend, prompt: str) -> str:
-    import http.client
-    import urllib.error
-    import urllib.request
-
     token = os.environ.get(API_KEY_ENV)
     if not token:
         raise TransportError(f"auth token not set ({API_KEY_ENV})")
@@ -233,22 +326,18 @@ def _remote_call(backend: RemoteBackend, prompt: str) -> str:
     for attempt in range(MAX_ATTEMPTS):
         if attempt:
             time.sleep(backend.backoff_base * (2 ** (attempt - 1)))
-        # A fresh request per attempt: opening one through a proxy rewrites its host.
-        request = urllib.request.Request(backend.endpoint, body, headers, method="POST")
         try:
-            with _opener().open(request, timeout=backend.timeout) as resp:
-                raw = resp.read()
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            if exc.code >= 500:
-                last_error = TransportError(f"server error {exc.code}")
-                continue
-            if exc.code < 400:
-                raise TransportError(f"redirect refused (status {exc.code})") from None
-            raise TransportError(f"request rejected with status {exc.code}") from None
-        except (OSError, http.client.HTTPException) as exc:
+            status, raw = _post(backend.endpoint, headers, body, backend.timeout)
+        except (OSError, ValueError) as exc:
             last_error = exc
             continue
+        if status >= 500:
+            last_error = TransportError(f"server error {status}")
+            continue
+        if status >= 400:
+            raise TransportError(f"request rejected with status {status}")
+        if status >= 300:  # following it would send the token to another URL
+            raise TransportError(f"redirect refused (status {status})")
         try:
             content = json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -294,7 +383,29 @@ def complete_many(
 
     if not isinstance(backend, RemoteBackend) or len(prompts) <= 1 or backend.max_parallel <= 1:
         return [attempt(p) for p in prompts]
-    from concurrent.futures import ThreadPoolExecutor  # here: only a fan-out needs it
+    import threading  # here: only a fan-out needs it
 
-    with ThreadPoolExecutor(max_workers=backend.max_parallel) as pool:
-        return list(pool.map(attempt, prompts))
+    todo = iter(enumerate(prompts))
+    results: list = [None] * len(prompts)
+
+    def work() -> None:
+        # Each next() on the shared iterator is one C call under the GIL, so
+        # no two threads take the same prompt.
+        for i, prompt in todo:
+            try:
+                results[i] = attempt(prompt)
+            except BaseException as exc:  # re-raised below, in the calling thread
+                results[i] = exc
+                for _ in todo:  # and no thread starts another prompt
+                    pass
+
+    workers = min(backend.max_parallel, len(prompts))
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for result in results:
+        if isinstance(result, BaseException) and not isinstance(result, GatewayError):
+            raise result
+    return results

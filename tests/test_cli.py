@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -103,9 +105,26 @@ print(json.dumps(sorted(set(sys.modules) - bare)))
 """
 
 
-def test_each_command_imports_only_what_it_runs(tmp_path):
+class _AnswerNo(BaseHTTPRequestHandler):
+    """A chat-completions endpoint that answers "no" to every prompt."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        payload = json.dumps({"choices": [{"message": {"content": "no"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path, monkeypatch):
     csv_path = tmp_path / "t.csv"
     csv_path.write_text("sensor,value\ns1,1\n,2\ns2,3\n")
+    wide_path = tmp_path / "wide.csv"  # three column pairs: a remote fan-out
+    wide_path.write_text("a,b,c\n1,x,p\n2,y,q\n3,z,r\n")
     rules_path = tmp_path / "rules.ofd"
     rules_path.write_text('denial: t1&EQ(t1.sensor,"")\n')
     cassette = make_cassette(tmp_path, iot_pipeline_responses(["sensor", "value"]))
@@ -115,27 +134,35 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     llm = {"llmclean.generation", "llmclean.gateway"}
     # No command builds class methods at start-up (inspect alone costs ~7 ms)
     # or loads statistics. No command hashes: the cassette entries record
-    # their prompts, and hashlib loads OpenSSL (~3.5 MB). No command logs (a
-    # remote fan-out would load logging through concurrent.futures; these
-    # runs replay). The IoT build-context also asks one prompt at a time and
-    # loads no thread pool.
-    everywhere = {"dataclasses", "inspect", "statistics", "hashlib", "_hashlib", "logging"}
+    # their prompts, and hashlib loads OpenSSL (~3.5 MB). No command logs or
+    # loads a thread pool; the IoT build-context asks one prompt at a time and
+    # starts no thread, and a replay opens no socket. A remote run on an
+    # http:// endpoint loads no TLS and none of urllib's HTTP stack.
+    everywhere = {"dataclasses", "inspect", "statistics", "hashlib", "_hashlib", "logging",
+                  "concurrent.futures"}
+    http_stack = {"ssl", "_ssl", "http.client", "urllib.request", "email"}
+    server = HTTPServer(("127.0.0.1", 0), _AnswerNo)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    monkeypatch.setenv("LLMCLEAN_API_KEY", "sk-test")
+    monkeypatch.setenv("LLMCLEAN_ENDPOINT", f"http://127.0.0.1:{server.server_port}/v1")
     for argv, absent in [
         (["detect", str(csv_path), "--rules", str(rules_path), "--out-dir", str(tmp_path / "d")],
          llm | {"llmclean.ensemble", "llmclean.evaluation", "llmclean.context_model"}),
         (["evaluate", str(csv_path), "--rules", str(rules_path), "--missing-rate", "0.3",
           "--seed", "1", "--out-dir", str(tmp_path / "e")], llm),
         (["classify", str(csv_path), "--backend", "replay", "--cassette", cassette],
-         {"llmclean.detection", "llmclean.evaluation"}),
+         {"llmclean.detection", "llmclean.evaluation", "socket"}),
         (["build-context", str(csv_path), "--backend", "replay", "--cassette", cassette,
           "--assume-class", "IoT", "--out-dir", str(tmp_path / "b")],
-         {"llmclean.detection", "llmclean.evaluation", "concurrent.futures"}),
+         {"llmclean.detection", "llmclean.evaluation", "threading", "socket"}),
         (["detect", str(csv_path), "--graph", str(tmp_path / "b" / "context.nt"),
           "--out-dir", str(tmp_path / "g")],
          llm | {"llmclean.ensemble", "llmclean.evaluation"}),
         (["build-context", str(csv_path), "--backend", "replay", "--cassette", relational,
           "--assume-class", "NonIoT", "--out-dir", str(tmp_path / "r")],
-         {"llmclean.detection", "llmclean.evaluation"}),
+         {"llmclean.detection", "llmclean.evaluation", "socket"}),
+        (["build-context", str(wide_path), "--backend", "remote", "--out-dir",
+          str(tmp_path / "w")], {"llmclean.detection", "llmclean.evaluation"} | http_stack),
     ]:
         loaded = set(json.loads(_python(_FOOTPRINT, *argv).splitlines()[-1]))
         assert "llmclean.dataset" in loaded
@@ -143,6 +170,10 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         unwanted = {m for m in loaded for name in absent | everywhere
                     if m == name or m.startswith(name + ".")}
         assert not unwanted, (argv[:2], unwanted)
+    server.shutdown()
+    server.server_close()
+    manifest = json.loads((tmp_path / "w" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["pair_counts"]["asked"] == 3, manifest
 
 
 def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path, iot_csv, cassette):
@@ -223,7 +254,6 @@ _UNREACHED_ALLOWED = {
     "ensemble.write_records_jsonl": "writes the records the ensemble command reads",
     "generation.CONCEPT_TEMPLATE": "asked by no stage; the benchmark's cassette writer imports it",
     "dataset.Dataset.from_lists": "the row constructor the tests and oracles build tables with",
-    "gateway.RefuseRedirects.redirect_request": "an override urllib calls on a redirect",
 }
 
 

@@ -325,6 +325,27 @@ class TestRunAll:
         assert report.flagged_cells == {(0, "System")}
         assert [r for r, _ in report.skipped_rules] == ["bad"]
 
+    def test_predicate_within_one_tuple_skipped(self):
+        # EQ(t1.Device,t1.Device) compares a cell with itself, not two tuples:
+        # no FD or matching rule, so the rule is skipped, not enforced.
+        d = table(["Device", "sensor"], ["d1", "s1"], ["d1", "s1"], ["d1", "s2"])
+        same = [
+            rule("t1&t2&EQ(t1.Device,t1.Device)&IQ(t2.sensor,t2.sensor)", rule_id="fd"),
+            rule("t1&t2&SIM75(t1.Device,t1.Device)&SIM75(t2.sensor,t2.sensor)",
+                 DependencyKind.MATCHING, "sim"),
+        ]
+        report = run_all(d, same)
+        assert report.findings == []
+        assert [r for r, _ in report.skipped_rules] == ["fd", "sim"]
+        swapped = [
+            rule("t1&t2&EQ(t2.Device,t1.Device)&IQ(t2.sensor,t1.sensor)", rule_id="fd"),
+            rule("t1&t2&SIM75(t2.Device,t1.Device)&SIM75(t2.sensor,t1.sensor)",
+                 DependencyKind.MATCHING, "sim"),
+        ]
+        report = run_all(d, swapped)
+        assert report.skipped_rules == []
+        assert report.per_rule_counts == {"fd": 1, "sim": 3}
+
     def test_capability_dispatch_uses_specs_argument(self):
         d = table(["sensor", "value"], ["ds18b20_1", 999.0])
         cap = rule('t1&EQ(t1.sensor,"ds18b20_1")', DependencyKind.CAPABILITY, "cap")

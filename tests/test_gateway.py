@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import base64
+import contextlib
 import json
+import re
+import select
+import shutil
 import socket
+import socketserver
+import ssl
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -393,23 +403,23 @@ class TestRemoteTransport:
 
     def test_closed_port_retried_then_raises(self, monkeypatch):
         monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
-        opener = gateway._opener()
+        connect = socket.create_connection
         attempts = []
 
-        class CountingOpener:
-            def open(self, request, timeout):
-                attempts.append(request.full_url)
-                return opener.open(request, timeout=timeout)
+        def counting_connect(address, *args, **kwargs):
+            attempts.append(address)
+            return connect(address, *args, **kwargs)
 
-        monkeypatch.setattr(gateway, "_opener", CountingOpener)
+        monkeypatch.setattr(socket, "create_connection", counting_connect)
         with socket.socket() as sock:  # bound, never listening: connections are refused
             sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
             backend = RemoteBackend(
-                f"http://127.0.0.1:{sock.getsockname()[1]}/v1", "m", timeout=5.0, backoff_base=0.01
+                f"http://127.0.0.1:{port}/v1", "m", timeout=5.0, backoff_base=0.01
             )
             with pytest.raises(TransportError, match="after 3 attempts"):
                 complete(backend, "p", ResponseFormat.YES_NO)
-        assert attempts == [backend.endpoint] * 3
+        assert attempts == [("127.0.0.1", port)] * 3
 
     def test_timeout_bounds_each_attempt(self, monkeypatch):
         # Every attempt waits out its timeout, and the whole call stays bounded.
@@ -431,3 +441,348 @@ class TestRemoteTransport:
     def test_non_http_endpoint_rejected(self, endpoint):
         with pytest.raises(ValueError):
             RemoteBackend(endpoint, "m")
+
+
+class _Answer(BaseHTTPRequestHandler):
+    """Answers "yes" to every prompt and records the request lines and headers it got."""
+
+    seen: list[tuple[str, dict[str, str]]] = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        _Answer.seen.append((self.requestline, dict(self.headers)))
+        payload = json.dumps({"choices": [{"message": {"content": "yes"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+class _Proxy(socketserver.StreamRequestHandler):
+    """A forward proxy: relays a CONNECT tunnel, forwards an absolute-form
+    request to its origin, and records each request line and its headers."""
+
+    seen: list[tuple[str, dict[str, str]]] = []
+
+    def handle(self):
+        request_line = self.rfile.readline().decode("latin-1").rstrip("\r\n")
+        head = b""
+        headers = {}
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+            if name.strip().lower() not in ("host", "proxy-authorization", "connection"):
+                head += line
+        _Proxy.seen.append((request_line, headers))
+        method, target, _ = request_line.split(" ")
+        if method == "CONNECT":
+            host, port = target.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=5) as upstream:
+                self.wfile.write(b"HTTP/1.1 200 Connection established\r\n\r\n")
+                self.wfile.flush()
+                ends = [self.connection, upstream]
+                while True:
+                    readable, _, _ = select.select(ends, [], [], 5)
+                    data = readable[0].recv(65536) if readable else b""
+                    if not data:
+                        return
+                    ends[readable[0] is self.connection].sendall(data)
+        url = urlsplit(target)
+        body = self.rfile.read(int(headers["content-length"]))
+        with socket.create_connection((url.hostname, url.port), timeout=5) as upstream:
+            upstream.sendall(f"{method} {url.path} HTTP/1.0\r\nHost: {url.netloc}\r\n".encode()
+                             + head + b"\r\n" + body)
+            while data := upstream.recv(65536):
+                self.wfile.write(data)
+
+
+@pytest.fixture
+def answer_server():
+    server = _serve(_Answer)
+    _Answer.seen = []
+    yield f"http://127.0.0.1:{server.server_port}/v1"
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture(scope="module")
+def tls_cert(tmp_path_factory):
+    """A self-signed certificate for localhost and 127.0.0.1, and its key."""
+    if shutil.which("openssl") is None:
+        pytest.skip("the openssl command is needed to make a test certificate")
+    folder = tmp_path_factory.mktemp("tls")
+    cert, key = folder / "cert.pem", folder / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+         "-nodes", "-keyout", str(key), "-out", str(cert), "-days", "1", "-subj", "/CN=localhost",
+         "-addext", "subjectAltName=DNS:localhost,IP:127.0.0.1"],
+        check=True, capture_output=True,
+    )
+    return cert, key
+
+
+@pytest.fixture
+def tls_server(tls_cert):
+    """An https:// endpoint served with the self-signed certificate."""
+    server = HTTPServer(("127.0.0.1", 0), _Answer)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(*tls_cert)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    _Answer.seen = []
+    yield f"https://127.0.0.1:{server.server_port}/v1"
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def proxy():
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _Proxy)
+    server.daemon_threads = True
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    _Proxy.seen = []
+    yield f"127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+
+
+def _ask(endpoint: str, timeout: float = 5.0) -> bool | str:
+    return complete(RemoteBackend(endpoint, "m", timeout=timeout, backoff_base=0.01), "p",
+                    ResponseFormat.YES_NO)
+
+
+class TestProxies:
+    def test_http_proxy_gets_the_absolute_url(self, answer_server, proxy, monkeypatch):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        monkeypatch.setenv("HTTP_PROXY", f"http://{proxy}")
+        assert _ask(answer_server) is True
+        assert [line for line, _ in _Proxy.seen] == [f"POST {answer_server} HTTP/1.1"]
+        assert [line for line, _ in _Answer.seen] == ["POST /v1 HTTP/1.0"]
+
+    def test_https_proxy_tunnels_with_connect(self, tls_server, tls_cert, proxy, monkeypatch):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        monkeypatch.setenv("SSL_CERT_FILE", str(tls_cert[0]))
+        monkeypatch.setenv("HTTPS_PROXY", f"http://user:p%40ss@{proxy}")
+        assert _ask(tls_server) is True
+        origin = urlsplit(tls_server).netloc
+        (line, headers), = _Proxy.seen
+        assert line.startswith(f"CONNECT {origin} HTTP/1.")
+        expected = base64.b64encode(b"user:p@ss").decode()
+        assert headers["proxy-authorization"] == f"Basic {expected}"
+        (line, headers), = _Answer.seen  # the request itself went through the tunnel
+        assert line == "POST /v1 HTTP/1.1" and "Proxy-Authorization" not in headers
+        assert headers["Authorization"] == f"Bearer {TOKEN}"
+
+    def test_http_proxy_credentials(self, answer_server, proxy, monkeypatch):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        monkeypatch.setenv("http_proxy", f"http://user:secret@{proxy}")
+        assert _ask(answer_server) is True
+        (_, headers), = _Proxy.seen
+        expected = base64.b64encode(b"user:secret").decode()
+        assert headers["proxy-authorization"] == f"Basic {expected}"
+
+    def test_no_proxy_bypasses_both(self, answer_server, tls_server, tls_cert, proxy,
+                                    monkeypatch):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        monkeypatch.setenv("SSL_CERT_FILE", str(tls_cert[0]))
+        monkeypatch.setenv("HTTP_PROXY", f"http://{proxy}")
+        monkeypatch.setenv("HTTPS_PROXY", f"http://{proxy}")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        assert _ask(answer_server) is True
+        assert _ask(tls_server) is True
+        assert _Proxy.seen == [] and len(_Answer.seen) == 2
+
+
+class TestTls:
+    def test_untrusted_certificate_fails_after_every_attempt(self, tls_server, monkeypatch):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        connect = socket.create_connection
+        attempts = []
+
+        def counting_connect(address, *args, **kwargs):
+            attempts.append(address)
+            return connect(address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", counting_connect)
+        with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+            _ask(tls_server)
+        assert len(attempts) == MAX_ATTEMPTS and _Answer.seen == []
+
+    def test_trusted_through_ssl_cert_file(self, tls_server, tls_cert, monkeypatch):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        monkeypatch.setenv("SSL_CERT_FILE", str(tls_cert[0]))
+        assert _ask(tls_server) is True
+        assert _Answer.seen[0][1]["Host"] == urlsplit(tls_server).netloc
+
+
+_PAYLOAD = json.dumps({"choices": [{"message": {"content": "yes"}}]}).encode()
+
+
+@contextlib.contextmanager
+def _raw_server(reply: bytes, hold_open: bool = False):
+    """A loopback endpoint that reads one request and writes ``reply`` verbatim,
+    then closes the connection or, with ``hold_open``, leaves it open until
+    the test ends. Yields the endpoint and the list the request bytes go to."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+    requests: list[bytes] = []
+    held: list[socket.socket] = []
+
+    def serve():
+        conn, _ = listener.accept()
+        data = b""
+        while b"\r\n\r\n" not in data:
+            data += conn.recv(65536)
+        length = int(re.search(rb"Content-Length: (\d+)", data).group(1))
+        while len(data.partition(b"\r\n\r\n")[2]) < length:
+            data += conn.recv(65536)
+        requests.append(data)
+        conn.sendall(reply)
+        if hold_open:
+            held.append(conn)
+        else:
+            conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}/v1", requests
+    finally:
+        thread.join(5)
+        for conn in held:
+            conn.close()
+        listener.close()
+
+
+def _chunked(payload: bytes) -> bytes:
+    pieces = [payload[:7], payload[7:30], payload[30:]]
+    return b"".join(b"%x;ext=1\r\n%s\r\n" % (len(p), p) for p in pieces) + b"0\r\n\r\n"
+
+
+class TestReplyFraming:
+    @pytest.mark.parametrize("reply,hold_open", [
+        (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_PAYLOAD), _PAYLOAD), True),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + _chunked(_PAYLOAD), True),
+        (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + _PAYLOAD, False),
+        (b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\ncontent-length: %d\r\n\r\n%s"
+         % (len(_PAYLOAD), _PAYLOAD), False),
+    ], ids=["content-length-held-open", "chunked-held-open", "close-delimited", "interim-100"])
+    def test_reply_parses(self, monkeypatch, reply, hold_open):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        with _raw_server(reply, hold_open) as (endpoint, _):
+            start = time.perf_counter()
+            assert _ask(endpoint, timeout=5.0) is True
+            assert time.perf_counter() - start < 2.0  # the held-open socket is not waited on
+
+    @pytest.mark.parametrize("reply", [
+        b"",
+        b"SSH-2.0-OpenSSH\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_PAYLOAD) + 5, _PAYLOAD),
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n10\r\nshort",
+    ], ids=["empty", "not-http", "body-cut-short", "chunk-cut-short"])
+    def test_unparseable_reply_is_retried(self, monkeypatch, reply):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        calls = []
+        real_post = gateway._post
+
+        def one_bad_reply(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                return 200, _PAYLOAD
+            return real_post(*args)
+
+        monkeypatch.setattr(gateway, "_post", one_bad_reply)
+        with _raw_server(reply) as (endpoint, _):
+            assert _ask(endpoint) is True
+        assert len(calls) == 2
+
+    def test_request_is_one_write_with_its_headers(self, monkeypatch):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        writes = []
+        real_sendall = socket.socket.sendall
+
+        def recording_sendall(sock, data, *args):
+            writes.append(bytes(data))
+            return real_sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_PAYLOAD), _PAYLOAD)
+        with _raw_server(reply) as (endpoint, requests):
+            port = urlsplit(endpoint).port
+            assert _ask(f"http://user:pw@127.0.0.1:{port}/v1?a=1") is True
+        sent = [w for w in writes if w.startswith(b"POST ")]
+        assert sent == requests  # the whole request, head and body, in one write
+        head, _, body = requests[0].partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0] == "POST /v1?a=1 HTTP/1.1"
+        fields = dict(line.split(": ", 1) for line in lines[1:])
+        assert fields["Host"] == f"127.0.0.1:{port}"
+        assert fields["Authorization"] == f"Bearer {TOKEN}"
+        assert fields["Content-Type"] == "application/json"
+        assert fields["Content-Length"] == str(len(body))
+        assert fields["Connection"] == "close"
+        assert b"user" not in head and json.loads(body)["messages"][0]["content"] == "p"
+
+    def test_ipv6_host_in_brackets(self, monkeypatch):
+        try:
+            listener = socket.create_server(("::1", 0), family=socket.AF_INET6)
+        except OSError:
+            pytest.skip("no IPv6 loopback")
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_PAYLOAD), _PAYLOAD)
+        received = []
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                received.append(conn.recv(65536))
+                conn.sendall(reply)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        with listener:
+            port = listener.getsockname()[1]
+            assert _ask(f"http://[::1]:{port}/v1") is True
+            thread.join(5)
+        assert f"\r\nHost: [::1]:{port}\r\n".encode() in received[0]
+
+
+class TestFanOut:
+    def test_unexpected_worker_error_is_raised(self, monkeypatch):
+        def answer(backend, prompt):
+            if prompt == "p3":
+                raise RuntimeError("bug in p3")
+            return "yes"
+
+        monkeypatch.setattr(gateway, "_remote_call", answer)
+        backend = RemoteBackend("http://127.0.0.1:1/v1", "m", max_parallel=4)
+        with pytest.raises(RuntimeError, match="bug in p3"):
+            complete_many(backend, [f"p{i}" for i in range(8)], ResponseFormat.YES_NO)
+
+    def test_every_prompt_answered_once_in_order(self, monkeypatch):
+        # More threads than cores and a short switch interval: a prompt taken
+        # twice or a lost result would show in the counts or the order.
+        asked: list[str] = []
+
+        def answer(backend, prompt):
+            asked.append(prompt)
+            time.sleep(0)
+            return "NONE" if int(prompt[1:]) % 3 else prompt
+
+        monkeypatch.setattr(gateway, "_remote_call", answer)
+        backend = RemoteBackend("http://127.0.0.1:1/v1", "m", max_parallel=16)
+        prompts = [f"p{i}" for i in range(2000)]
+        threads_before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = complete_many(backend, prompts, ResponseFormat.SINGLE_LABEL)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(asked) == sorted(prompts)
+        assert results == [p if i % 3 == 0 else "NONE" for i, p in enumerate(prompts)]
+        assert threading.active_count() == threads_before  # every worker joined
