@@ -2,11 +2,15 @@
 
 A table is an immutable grid of variant-typed cells, typed per column at
 load time (number / timestamp / text). Each column is stored dictionary-
-encoded: one int code per row plus a tuple of the column's distinct cells,
-each held by some row, so equal cells share one code and one immutable Cell.
-Columns are what every stage reads and builds (loading, normalizing, writing,
-detection, error injection, graph building); ``Dataset.rows`` is a view built
-on first use. The usual missing-value placeholders are folded into a
+encoded: a tuple of the column's distinct payloads, each held by some row,
+plus one code per row in an ``array`` of the narrowest unsigned typecode
+that holds them (one byte per row up to 256 distinct values, two up to
+65,536). A payload's type tells its kind: ``str`` is text, ``float`` a
+number, ``int`` an epoch-ms timestamp and ``None`` missing. Columns are
+what every stage reads and builds (loading, normalizing, writing,
+detection, error injection, graph building); :class:`Cell` objects are
+built only for a caller that asks for them, and ``Dataset.rows`` is a view
+built on first use. The usual missing-value placeholders are folded into a
 dedicated Missing variant by :func:`normalize_missing`. All operations are
 pure and return new values, so datasets can be shared freely across workers.
 """
@@ -17,11 +21,12 @@ import csv
 import io
 import math
 import re
+from array import array
 from collections import Counter, defaultdict
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
-from operator import add, attrgetter, ge, is_, itemgetter, methodcaller, or_
+from operator import add, attrgetter, eq, ge, is_, itemgetter, methodcaller, or_
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import SchemaError, StructuralError
@@ -56,11 +61,17 @@ class CellKind(Enum):
 
 
 class Cell(Frozen):
-    """One table cell: text, finite number, epoch-ms timestamp, or missing."""
+    """One table cell: text, finite number, epoch-ms timestamp, or missing.
+
+    The kind is the one its payload's type tells (see :func:`payload_kind`);
+    a cell whose kind and payload disagree is refused.
+    """
 
     __slots__ = _fields = ("kind", "value")
 
     def __init__(self, kind: CellKind, value: str | float | int | None):
+        if _KIND_OF.get(type(value)) is not kind:
+            raise TypeError(f"a {kind.value} cell cannot hold {value!r}")
         set_field(self, "kind", kind)
         set_field(self, "value", value)
 
@@ -86,32 +97,40 @@ class Cell(Frozen):
         return self.kind is CellKind.MISSING
 
 
+_KIND_OF = {
+    str: CellKind.TEXT, float: CellKind.NUMBER, int: CellKind.TIMESTAMP,
+    type(None): CellKind.MISSING,
+}
+
+
+def payload_kind(payload: str | float | int | None) -> CellKind:
+    """The kind of a cell holding ``payload``: ``str`` is text, ``float`` a
+    number, ``int`` an epoch-ms timestamp and ``None`` missing. Any other
+    type (``bool`` too) raises TypeError."""
+    try:
+        return _KIND_OF[type(payload)]
+    except KeyError:
+        raise TypeError(f"no cell kind holds a {type(payload).__name__} payload") from None
+
+
 MISSING = Cell(CellKind.MISSING, None)
 
 
-def _cells(kind: CellKind, values: Sequence[str | float | int]) -> list[Cell]:
-    """``Cell(kind, v)`` for each value, built in C-level passes.
+def _cell(payload: str | float | int | None) -> Cell:
+    """The cell holding ``payload``."""
+    return MISSING if payload is None else Cell(payload_kind(payload), payload)
 
-    ``Cell.__init__`` runs Python code per cell; the slot descriptors set
-    the same two fields without it. (``any`` drains each pass: a
-    descriptor's ``__set__`` returns None.)
-    """
-    cells = list(map(object.__new__, repeat(Cell, len(values))))
-    any(map(Cell.kind.__set__, cells, repeat(kind)))
-    any(map(Cell.value.__set__, cells, values))
-    return cells
+
+def payload_text(payload: str | float | int | None) -> str:
+    """Canonical string form of a payload (used for CSV output and grouping keys)."""
+    if type(payload) is float:
+        return str(int(payload)) if payload.is_integer() else repr(payload)
+    return "" if payload is None else str(payload)
 
 
 def cell_text(cell: Cell) -> str:
     """Canonical string form of a cell (used for CSV output and grouping keys)."""
-    if cell.kind is CellKind.TEXT:
-        return str(cell.value)
-    if cell.kind is CellKind.NUMBER:
-        v = float(cell.value)
-        return str(int(v)) if v.is_integer() else repr(v)
-    if cell.kind is CellKind.TIMESTAMP:
-        return str(int(cell.value))
-    return ""
+    return payload_text(cell.value)
 
 
 class CellRef(Frozen):
@@ -136,46 +155,73 @@ def _encoder() -> defaultdict:
 _value = attrgetter("value")
 
 
-def _is_text(cells: Iterable[Cell]) -> list[bool]:
-    """Whether each cell is a text cell, in one C-level pass."""
-    return list(map(is_, map(attrgetter("kind"), cells), repeat(CellKind.TEXT)))
+#: The unsigned ``array`` typecodes, narrowest first, each with how many
+#: distinct codes it holds.
+_TYPECODES = tuple((t, 1 << 8 * array(t).itemsize) for t in "BHIQ")
+
+
+def _typecode(n_values: int) -> str:
+    """The narrowest typecode that holds codes ``0 .. n_values - 1``."""
+    return next(t for t, n in _TYPECODES if n_values <= n)
+
+
+def _is_str(payloads: Iterable[object]) -> Iterator[bool]:
+    """Whether each payload is text, lazily and in C."""
+    return map(is_, map(type, payloads), repeat(str))
 
 
 class Column:
-    """One dictionary-encoded column: row ``i`` holds ``values[codes[i]]``.
+    """One dictionary-encoded column: row ``i`` holds ``payloads[codes[i]]``.
 
-    ``values`` are the column's distinct cells, each held by some row (built
-    by :meth:`merged` wherever cells may repeat or go unused). The derived
-    indexes below are built on first use; the column never changes.
+    ``payloads`` are the column's distinct payloads, each held by some row
+    (built by :meth:`merged` wherever payloads may repeat or go unused); two
+    are distinct unless they have one type and compare equal, so the
+    timestamp ``5`` and the number ``5.0`` stay apart. ``codes`` is an
+    ``array`` of the narrowest typecode for ``len(payloads)`` codes. The
+    Cells (``values``) and the other derived indexes below are built on
+    first use; the column never changes.
     """
 
-    def __init__(self, values: tuple[Cell, ...], codes: tuple[int, ...]):
-        self.values = values
+    def __init__(self, payloads: tuple[str | float | int | None, ...], codes: Iterable[int]):
+        self.payloads = payloads
+        typecode = _typecode(len(payloads))
+        if type(codes) is not array or codes.typecode != typecode:
+            codes = array(typecode, codes)
         self.codes = codes
 
     @classmethod
-    def merged(cls, cells: Sequence[Cell], codes: Iterable[int]) -> "Column":
-        """Column whose row ``i`` holds ``cells[codes[i]]``, equal cells merged
-        and cells no row holds dropped (the rest keep their order)."""
-        codes = tuple(codes)
-        # Keyed by kind identity: hashing a Cell runs Python code per call.
+    def merged(cls, payloads: Sequence[str | float | int | None], codes: Iterable[int]) -> "Column":
+        """Column whose row ``i`` holds ``payloads[codes[i]]``, equal payloads
+        merged and payloads no row holds dropped (the rest keep their order)."""
+        if type(codes) is not array:
+            codes = list(codes)
+        # Keyed by type too: the timestamp 5 and the number 5.0 are equal.
         first = _encoder()
-        remap = list(map(first.__getitem__, [(id(c.kind), c.value) for c in cells]))
-        if len(first) == len(cells) and len(set(codes)) == len(cells):
-            return cls(tuple(cells), codes)
+        remap = list(map(first.__getitem__, zip(map(type, payloads), payloads)))
+        if len(first) == len(payloads) and len(set(codes)) == len(payloads):
+            return cls(tuple(payloads), codes)
         merged = list(map(remap.__getitem__, codes))
         used = sorted(set(merged))
-        if len(used) < len(first):  # renumber without the cells no row holds
+        if len(used) < len(first):  # renumber without the payloads no row holds
             merged = list(map(dict(zip(used, count())).__getitem__, merged))
-        cell_of = dict(zip(reversed(remap), reversed(cells)))  # each code's first cell
-        return cls(tuple(map(cell_of.__getitem__, used)), tuple(merged))
+        payload_of = dict(zip(reversed(remap), reversed(payloads)))  # each code's first
+        return cls(tuple(map(payload_of.__getitem__, used)), merged)
 
-    def replaced(self, cells: Mapping[int, Cell]) -> "Column":
-        """This column with row ``i`` holding ``cells[i]`` for each given row."""
-        codes = list(self.codes)
-        for code, row in enumerate(cells, start=len(self.values)):
+    def replaced(self, payloads: Mapping[int, str | float | int | None]) -> "Column":
+        """This column with row ``i`` holding ``payloads[i]`` for each given row."""
+        codes = self.codes.tolist()
+        for code, row in enumerate(payloads, start=len(self.payloads)):
             codes[row] = code
-        return Column.merged(self.values + tuple(cells.values()), codes)
+        return Column.merged(self.payloads + tuple(payloads.values()), codes)
+
+    @cached_property
+    def values(self) -> tuple[Cell, ...]:
+        """The cell of each distinct payload, by code."""
+        return tuple(map(_cell, self.payloads))
+
+    def cell(self, row: int) -> Cell:
+        """The cell of row ``row``, built without building ``values``."""
+        return _cell(self.payloads[self.codes[row]])
 
     def cells(self) -> Iterator[Cell]:
         """The column's cells in row order."""
@@ -183,25 +229,24 @@ class Column:
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
-        """``cell_text`` of each distinct value, by code."""
-        if all(_is_text(self.values)):  # a text cell's text is its value
-            return tuple(map(_value, self.values))
-        return tuple(map(cell_text, self.values))
+        """``payload_text`` of each distinct payload, by code."""
+        if all(_is_str(self.payloads)):  # a text payload is its own text
+            return self.payloads
+        return tuple(map(payload_text, self.payloads))
 
     @cached_property
     def missing_code(self) -> int | None:
-        kinds = [cell.kind for cell in self.values]
-        return kinds.index(CellKind.MISSING) if CellKind.MISSING in kinds else None
+        return self.payloads.index(None) if None in self.payloads else None
 
     @cached_property
     def _positions(self) -> tuple[list[int], ...]:
-        positions: tuple[list[int], ...] = tuple([] for _ in self.values)
+        positions: tuple[list[int], ...] = tuple([] for _ in self.payloads)
         for i, code in enumerate(self.codes):
             positions[code].append(i)
         return positions
 
     def codes_of(self, text: str) -> list[int]:
-        """Codes of the non-missing values whose ``cell_text`` is ``text``."""
+        """Codes of the non-missing payloads whose ``payload_text`` is ``text``."""
         return [
             k for k, t in enumerate(self.texts) if t == text and k != self.missing_code
         ]
@@ -217,7 +262,7 @@ def group_modes(
     """Modal ``dep`` code of each non-missing ``det`` code.
 
     Counts the rows where both cells are present; ties go to the smallest
-    ``cell_text``. ``pairs`` are the rows' ``(det, dep)`` code counts, when
+    ``payload_text``. ``pairs`` are the rows' ``(det, dep)`` code counts, when
     the caller has them already.
     """
     groups: dict[int, dict[int, int]] = defaultdict(dict)
@@ -254,7 +299,7 @@ class Dataset:
                 )
         every_row = range(self.n_rows)
         self.columns = tuple(
-            Column.merged(list(map(itemgetter(j), self.rows)), every_row)
+            Column.merged(list(map(_value, map(itemgetter(j), self.rows))), every_row)
             for j in range(width)
         )
 
@@ -321,8 +366,7 @@ class Dataset:
         return tuple(self.columns[self.column_index(name)].cells())
 
     def cell(self, row: int, column: str) -> Cell:
-        col = self.columns[self.column_index(column)]
-        return col.values[col.codes[row]]
+        return self.columns[self.column_index(column)].cell(row)
 
 
 def _check_headers(headers: tuple[str, ...]) -> None:
@@ -430,33 +474,41 @@ def _may_be_number(stripped: list[str]) -> Iterator[bool]:
     return map(or_, map(str.isdigit, heads), map(_NUMBER_LEADS.__contains__, heads))
 
 
+def _number_payload(x: float) -> float | None:
+    """The payload a parsed float is stored as: non-finite ones are missing."""
+    return x if math.isfinite(x) else None
+
+
 # Per kind, in vote order: a test every value of the kind passes, the batch
 # parse of the common case (every value parses), the per-value parse, and
-# the cell constructor. Every value that passes the timestamp test passes the
-# number test too: a 4-digit head starts with a digit, and ``+`` leads both.
+# the payload a parse result is stored as. Every value that passes the
+# timestamp test passes the number test too: a 4-digit head starts with a
+# digit, and ``+`` leads both.
 _KINDS = (
-    (CellKind.TIMESTAMP, _may_be_timestamp, _timestamps_all, _parse_timestamp_text,
-     Cell.timestamp),
-    (CellKind.NUMBER, _may_be_number, _numbers_all, _parse_number_text, Cell.number),
+    (CellKind.TIMESTAMP, _may_be_timestamp, _timestamps_all, _parse_timestamp_text, int),
+    (CellKind.NUMBER, _may_be_number, _numbers_all, _parse_number_text, _number_payload),
 )
 
 
-def _typed_column(typed: Mapping[str, Cell], raws: list[str], raw_codes: list[int]) -> Column:
-    """The column where each raw value in ``typed`` holds its cell, any other as text."""
-    return Column.merged([typed.get(v) or Cell(CellKind.TEXT, v) for v in raws], raw_codes)
+def _typed_column(typed: Mapping[str, object], raws: list[str], raw_codes: array) -> Column:
+    """The column where each raw value in ``typed`` holds its payload, any other itself."""
+    return Column.merged(list(map(typed.get, raws, raws)), raw_codes)
 
 
-def _batch_column(
-    kind: CellKind, xs: list, values: list[str], raws: list[str], raw_codes: list[int]
-) -> Column:
-    """The column where each non-blank raw value in ``values`` is ``Cell(kind, x)``."""
-    cells = _cells(kind, xs)
-    if len(values) == len(raws) and len(set(xs)) == len(xs):
-        return Column(tuple(cells), tuple(raw_codes))
-    return _typed_column(dict(zip(values, cells)), raws, raw_codes)
+def _distinct(xs: list) -> bool:
+    """Whether no two of ``xs`` are equal (sorting costs less memory than a set)."""
+    ordered = sorted(xs)
+    return not any(map(eq, ordered, islice(ordered, 1, None)))
 
 
-def _type_column(raws: list[str], raw_codes: list[int]) -> Column:
+def _batch_column(xs: list, values: list[str], raws: list[str], raw_codes: array) -> Column:
+    """The column where each non-blank raw value in ``values`` holds its parse in ``xs``."""
+    if len(values) == len(raws) and _distinct(xs):
+        return Column(tuple(xs), raw_codes)
+    return _typed_column(dict(zip(values, xs)), raws, raw_codes)
+
+
+def _type_column(raws: list[str], raw_codes: array) -> Column:
     """Type one column given its distinct raw values and each row's raw code.
 
     The kind is a majority vote over non-empty values, each distinct value
@@ -464,31 +516,35 @@ def _type_column(raws: list[str], raw_codes: list[int]) -> Column:
     also parse as floats, numbers next, text is the fallback. A value that
     does not fit the winning kind, and every empty or whitespace-only value,
     stays text (NaN/inf collapse to Missing). Each distinct raw value is
-    parsed once, and raw values that type to equal cells share one code.
+    parsed once, and raw values that type to equal payloads share one code.
 
-    Passes that cannot change the result are skipped. When each raw value is
-    held by one row, every weight is 1 and no count is taken. A kind's parses
-    are skipped when the values that pass its necessary test (leading
+    Passes that cannot change the result are skipped. A kind's parses are
+    skipped when the values that pass its necessary test (leading
     characters, checked in C-level passes) carry at most half the weight;
-    the number test runs first, since every timestamp passes it. A kind that
-    parses every non-empty value wins outright and its cells are built in
-    C-level passes; only otherwise is the vote counted value by value. When
-    every value is a finite float, only those reading at least
-    ``_TIMESTAMP_FLOAT_MIN`` can be timestamps, which bounds that vote
-    without the timestamp test.
+    the number test runs first, since every timestamp passes it, and no
+    count is taken when no value passes it or when each raw value is held
+    by one row (every weight is then 1). A kind that parses every non-empty
+    value wins outright, and its payloads are the batch parse itself; only
+    otherwise is the vote counted value by value. When every value is a
+    finite float, only those reading at least ``_TIMESTAMP_FLOAT_MIN`` can
+    be timestamps, which bounds that vote without the timestamp test. A text
+    column's payloads are its raw values.
     """
-    _, may_be_timestamp, timestamps_all, parse_timestamp, make_timestamp = _KINDS[0]
-    _, may_be_number, numbers_all, parse_number, make_number = _KINDS[1]
-    stripped = list(map(str.strip, raws))
-    values = list(compress(raws, stripped))  # the non-blank raw values
+    _, may_be_timestamp, timestamps_all, parse_timestamp, timestamp_payload = _KINDS[0]
+    _, may_be_number, numbers_all, parse_number, number_payload = _KINDS[1]
+    every_stripped = list(map(str.strip, raws))
+    values = list(compress(raws, every_stripped))  # the non-blank raw values
+    stripped = list(filter(None, every_stripped))  # aligned with ``values``
+    number_leads = list(may_be_number(stripped))
+    if not any(number_leads):  # neither kind can win, whatever the weights
+        return Column(tuple(raws), raw_codes)
     if len(raws) == len(raw_codes):  # each raw value is held by one row
         weights = None
         total = len(values)
     else:
         counts = Counter(raw_codes)
-        weights = list(compress(map(counts.__getitem__, range(len(raws))), stripped))
+        weights = list(compress(map(counts.__getitem__, range(len(raws))), every_stripped))
         total = sum(weights)
-    stripped = list(filter(None, stripped))  # aligned with ``values``
 
     def can_win(passes: Iterable[bool]) -> bool:
         hits = sum(passes) if weights is None else sum(compress(weights, passes))
@@ -497,23 +553,24 @@ def _type_column(raws: list[str], raw_codes: list[int]) -> Column:
     def vote(parse: Callable[[str], object | None]) -> dict[str, object] | None:
         return _majority_parse(dict(zip(values, weights or repeat(1))), parse)
 
-    if can_win(may_be_number(stripped)):  # else neither kind can (no values: total 0)
+    if can_win(number_leads):  # else neither kind can
         xs = timestamps_all(stripped)
         if xs is not None:
-            return _batch_column(CellKind.TIMESTAMP, xs, values, raws, raw_codes)
+            return _batch_column(xs, values, raws, raw_codes)
         floats = numbers_all(values)
         if floats is None:
             may_be = may_be_timestamp(stripped)
         else:
             may_be = map(ge, floats, repeat(_TIMESTAMP_FLOAT_MIN))
         if can_win(may_be) and (parsed := vote(parse_timestamp)) is not None:
-            return _typed_column({v: make_timestamp(x) for v, x in parsed.items()}, raws, raw_codes)
+            typed = {v: timestamp_payload(x) for v, x in parsed.items()}
+            return _typed_column(typed, raws, raw_codes)
         if floats is not None:
-            return _batch_column(CellKind.NUMBER, floats, values, raws, raw_codes)
+            return _batch_column(floats, values, raws, raw_codes)
         if (parsed := vote(parse_number)) is not None:
-            return _typed_column({v: make_number(x) for v, x in parsed.items()}, raws, raw_codes)
-    # Distinct raw strings are distinct text cells.
-    return Column(tuple(_cells(CellKind.TEXT, raws)), tuple(raw_codes))
+            return _typed_column({v: number_payload(x) for v, x in parsed.items()}, raws, raw_codes)
+    # Distinct raw strings are distinct text payloads.
+    return Column(tuple(raws), raw_codes)
 
 
 _BLOCK_CHARS = 1 << 15
@@ -547,36 +604,41 @@ def _records(
     fields, as in ``csv.reader``. The first block that fails this test goes
     to ``csv.reader`` with the rest of the stream, and its records hold
     every field. Every earlier record ended at a line end, so both paths
-    see the same records.
+    see the same records. However the reading ends, ``text`` is detached
+    from the caller's binary file, which stays open.
     """
-    limit = csv.field_size_limit()
-    row = 1
-    rest: Iterable[str] = text
-    for block in iter(lambda: text.read(_BLOCK_CHARS), ""):
-        block += text.readline()
-        lines = block.split("\n")
-        if not lines[-1]:
-            lines.pop()  # the text after the block's last newline
-        if '"' in block or "\r" in block or max(map(len, lines)) > limit:
-            rest = chain(io.StringIO(block, newline=""), text)
-            break
-        commas = map(methodcaller("count", ","), lines)
-        _check_widths(list(map(add, commas, map(bool, lines))), width, row)
-        yield list(map(methodcaller("split", ",", maxsplit), lines))
-        row += len(lines)
-    reader = csv.reader(rest)
-    while True:
-        records: list[list[str]] = []
-        try:
-            records.extend(islice(reader, _CHUNK_ROWS))  # keeps the records read before an error
-        except csv.Error as exc:
-            bad = row + len(records)
-            raise StructuralError(f"row {bad}: {exc}", row=bad) from None
-        if not records:
-            return
-        _check_widths(list(map(len, records)), width, row)
-        yield records
-        row += len(records)
+    try:
+        limit = csv.field_size_limit()
+        row = 1
+        rest: Iterable[str] = text
+        for block in iter(lambda: text.read(_BLOCK_CHARS), ""):
+            block += text.readline()
+            lines = block.split("\n")
+            if not lines[-1]:
+                lines.pop()  # the text after the block's last newline
+            if '"' in block or "\r" in block or max(map(len, lines)) > limit:
+                rest = chain(io.StringIO(block, newline=""), text)
+                break
+            commas = map(methodcaller("count", ","), lines)
+            _check_widths(list(map(add, commas, map(bool, lines))), width, row)
+            yield list(map(methodcaller("split", ",", maxsplit), lines))
+            row += len(lines)
+        reader = csv.reader(rest)
+        while True:
+            records: list[list[str]] = []
+            try:
+                # extend keeps the records read before an error
+                records.extend(islice(reader, _CHUNK_ROWS))
+            except csv.Error as exc:
+                bad = row + len(records)
+                raise StructuralError(f"row {bad}: {exc}", row=bad) from None
+            if not records:
+                return
+            _check_widths(list(map(len, records)), width, row)
+            yield records
+            row += len(records)
+    finally:
+        text.detach()
 
 
 def _open_csv(
@@ -587,14 +649,18 @@ def _open_csv(
         source = io.BytesIO(source)
     text_stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     try:
-        headers = next(csv.reader(text_stream), None)
-    except csv.Error as exc:
-        raise StructuralError(f"header: {exc}", row=0) from None
-    if headers is None:
-        raise StructuralError("empty CSV input")
-    if len(set(headers)) != len(headers):
-        dupes = sorted({h for h in headers if headers.count(h) > 1})
-        raise SchemaError(f"duplicate header {dupes[0]!r}")
+        try:
+            headers = next(csv.reader(text_stream), None)
+        except csv.Error as exc:
+            raise StructuralError(f"header: {exc}", row=0) from None
+        if headers is None:
+            raise StructuralError("empty CSV input")
+        if len(set(headers)) != len(headers):
+            dupes = sorted({h for h in headers if headers.count(h) > 1})
+            raise SchemaError(f"duplicate header {dupes[0]!r}")
+    except BaseException:
+        text_stream.detach()  # leaves the caller's file open
+        raise
     kept = [j for j, h in enumerate(headers) if columns is None or h.lower() in columns]
     return headers, kept, _records(text_stream, len(headers), kept[-1] + 1 if kept else 0)
 
@@ -618,8 +684,10 @@ def load_csv(source: BinaryIO | bytes, columns: Collection[str] | None = None) -
     numbers, columns of ISO-8601 dates or epoch-millisecond integers become
     timestamps, everything else stays text. Raw empty fields stay as empty
     text until :func:`normalize_missing` runs. Records are streamed into
-    per-column raw-value codes, so only distinct raw strings are kept. A
-    leading UTF-8 byte order mark is dropped.
+    per-column raw-value codes, each column's in an ``array`` widened as its
+    distinct raw strings outgrow the typecode, so only distinct raw strings
+    are kept. A leading UTF-8 byte order mark is dropped. The caller's file
+    is left open.
 
     ``columns``, when given, holds case-folded names: the dataset keeps only
     the headers whose ``lower()`` is among them, in file order, and the other
@@ -629,14 +697,19 @@ def load_csv(source: BinaryIO | bytes, columns: Collection[str] | None = None) -
     """
     headers, kept, chunks = _open_csv(source, columns)
     encoders = [_encoder() for _ in kept]
-    raw_codes: list[list[int]] = [[] for _ in kept]
+    raw_codes = [array("B") for _ in kept]
     n_rows = 0
     for records in chunks:
-        for encoder, codes, j in zip(encoders, raw_codes, kept):
-            codes.extend(map(encoder.__getitem__, map(itemgetter(j), records)))
+        for k, (encoder, j) in enumerate(zip(encoders, kept)):
+            codes = list(map(encoder.__getitem__, map(itemgetter(j), records)))
+            if raw_codes[k].typecode != (typecode := _typecode(len(encoder))):
+                raw_codes[k] = array(typecode, raw_codes[k])
+            raw_codes[k].fromlist(codes)
         n_rows += len(records)
     _check_headers(tuple(headers))
-    typed = [_type_column(list(e), codes) for e, codes in zip(encoders, raw_codes)]
+    typed = []
+    while encoders:  # each encoder is freed before the next column is typed
+        typed.append(_type_column(list(encoders.pop(0)), raw_codes.pop(0)))
     return Dataset.from_columns([headers[j] for j in kept], typed, n_rows)
 
 
@@ -666,13 +739,12 @@ def normalize_missing(d: Dataset) -> Dataset:
     """
     columns = []
     for column in d.columns:
-        is_text = _is_text(column.values)
-        texts = map(_value, compress(column.values, is_text))
-        hits = list(placeholder_flags(texts))
+        is_text = list(_is_str(column.payloads))
+        hits = list(placeholder_flags(compress(column.payloads, is_text)))
         if any(hits):
-            folded = list(column.values)
+            folded = list(column.payloads)
             for code in compress(compress(count(), is_text), hits):  # the texts that hit
-                folded[code] = MISSING
+                folded[code] = None
             column = Column.merged(folded, column.codes)
         columns.append(column)
     return Dataset.from_columns(d.headers, columns, d.n_rows)

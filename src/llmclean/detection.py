@@ -27,8 +27,6 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .dataset import (
-    Cell,
-    CellKind,
     CellRef,
     Column,
     Dataset,
@@ -184,12 +182,9 @@ def detect_missing(d: Dataset, rule: OfdRule) -> list[Finding]:
     column = d.columns[col_idx]
     literal = literals[0].value
     if any(placeholder_flags([literal])):
-        hits = [k for k, cell in enumerate(column.values) if cell.is_missing]
-    else:
-        hits = [
-            k for k, cell in enumerate(column.values)
-            if cell.kind is CellKind.TEXT and cell.value == literal
-        ]
+        hits = [] if column.missing_code is None else [column.missing_code]
+    else:  # only a text payload equals a str
+        hits = [k for k, payload in enumerate(column.payloads) if payload == literal]
     name = d.headers[col_idx]
     return [
         Finding(CellRef(i, name), rule.id, "missing_value") for i in column.row_indices(hits)
@@ -307,14 +302,15 @@ def detect_capability_violations(
     value_idx = _resolve(d, rule.id, VALUE_COLUMN)
     values = d.columns[value_idx]
     value_name = d.headers[value_idx]
+    payloads, codes = values.payloads, values.codes
     findings: list[Finding] = []
     for i in sensors.row_indices(sensors.codes_of(sensor_id)):
-        value = values.values[values.codes[i]]
-        if value.is_missing:
+        value = payloads[codes[i]]
+        if value is None:
             continue
-        if value.kind is not CellKind.NUMBER:
+        if type(value) is not float:
             findings.append(Finding(CellRef(i, value_name), rule.id, "type_mismatch"))
-        elif not spec.min_value <= float(value.value) <= spec.max_value:
+        elif not spec.min_value <= value <= spec.max_value:
             findings.append(Finding(CellRef(i, value_name), rule.id, "capability_range"))
     return findings
 
@@ -339,12 +335,6 @@ def temporal_link(rule: OfdRule) -> tuple[str, str, str]:
     return column, from_device, to_device
 
 
-def _timestamp_value(cell: Cell) -> float | None:
-    if cell.kind is CellKind.TIMESTAMP or cell.kind is CellKind.NUMBER:
-        return float(cell.value)
-    return None
-
-
 def detect_temporal_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
     """Flag downstream timestamp cells that do not strictly follow upstream ones.
 
@@ -360,7 +350,10 @@ def detect_temporal_violations(d: Dataset, rule: OfdRule) -> list[Finding]:
         raise RuleError(f"rule {rule.id!r}: dataset has no timestamp column") from None
     ts_name = d.headers[ts_idx]
     ts_codes = d.columns[ts_idx].codes
-    stamps = [_timestamp_value(cell) for cell in d.columns[ts_idx].values]
+    # Timestamps and numbers compare as floats; text and missing never do.
+    stamps = [
+        None if p is None or type(p) is str else float(p) for p in d.columns[ts_idx].payloads
+    ]
 
     corr_idx = None
     for name in _CORRELATION_COLUMNS:
@@ -508,7 +501,7 @@ def run_all(
             and _capability_spec(rule, specs) is not None
         }
         sensors = d.columns[d.column_index(SENSOR_COLUMN)]
-        present = {t for cell, t in zip(sensors.values, sensors.texts) if not cell.is_missing}
+        present = {t for p, t in zip(sensors.payloads, sensors.texts) if p is not None}
         report.uncovered_sensors = len(present - covered)
 
     report.findings.sort(key=lambda f: (f.cell.row, f.cell.column, f.rule_id))

@@ -17,7 +17,6 @@ from typing import Collection, Mapping, Sequence
 
 from .dataset import (
     Cell,
-    CellKind,
     CellRef,
     Dataset,
     DEFAULT_PLACEHOLDER_TOKENS,
@@ -122,9 +121,9 @@ class GroundTruth(Frozen):
 def _numeric_columns(d: Dataset) -> list[str]:
     numeric = []
     for name, column in zip(d.headers, d.columns):
-        kinds = Counter(cell.kind for cell in column.cells())
-        present = d.n_rows - kinds[CellKind.MISSING]
-        if present and kinds[CellKind.NUMBER] > present / 2:
+        types = Counter(map(type, map(column.payloads.__getitem__, column.codes)))
+        present = d.n_rows - types[type(None)]
+        if present and types[float] > present / 2:
             numeric.append(name)
     return numeric
 
@@ -143,9 +142,9 @@ def _with_cells(d: Dataset, changes: Mapping[tuple[int, int], Cell]) -> Dataset:
 
     Columns without a change are shared unchanged.
     """
-    by_column: dict[int, dict[int, Cell]] = defaultdict(dict)
+    by_column: dict[int, dict[int, str | float | int | None]] = defaultdict(dict)
     for (row, col), cell in changes.items():
-        by_column[col][row] = cell
+        by_column[col][row] = cell.value
     columns = [
         column.replaced(by_column[c]) if c in by_column else column
         for c, column in enumerate(d.columns)
@@ -188,9 +187,7 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
     entries: list[Corruption] = []
 
     def take(row: int, col: int, new_cell: Cell, kind: str):
-        column = d.columns[col]
-        original = column.values[column.codes[row]]
-        entries.append(Corruption(CellRef(row, d.headers[col]), original, kind))
+        entries.append(Corruption(CellRef(row, d.headers[col]), d.columns[col].cell(row), kind))
         changes[(row, col)] = new_cell
 
     # FD swaps go first: they need intact groups to pick replacement modes.
@@ -242,14 +239,14 @@ def inject_errors(d: Dataset, spec: ErrorSpec) -> tuple[Dataset, GroundTruth]:
         eligible = [
             (i, c)
             for c in cols
-            for i, cell in enumerate(d.columns[c].cells())
-            if (i, c) not in changes and cell.kind is CellKind.NUMBER
+            for i, code in enumerate(d.columns[c].codes)
+            if (i, c) not in changes and type(d.columns[c].payloads[code]) is float
         ]
         count = round_half_up(spec.outlier_rate * d.n_rows * len(cols))
         if count > len(eligible):
             raise ValueError("outlier_rate exceeds remaining capacity")
         for i, c in rng.sample(eligible, count):
-            old = float(d.cell(i, d.headers[c]).value)
+            old = d.columns[c].cell(i).value
             new_value = old * spec.outlier_multiplier if old != 0 else spec.outlier_multiplier
             if not math.isfinite(new_value):
                 raise ValueError(

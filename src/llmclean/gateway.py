@@ -14,6 +14,7 @@ import os
 import re
 import time
 from enum import Enum
+from functools import cache
 from pathlib import Path
 from typing import Mapping, Sequence
 from urllib.parse import SplitResult, unquote, urlsplit
@@ -246,9 +247,8 @@ def _post(url: str, headers: Mapping[str, str], body: bytes, timeout: float) -> 
                 target = f"http://{authority}{target}"
                 head.update(auth)
         if https:
-            import ssl  # here: only an https:// endpoint needs it
-
-            sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
+            context = _tls_context(os.environ.get("SSL_CERT_FILE"), os.environ.get("SSL_CERT_DIR"))
+            sock = context.wrap_socket(sock, server_hostname=host)
         head.update({"Content-Length": str(len(body)), "Connection": "close"})
         with sock.makefile("rb") as reply:
             sock.sendall(_request_head("POST", target, head) + body)
@@ -266,6 +266,19 @@ def _post(url: str, headers: Mapping[str, str], body: bytes, timeout: float) -> 
             return status, reply.read()
     finally:
         sock.close()
+
+
+@cache
+def _tls_context(cert_file: str | None, cert_dir: str | None):
+    """The default TLS client context for one ``SSL_CERT_FILE``/``SSL_CERT_DIR`` pair.
+
+    Building a context loads the whole trust store (tens of milliseconds),
+    and OpenSSL reads those two variables when it does; so one context is
+    built per pair of their values and shared by every later connection.
+    """
+    import ssl  # here: only an https:// endpoint needs it
+
+    return ssl.create_default_context()
 
 
 def _proxy_for(scheme: str, authority: str) -> SplitResult | None:

@@ -28,7 +28,7 @@ from .context_model import (
     entity,
     sensor_bounds,
 )
-from .dataset import Cell, CellKind, Column, Dataset, group_modes
+from .dataset import Column, Dataset, group_modes
 from .ensemble import EnsembleConfig, find_consensus
 from .errors import GatewayError, SchemaError
 from .gateway import (
@@ -215,16 +215,16 @@ def split_sensors(
     # column: the value columns' dictionaries are concatenated, their codes
     # shifted to match and interleaved.
     sources = [d.columns[i] for i in indices]
-    starts = accumulate((len(c.values) for c in sources), initial=0)
+    starts = accumulate((len(c.payloads) for c in sources), initial=0)
     shifted = [map(start.__add__, c.codes) for start, c in zip(starts, sources)]
-    readings = [cell for c in sources for cell in c.values]
+    readings = [payload for c in sources for payload in c.payloads]
     columns = [
-        Column.merged([Cell.text(label) for _, label in value_columns], list(range(k)) * d.n_rows),
+        Column.merged([label for _, label in value_columns], list(range(k)) * d.n_rows),
         Column.merged(readings, chain.from_iterable(zip(*shifted))),
     ]
     for i in carried:
         codes = d.columns[i].codes
-        columns.append(Column(d.columns[i].values, tuple(chain.from_iterable(zip(*[codes] * k)))))
+        columns.append(Column(d.columns[i].payloads, chain.from_iterable(zip(*[codes] * k))))
     headers = ["sensor", "value"] + [d.headers[i] for i in carried]
     return Dataset.from_columns(headers, columns, d.n_rows * k)
 
@@ -245,7 +245,7 @@ def rename_columns(d: Dataset, assignments: Mapping[str, str]) -> Dataset:
 
 
 def _distinct_non_missing(column: Column) -> list[str]:
-    return sorted({t for cell, t in zip(column.values, column.texts) if not cell.is_missing})
+    return sorted({t for p, t in zip(column.payloads, column.texts) if p is not None})
 
 
 def generate_columns(d: Dataset) -> tuple[Dataset, list[str]]:
@@ -271,8 +271,7 @@ def generate_columns(d: Dataset) -> tuple[Dataset, list[str]]:
         index = {loc: k + 1 for k, loc in enumerate(_distinct_non_missing(location))}
         # The slot of each distinct location value, and each row's value.
         slots = [
-            0 if cell.is_missing else index[text]
-            for cell, text in zip(location.values, location.texts)
+            0 if p is None else index[text] for p, text in zip(location.payloads, location.texts)
         ]
         slot_codes = location.codes
     else:
@@ -281,10 +280,10 @@ def generate_columns(d: Dataset) -> tuple[Dataset, list[str]]:
     added = []
     for concept in to_add:
         if concept == "System":
-            added.append(Column.merged([Cell.text(SYNTH_SYSTEM_ID)], [0] * d.n_rows))
+            added.append(Column.merged([SYNTH_SYSTEM_ID], [0] * d.n_rows))
         else:
             stem = _SYNTH_ID_STEMS[concept]
-            added.append(Column.merged([Cell.text(f"{stem}_{k}") for k in slots], slot_codes))
+            added.append(Column.merged([f"{stem}_{k}" for k in slots], slot_codes))
     headers = d.headers + tuple(CANONICAL_NAMES[c] for c in to_add)
     return Dataset.from_columns(headers, d.columns + tuple(added), d.n_rows), excluded
 
@@ -325,7 +324,7 @@ def sanitize_for_graph(d: Dataset) -> Dataset:
         column = d.columns[idx]
         modes = group_modes(sensor, column)
         repairs = {
-            i: column.values[modes[s]]
+            i: column.payloads[modes[s]]
             for i, (s, c) in enumerate(zip(sensor.codes, column.codes))
             if s in modes and c != modes[s]
         }
@@ -335,10 +334,7 @@ def sanitize_for_graph(d: Dataset) -> Dataset:
     dropped: set[int] = set()
     if d.has_column("value"):
         value = d.columns[d.column_index("value")]
-        readings = [
-            float(cell.value) if cell.kind is CellKind.NUMBER else None
-            for cell in value.values
-        ]
+        readings = [p if type(p) is float else None for p in value.payloads]
         groups: dict[int, list[tuple[int, float]]] = defaultdict(list)
         for i, (s, v) in enumerate(zip(sensor.codes, value.codes)):
             if s != sensor.missing_code and readings[v] is not None:
@@ -353,7 +349,7 @@ def sanitize_for_graph(d: Dataset) -> Dataset:
 
     if dropped:
         kept = [i for i in range(d.n_rows) if i not in dropped]
-        columns = [Column.merged(c.values, map(c.codes.__getitem__, kept)) for c in columns]
+        columns = [Column.merged(c.payloads, map(c.codes.__getitem__, kept)) for c in columns]
     return Dataset.from_columns(d.headers, columns, d.n_rows - len(dropped))
 
 
@@ -487,19 +483,22 @@ def candidate_pairs(d: Dataset) -> dict[tuple[str, str], tuple[bool, bool]]:
     A direction holds when its g3 error, over the rows where both cells are
     present, is at most FD_ERROR; both hold on a pair with no such row.
     """
-    width = max((len(c.values) for c in d.columns), default=0)
+    width = max((len(c.payloads) for c in d.columns), default=0)
     present = [_present(column) for column in d.columns]
+    # Lists, not the columns' arrays: each pair reads a column's codes
+    # again, and reading an array makes a new int for each code above 256.
+    codes = [column.codes.tolist() for column in d.columns]
     kept = {}
     for i, a in enumerate(d.columns[:-1]):
         # The keys of one determinant column at a time: every column's at
         # once would hold n_cols lists of n_rows ints.
-        scaled = list(map(width.__mul__, a.codes))
+        scaled = list(map(width.__mul__, codes[i]))
         for j in range(i + 1, d.n_cols):
             b = d.columns[j]
-            keys = map(add, scaled, b.codes)
+            keys = map(add, scaled, codes[j])
             p, q = present[i], present[j]
             if p is None and q is None:
-                holds = _directions(list(keys), width, (len(a.values), len(b.values)))
+                holds = _directions(list(keys), width, (len(a.payloads), len(b.payloads)))
             else:
                 both = q if p is None else p if q is None else map(and_, p, q)
                 holds = _directions(list(compress(keys, both)), width, None)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import warnings
 from datetime import datetime
 
 import pytest
@@ -11,19 +12,20 @@ from hypothesis import example, given, strategies as st
 from llmclean import dataset
 from llmclean.dataset import (
     EPOCH_MS_MIN,
-    _cells,
     _may_be_number,
     _may_be_timestamp,
     _parse_timestamp_text,
     _type_column,
     Cell,
     CellKind,
+    Column,
     Dataset,
     MISSING,
     cell_text,
     dataset_to_csv,
     load_csv,
     normalize_missing,
+    read_headers,
 )
 from llmclean.errors import LLMCleanError, SchemaError, StructuralError
 
@@ -480,6 +482,39 @@ class TestRecordSplitting:
         assert load_csv(data, columns={"sensor"}).headers == ("sensor",)
 
 
+class TestCallerFileStaysOpen:
+    @pytest.mark.parametrize(
+        "data,error",
+        [
+            (b"a,b\n1,2\n", None),  # read to the end
+            (b"a,b\n1,2\n3\n", StructuralError),  # a width error stops the read
+            (b"a,b\n\"0123456789x\",1\n", StructuralError),  # so does a csv.Error
+            (b"0123456789x\n1\n", StructuralError),  # a csv.Error in the header
+            (b"", StructuralError),  # empty input
+            (b"a,a\n1,2\n", SchemaError),  # duplicate header
+        ],
+    )
+    @pytest.mark.parametrize("read", [load_csv, read_headers])
+    def test_no_text_wrapper_left_unclosed(self, data, error, read, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        old = csv.field_size_limit(10)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with path.open("rb") as fh:
+                    if error is None:
+                        read(fh)
+                    else:
+                        with pytest.raises(error):
+                            read(fh)
+                    assert not fh.closed
+                gc.collect()
+        finally:
+            csv.field_size_limit(old)
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 class TestBulkCells:
     @pytest.mark.parametrize(
         "kind,values",
@@ -490,7 +525,8 @@ class TestBulkCells:
         ],
     )
     def test_equal_to_cells_built_by_init(self, kind, values):
-        cells = _cells(kind, values)
+        # A column's Cells are built from its payloads' types on first use.
+        cells = list(Column(tuple(values), range(len(values))).values)
         expected = [Cell(kind, v) for v in values]
         assert cells == expected
         assert list(map(hash, cells)) == list(map(hash, expected))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import json
+import os
 import re
 import select
 import shutil
@@ -617,6 +618,32 @@ class TestTls:
         monkeypatch.setenv("SSL_CERT_FILE", str(tls_cert[0]))
         assert _ask(tls_server) is True
         assert _Answer.seen[0][1]["Host"] == urlsplit(tls_server).netloc
+
+
+    def test_one_context_per_trust_store(self, tls_server, tls_cert, monkeypatch):
+        monkeypatch.setenv("LLMCLEAN_API_KEY", TOKEN)
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        create = ssl.create_default_context
+        built = []
+
+        def counting_create(*args, **kwargs):
+            built.append(os.environ.get("SSL_CERT_FILE"))
+            return create(*args, **kwargs)
+
+        monkeypatch.setattr(ssl, "create_default_context", counting_create)
+        gateway._tls_context.cache_clear()
+        for _ in range(2):
+            with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+                _ask(tls_server)
+        assert built == [None]  # six attempts, one context
+        monkeypatch.setenv("SSL_CERT_FILE", str(tls_cert[0]))
+        assert _ask(tls_server) is True
+        assert built == [None, str(tls_cert[0])]
+        monkeypatch.delenv("SSL_CERT_FILE")
+        with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+            _ask(tls_server)
+        assert built == [None, str(tls_cert[0])]
 
 
 _PAYLOAD = json.dumps({"choices": [{"message": {"content": "yes"}}]}).encode()
